@@ -33,16 +33,12 @@ from ..bus import PlbBus, PlbMemory
 from ..kernel import (
     Clock,
     Edge,
-    LaneProgram,
-    LaneSpec,
     MHz,
     Module,
     RisingEdge,
     Signal,
     Simulator,
     Timer,
-    run_lane_block,
-    run_scalar_lane,
 )
 
 __all__ = [
@@ -50,13 +46,10 @@ __all__ = [
     "DEFAULT_BASELINE",
     "DEFAULT_CODEGEN_BASELINE",
     "DEFAULT_SYSTEM_BASELINE",
-    "DEFAULT_LANES_BASELINE",
     "DEFAULT_TOLERANCE",
-    "MIN_LANE_SPEEDUP",
     "MIN_CODEGEN_SPEEDUP",
     "compare_speedup",
     "measure_speedup",
-    "LANE_DEMO",
     "default_baseline_path",
     "bench_clock_toggle",
     "bench_signal_update",
@@ -64,17 +57,13 @@ __all__ = [
     "bench_proc_resume",
     "bench_plb_burst",
     "measure",
-    "measure_lanes",
     "measure_system",
     "write_baseline",
     "load_baseline",
     "baseline_backend",
     "compare",
-    "compare_lanes",
     "write_system_baseline",
     "load_system_baseline",
-    "write_lanes_baseline",
-    "load_lanes_baseline",
 ]
 
 #: repo-relative location of the committed baseline (interp backend)
@@ -91,22 +80,12 @@ def default_baseline_path(backend: str = "interp") -> Path:
 #: repo-relative location of the end-to-end system benchmark record
 DEFAULT_SYSTEM_BASELINE = Path("benchmarks") / "BENCH_system.json"
 
-#: committed record of the lane-batched campaign microbenchmark
-DEFAULT_LANES_BASELINE = Path("benchmarks") / "BENCH_lanes.json"
-
 #: allowed fractional throughput loss before --check fails
 DEFAULT_TOLERANCE = 0.20
-
-#: minimum warm laned-over-scalar scenarios/sec ratio the lane engine
-#: must hold (gated by ``repro bench --lanes-bench --check``)
-MIN_LANE_SPEEDUP = 3.0
 
 _SCHEMA = 1
 
 _SYSTEM_SCHEMA = 1
-
-_LANES_SCHEMA = 1
-
 
 def bench_clock_toggle(cycles: int = 100_000, backend: str = "interp") -> int:
     """Pure clock generation: the floor cost of a simulated cycle."""
@@ -337,200 +316,6 @@ def compare_speedup(
     return rows
 
 
-# ----------------------------------------------------------------------
-# The campaign microbenchmark for lane-batched execution
-# ----------------------------------------------------------------------
-#: clocked cycles per lane-demo scenario (fixed: part of the workload
-#: definition, so recorded baselines stay comparable)
-LANE_DEMO_CYCLES = 512
-
-
-def _lane_demo_build():
-    """A 32-bit scramble pipeline: the shape of a campaign scenario.
-
-    Four registers fold a per-scenario seed through xor/shift/add/mux
-    stages every cycle, and a digest register accumulates the whole
-    history — so two scenarios agree on the digest only if they agreed
-    on every cycle, which is what makes the benchmark double as a
-    vector/scalar parity check.
-    """
-    from ..kernel.codegen import mux, ref
-
-    top = Module("lane_demo")
-    clk = Clock("clk", MHz(100), parent=top)
-    s0 = top.signal("s0", 32, init=0x1)
-    s1 = top.signal("s1", 32, init=0x2)
-    s2 = top.signal("s2", 32, init=0x4)
-    s3 = top.signal("s3", 32, init=0x8)
-    digest = top.signal("digest", 32, init=0)
-    seed_in = top.signal("seed_in", 32, init=0)
-    c0 = top.signal("c0", 32)
-    c1 = top.signal("c1", 32)
-    c2 = top.signal("c2", 32)
-    par = top.signal("par", 1)
-    top.comb(c0, (ref(s0) ^ (ref(s1) >> 3)) + ref(seed_in))
-    top.comb(c1, mux(ref(s2).lt(ref(s3)), ref(c0) + ref(s2), ref(c0) ^ ref(s3)))
-    top.comb(c2, (ref(c1) << 1) ^ (ref(c1) >> 7))
-    top.comb(par, ref(c2).reduce_xor())
-    spec = LaneSpec(
-        registers=(
-            (s0, ref(c2) + 1),
-            (s1, ref(s0) ^ ref(c1)),
-            (s2, mux(ref(par), ref(s3) + ref(c0), ~ref(s2))),
-            (s3, (ref(s2) >> 1) + ref(c2)),
-            (digest, ref(digest) ^ ref(c2)),
-        ),
-        inputs=(seed_in,),
-        taps=(digest, s0),
-    )
-    return top, clk, spec
-
-
-def _lane_demo_stimulus(param: dict, cycle: int):
-    if cycle == 0:
-        return {"seed_in": param["seed"] & 0xFFFFFFFF}
-    return None
-
-
-#: the lane-executable campaign microbenchmark workload
-LANE_DEMO = LaneProgram(
-    name="lane_demo",
-    build=_lane_demo_build,
-    n_cycles=LANE_DEMO_CYCLES,
-    stimulus=_lane_demo_stimulus,
-    stimulus_cycles=1,
-)
-
-
-def _lane_demo_run(
-    seed: int, diverge_at_cycle=None, vcd=None, monitor=None
-) -> dict:
-    """Fleet task: one lane-demo scenario on the scalar path.
-
-    The divergence-hint kwargs are accepted (and forwarded, where the
-    plan/runtime detectors read them) but never change the computed
-    taps — the determinism contract in one signature.
-    """
-    param = {
-        "seed": seed,
-        "diverge_at_cycle": diverge_at_cycle,
-        "vcd": vcd,
-        "monitor": monitor,
-    }
-    return run_scalar_lane(LANE_DEMO, param)
-
-
-def _lane_demo_block_runner(kwargs_list):
-    """Lane-block runner for :func:`_lane_demo_run` (vector engine)."""
-    params = [
-        {
-            "seed": k["seed"],
-            "diverge_at_cycle": k.get("diverge_at_cycle"),
-            "vcd": k.get("vcd"),
-            "monitor": k.get("monitor"),
-        }
-        for k in kwargs_list
-    ]
-    results, stats = run_lane_block(LANE_DEMO, params)
-    values = [{"ok": True, "value": r, "error": ""} for r in results]
-    return values, {
-        "lanes": stats.lanes,
-        "vectorized": stats.vectorized,
-        "peeled": stats.peel_count,
-    }
-
-
-def _register_lane_demo() -> None:
-    from ..exec.lanes import register_lane_runner
-
-    register_lane_runner(_lane_demo_run, _lane_demo_block_runner)
-
-
-_register_lane_demo()
-
-
-def measure_lanes(
-    lanes: int = 8,
-    scenarios: int = 24,
-    repeats: int = 3,
-) -> dict:
-    """Scenarios/sec of the campaign microbench, scalar vs lane-batched.
-
-    Runs the same ``scenarios`` seeds three ways: scalar (``lanes=1``),
-    laned with a *cold* artifact cache (the lane code is compiled inside
-    the measurement) and laned *warm* (compiled code reused).  Asserts
-    tap-for-tap parity between the scalar and laned passes before
-    reporting, so a number from this function is also a correctness
-    witness.  Min-of-N timing, like :func:`measure`.
-    """
-    from ..exec.cache import ARTIFACT_CACHE
-    from ..exec.fleet import RunSpec
-    from ..exec.lanes import run_many_laned
-
-    specs = [
-        RunSpec(f"lane:{i}", _lane_demo_run, {"seed": 1000 + 7 * i})
-        for i in range(scenarios)
-    ]
-
-    def one_pass(n_lanes: int):
-        t0 = perf_counter()
-        report = run_many_laned(specs, lanes=n_lanes)
-        dt = perf_counter() - t0
-        failures = report.failures()
-        if failures:
-            detail = "; ".join(f"{o.key}: {o.error}" for o in failures)
-            raise RuntimeError(f"lane benchmark run(s) failed: {detail}")
-        return dt, report
-
-    def best_of(n_lanes: int, cold: bool):
-        best, keep = None, None
-        for _ in range(max(1, repeats)):
-            if cold:
-                ARTIFACT_CACHE.clear()
-            dt, report = one_pass(n_lanes)
-            if best is None or dt < best:
-                best, keep = dt, report
-        return best, keep
-
-    scalar_s, scalar_report = best_of(1, cold=False)
-    laned_cold_s, _ = best_of(lanes, cold=True)
-    laned_warm_s, laned_report = best_of(lanes, cold=False)
-
-    scalar_values = [o.value for o in scalar_report.outcomes]
-    laned_values = [o.value for o in laned_report.outcomes]
-    if scalar_values != laned_values:
-        raise RuntimeError(
-            "lane benchmark parity violation: laned taps differ from scalar"
-        )
-
-    def rate(best_s: float) -> dict:
-        return {
-            "best_s": best_s,
-            "per_sec": scenarios / best_s if best_s else 0.0,
-        }
-
-    scalar = rate(scalar_s)
-    warm = rate(laned_warm_s)
-    cold = rate(laned_cold_s)
-    return {
-        "scenarios": scenarios,
-        "cycles": LANE_DEMO.n_cycles,
-        "lanes": lanes,
-        "unit": "scenarios",
-        "scalar": scalar,
-        "laned_cold": cold,
-        "laned_warm": warm,
-        "speedup_cold": (
-            cold["per_sec"] / scalar["per_sec"] if scalar["per_sec"] else 0.0
-        ),
-        "speedup_warm": (
-            warm["per_sec"] / scalar["per_sec"] if scalar["per_sec"] else 0.0
-        ),
-        "parity_ok": True,
-        "cache_stats": laned_report.cache,
-    }
-
-
 def _measure_one(name: str, repeats: int, backend: str = "interp") -> dict:
     """Fleet task: min-of-N measurement of one kernel."""
     fn, unit = KERNELS[name]
@@ -646,20 +431,13 @@ def measure_system(
       SimBs and the assembled memory image, and the hit counters prove
       it;
     * the bug campaign serially (``jobs=1``) and fleet-parallel
-      (``jobs=N``), wall clock and speedup;
-    * a lane-batched pass of the campaign microbench, whose per-kind
-      cache counters (the ``lane_code`` artifacts plus the
-      ``lane_blocks`` execution accounting) land in the JSON through
-      the same :func:`~repro.exec.cache.merge_stats` path as every
-      other artifact kind.
+      (``jobs=N``), wall clock and speedup.
 
     Results are wall-clock numbers — machine-dependent by nature, so
     they carry ``cpus`` and are recorded (not regression-gated) in
     ``BENCH_system.json``.
     """
     from ..exec.cache import ARTIFACT_CACHE
-    from ..exec.fleet import RunSpec
-    from ..exec.lanes import run_many_laned
     from ..system.scenarios import scenario
     from ..verif.campaign import run_bug_campaign, run_system
 
@@ -685,17 +463,6 @@ def measure_system(
     run_bug_campaign(keys, base_config=config, n_frames=frames, jobs=jobs)
     parallel_s = perf_counter() - t0
 
-    # lane-batched microbench pass: two passes so the warm one shows
-    # lane_code hits next to every other artifact kind's counters
-    lane_specs = [
-        RunSpec(f"lane:{i}", _lane_demo_run, {"seed": 1000 + 7 * i})
-        for i in range(8)
-    ]
-    run_many_laned(lane_specs, lanes=4)
-    t0 = perf_counter()
-    lane_report = run_many_laned(lane_specs, lanes=4)
-    laned_s = perf_counter() - t0
-
     return {
         "scenario": "tiny",
         "frames": frames,
@@ -715,73 +482,7 @@ def measure_system(
             "parallel_s": parallel_s,
             "speedup": serial_s / parallel_s if parallel_s else 0.0,
         },
-        "lanes": {
-            "scenarios": len(lane_specs),
-            "lanes": 4,
-            "warm_s": laned_s,
-            "cache_stats": lane_report.cache,
-        },
     }
-
-
-def write_lanes_baseline(result: dict, path: Path) -> None:
-    """Record a :func:`measure_lanes` measurement to ``path``."""
-    doc = {
-        "schema": _LANES_SCHEMA,
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "lanes": result,
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_lanes_baseline(path: Path) -> dict:
-    """Load a recorded lane measurement; returns its ``lanes`` dict."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != _LANES_SCHEMA:
-        raise ValueError(f"unsupported lanes baseline schema in {path}")
-    return doc["lanes"]
-
-
-def compare_lanes(
-    current: dict,
-    baseline: Optional[dict] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    min_speedup: float = MIN_LANE_SPEEDUP,
-) -> List[dict]:
-    """Regression rows for the lane benchmark (``bench --check`` gate).
-
-    Always contains the absolute ``lane_speedup`` row — warm laned
-    scenarios/sec must stay at least ``min_speedup`` times scalar —
-    plus relative throughput rows against ``baseline`` when one is
-    given (same ratio/tolerance convention as :func:`compare`).
-    """
-    rows = [
-        {
-            "name": "lane_speedup",
-            "baseline_per_sec": min_speedup,
-            "per_sec": current["speedup_warm"],
-            "ratio": current["speedup_warm"] / min_speedup if min_speedup else 0.0,
-            "ok": current["speedup_warm"] >= min_speedup,
-        }
-    ]
-    if baseline:
-        for key in ("scalar", "laned_warm"):
-            base = baseline.get(key, {}).get("per_sec", 0.0)
-            now = current[key]["per_sec"]
-            if not base:
-                continue
-            ratio = now / base
-            rows.append(
-                {
-                    "name": f"lanes:{key}",
-                    "baseline_per_sec": base,
-                    "per_sec": now,
-                    "ratio": ratio,
-                    "ok": ratio >= 1.0 - tolerance,
-                }
-            )
-    return rows
 
 
 def write_system_baseline(result: dict, path: Path) -> None:

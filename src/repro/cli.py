@@ -12,25 +12,20 @@ Commands:
 ``bench``      kernel throughput micro-benchmarks; ``--check`` gates
                against the committed BENCH_kernel.json baseline;
                ``--system`` measures the end-to-end sweep instead
-               (cache warmth + fleet parallelism, BENCH_system.json);
-               ``--lanes-bench`` measures lane-batched vs scalar
-               scenarios/sec (BENCH_lanes.json)
+               (cache warmth + fleet parallelism, BENCH_system.json)
 ``campaign``   the full Table III bug-detection campaign; ``--jobs N``
                fans runs out to fleet workers with byte-identical
-               reports; ``--lanes N`` batches compatible runs into
-               lane blocks, also byte-identical
+               reports
 ``soak``       seeded transient-fault soak campaign exercising the
                detect/abort/retry recovery stack; ``--check`` fails on
-               silent corruption or hangs; supports ``--jobs`` and
-               ``--lanes``
+               silent corruption or hangs; supports ``--jobs``
 ``trace``      run with structured tracing on and export a Chrome
                ``trace_event`` JSON (Perfetto-loadable) plus a text
                timeline and counter summary
 ``fuzz``       coverage-closure fuzzing: constrained-random scenarios
                run under both ReSim and VMux with differential
                checking; real divergences are auto-shrunk to a replay
-               file, ``--replay`` re-runs one; supports ``--jobs`` and
-               ``--lanes``
+               file, ``--replay`` re-runs one; supports ``--jobs``
 
 ``main`` parses through :func:`build_parser`, which exists as a
 separate function so tooling (``tools/check_docs.py``) can introspect
@@ -197,8 +192,6 @@ def _cmd_bench(args) -> int:
 
     if args.system:
         return _bench_system(args)
-    if args.lanes_bench:
-        return _bench_lanes(args)
     if args.speedup:
         return _bench_speedup(args)
 
@@ -372,76 +365,6 @@ def _bench_system(args) -> int:
     return 0
 
 
-def _bench_lanes(args) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from .analysis import benchkit
-
-    result = benchkit.measure_lanes(lanes=args.lanes, repeats=args.repeats)
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline
-        else benchkit.DEFAULT_LANES_BASELINE
-    )
-    if args.update:
-        benchkit.write_lanes_baseline(result, baseline_path)
-
-    if args.json:
-        print(_json.dumps(result, indent=2))
-    else:
-        rows = [
-            ("scalar (interp)", f"{result['scalar']['per_sec']:,.1f}/s", "-"),
-            (
-                f"laned x{result['lanes']} (cold cache)",
-                f"{result['laned_cold']['per_sec']:,.1f}/s",
-                f"{result['speedup_cold']:.1f}x",
-            ),
-            (
-                f"laned x{result['lanes']} (warm cache)",
-                f"{result['laned_warm']['per_sec']:,.1f}/s",
-                f"{result['speedup_warm']:.1f}x",
-            ),
-        ]
-        print(
-            format_table(
-                ["Mode", "Throughput", "Speedup"],
-                rows,
-                title=f"Lane batch benchmark ({result['scenarios']} scenarios"
-                      f" x {result['cycles']} cycles, min of {args.repeats})",
-            )
-        )
-
-    if args.update:
-        print(f"lane baseline written to {baseline_path}")
-        return 0
-    if not args.check:
-        return 0
-
-    baseline = None
-    if baseline_path.exists():
-        baseline = benchkit.load_lanes_baseline(baseline_path)
-    comparison = benchkit.compare_lanes(
-        result, baseline, tolerance=args.tolerance
-    )
-    failed = [row for row in comparison if not row["ok"]]
-    for row in comparison:
-        verdict = "ok" if row["ok"] else "REGRESSED"
-        print(
-            f"[{verdict:9s}] {row['name']}: {row['per_sec']:,.2f} vs "
-            f"floor {row['baseline_per_sec']:,.2f} ({row['ratio']:.2f}x)"
-        )
-    if failed:
-        print(
-            f"{len(failed)} lane gate(s) failed (min speedup "
-            f"{benchkit.MIN_LANE_SPEEDUP:g}x, tolerance "
-            f"{args.tolerance:.0%} vs {baseline_path})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_campaign(args) -> int:
     from .analysis.reporting import canonical_json
     from .verif import BUGS
@@ -457,7 +380,6 @@ def _cmd_campaign(args) -> int:
         n_frames=args.frames,
         include_baseline=not args.no_baseline,
         jobs=args.jobs,
-        lanes=args.lanes,
     )
 
     if args.json:
@@ -520,7 +442,6 @@ def _cmd_soak(args) -> int:
         seed=args.seed,
         transients=args.transient or None,
         jobs=args.jobs,
-        lanes=args.lanes,
     )
 
     if args.json:
@@ -598,7 +519,6 @@ def _cmd_fuzz(args) -> int:
         budget=args.budget,
         seed=args.seed,
         jobs=args.jobs,
-        lanes=args.lanes,
         wave_size=args.wave,
         inject_divergence=args.inject_divergence or None,
         backend=args.backend,
@@ -809,16 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--frames", type=int, default=1,
         help="frames per system run for --system (default 1)",
     )
-    p_bench.add_argument(
-        "--lanes-bench", action="store_true",
-        help="lane-batch benchmark instead of kernel micro-benchmarks "
-             "(scalar vs laned scenarios/sec; baseline: "
-             "benchmarks/BENCH_lanes.json)",
-    )
-    p_bench.add_argument(
-        "--lanes", type=int, default=8,
-        help="lane width for --lanes-bench (default 8)",
-    )
     p_bench.set_defaults(func=_cmd_bench)
 
     p_camp = sub.add_parser(
@@ -837,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="fleet worker processes (default 1: serial; report bytes are "
              "identical for any value)",
-    )
-    p_camp.add_argument(
-        "--lanes", type=int, default=1,
-        help="lane-block width for batched execution (default 1: scalar; "
-             "report bytes are identical for any value)",
     )
     p_camp.add_argument(
         "--no-baseline", action="store_true",
@@ -888,11 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet worker processes (default 1: serial; report bytes are "
              "identical for any value)",
     )
-    p_soak.add_argument(
-        "--lanes", type=int, default=1,
-        help="lane-block width for batched execution (default 1: scalar; "
-             "report bytes are identical for any value)",
-    )
     p_soak.set_defaults(func=_cmd_soak)
 
     p_fuzz = sub.add_parser(
@@ -911,11 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="fleet worker processes (default 1: serial; report bytes are "
              "identical for any value)",
-    )
-    p_fuzz.add_argument(
-        "--lanes", type=int, default=1,
-        help="lane-block width for batched execution (default 1: scalar; "
-             "report bytes are identical for any value)",
     )
     p_fuzz.add_argument(
         "--wave", type=int, default=8,

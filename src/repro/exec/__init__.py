@@ -22,12 +22,6 @@ key catalogue.
 
 from .cache import ARTIFACT_CACHE, ArtifactCache
 from .fleet import FleetError, FleetReport, RunOutcome, RunSpec, derive_seed, run_many
-from .lanes import (
-    plan_lane_blocks,
-    register_lane_runner,
-    register_scalar_peel,
-    run_many_laned,
-)
 
 __all__ = [
     "ARTIFACT_CACHE",
@@ -37,9 +31,5 @@ __all__ = [
     "RunOutcome",
     "RunSpec",
     "derive_seed",
-    "plan_lane_blocks",
-    "register_lane_runner",
-    "register_scalar_peel",
     "run_many",
-    "run_many_laned",
 ]

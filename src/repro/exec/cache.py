@@ -168,10 +168,8 @@ def merge_stats(
     """Sum per-kind counters from several caches (fleet merge).
 
     ``hits``/``misses`` are always present in the result; any other
-    integer counter a producer reports for a kind (e.g. the lane
-    engine's ``peeled``/``vectorized`` accounting alongside its
-    ``lane_code`` artifacts) is summed under the same kind rather than
-    tracked in a parallel structure.
+    integer counter a producer reports for a kind is summed under the
+    same kind rather than tracked in a parallel structure.
     """
     out: Dict[str, Dict[str, int]] = {}
     for stats in stat_dicts:

@@ -22,15 +22,6 @@ from .events import (
     Timer,
     Trigger,
 )
-from .lanes import (
-    BatchBackend,
-    LaneBlockStats,
-    LaneDivergence,
-    LaneProgram,
-    LaneSpec,
-    run_lane_block,
-    run_scalar_lane,
-)
 from .logic import LV, LogicVector, bit, concat, replicate, xbits, zbits
 from .mailbox import Mailbox, MailboxEmpty, MailboxFull
 from .module import ElaborationError, Module
@@ -55,13 +46,6 @@ __all__ = [
     "RisingEdge",
     "Timer",
     "Trigger",
-    "BatchBackend",
-    "LaneBlockStats",
-    "LaneDivergence",
-    "LaneProgram",
-    "LaneSpec",
-    "run_lane_block",
-    "run_scalar_lane",
     "LV",
     "LogicVector",
     "bit",

@@ -1,16 +1,13 @@
-"""Execution backends — the kernel's describe/execute seam.
+"""Compiled execution — the kernel's describe/execute seam.
 
 Elaboration produces a module hierarchy, signals, processes and clocks
-(the *description*).  An :class:`ExecutionBackend` decides how that
-description is *executed*:
-
-* :class:`InterpBackend` — the event-driven interpreter
-  (:meth:`Simulator._run_fast` / :meth:`Simulator._step_deltas`), the
-  canonical semantics;
-* :class:`CodegenBackend` — a per-design scheduler driver generated and
-  compiled once at first run (see :mod:`repro.kernel.codegen.emitter`),
-  with clock edges, timers and 2-state signal commits executed as
-  straight-line Python.
+(the *description*).  By default the simulator *executes* it with its
+own event-driven interpreter (:meth:`Simulator._run_fast` /
+:meth:`Simulator._step_deltas`), the canonical semantics.  With
+``backend="codegen"`` it delegates to :class:`CodegenBackend` instead: a
+per-design scheduler driver generated and compiled once at first run
+(see :mod:`repro.kernel.codegen.emitter`), with clock edges, timers and
+2-state signal commits executed as straight-line Python.
 
 The codegen driver *bails out* to the interpreter for anything it
 cannot prove cheap and exact: X/Z values on a committing signal,
@@ -31,8 +28,6 @@ from typing import Optional
 from ..events import FallingEdge, RisingEdge
 
 __all__ = [
-    "ExecutionBackend",
-    "InterpBackend",
     "CodegenBackend",
     "record_codegen_event",
 ]
@@ -111,50 +106,16 @@ def _interp_step(sim, until: Optional[int]) -> bool:
     return True
 
 
-class ExecutionBackend:
-    """How an elaborated design is executed.
+class CodegenBackend:
+    """Compiled-driver execution with automatic interpreter bail-out.
 
-    The seam between *describe* (elaboration: modules, signals,
-    processes, clocks) and *execute* (advancing simulated time).  The
-    simulator delegates :meth:`run` / :meth:`run_until_event` here;
+    The simulator delegates :meth:`run` / :meth:`run_until_event` here;
     :meth:`invalidate` is called whenever the description changes
-    (e.g. ``add_module`` after a run) so compiled artifacts can be
-    rebuilt.
+    (e.g. ``add_module`` after a run) so the driver is rebuilt.
     """
 
     def __init__(self, sim):
         self._sim = sim
-
-    def run(self, until: Optional[int]) -> int:
-        raise NotImplementedError
-
-    def run_until_event(self, event, timeout: Optional[int]) -> bool:
-        raise NotImplementedError
-
-    def invalidate(self) -> None:
-        """The design changed; drop any compiled execution artifacts."""
-
-
-class InterpBackend(ExecutionBackend):
-    """The event-driven interpreter behind the backend interface.
-
-    The simulator's default path does not go through this object (it
-    calls its own loops directly to avoid a dispatch layer on the hot
-    path); this class exists so code can treat both backends uniformly.
-    """
-
-    def run(self, until: Optional[int]) -> int:
-        return self._sim._run_body(until)
-
-    def run_until_event(self, event, timeout: Optional[int]) -> bool:
-        return self._sim._run_until_event_body(event, timeout)
-
-
-class CodegenBackend(ExecutionBackend):
-    """Compiled-driver execution with automatic interpreter bail-out."""
-
-    def __init__(self, sim):
-        super().__init__(sim)
         self._driver = None
         #: generated driver source, kept for introspection and tests
         self.driver_source: Optional[str] = None
@@ -164,6 +125,7 @@ class CodegenBackend(ExecutionBackend):
         self.events: list = []
 
     def invalidate(self) -> None:
+        """The design changed; drop the compiled driver."""
         self._driver = None
         self.driver_source = None
 

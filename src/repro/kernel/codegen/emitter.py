@@ -56,22 +56,21 @@ from . import segments
 from .backend import _unprime_edge, record_codegen_event
 from .expr import EmitContext
 
-__all__ = ["compile_region", "compile_lane_region", "compile_driver"]
+__all__ = ["compile_region", "compile_driver"]
 
 
 # ----------------------------------------------------------------------
 # Combinational regions
 # ----------------------------------------------------------------------
-def _emit_region_source(ordered_rules: Sequence, inputs: List[Signal],
-                        lanes: bool, wide: bool = False):
-    """Emit the straight-line region body in any dialect.
+def compile_region(owner, ordered_rules: Sequence, inputs: List[Signal]):
+    """Compile a levelized rule list to one straight-line function.
 
-    Returns ``(source, consts)``; the function is named ``_comb`` in
-    every dialect so callers compile interchangeably.  ``wide`` selects
-    the object-dtype lane variant for >64-bit designs.
+    Returns ``(fn, source)``.  ``fn`` takes the region's external input
+    values as plain ints (callers guarantee they are fully defined) and
+    returns the target values as a tuple of ints, in rule order.
     """
     names = {sig: f"i{k}" for k, sig in enumerate(inputs)}
-    ctx = EmitContext(names, lanes=lanes, wide=wide)
+    ctx = EmitContext(names)
     lines = []
     for j, rule in enumerate(ordered_rules):
         tname = f"t{j}"
@@ -81,41 +80,8 @@ def _emit_region_source(ordered_rules: Sequence, inputs: List[Signal],
     args = ", ".join(f"i{k}" for k in range(len(inputs)))
     rets = ", ".join(f"t{j}" for j in range(len(ordered_rules)))
     src = f"def _comb({args}):\n" + "\n".join(lines) + f"\n    return ({rets},)\n"
-    return src, ctx.consts
-
-
-def compile_region(owner, ordered_rules: Sequence, inputs: List[Signal]):
-    """Compile a levelized rule list to one straight-line function.
-
-    Returns ``(fn, source)``.  ``fn`` takes the region's external input
-    values as plain ints (callers guarantee they are fully defined) and
-    returns the target values as a tuple of ints, in rule order.
-    """
-    src, consts = _emit_region_source(ordered_rules, inputs, lanes=False)
-    ns = dict(consts)
+    ns = dict(ctx.consts)
     exec(compile(src, f"<comb:{owner.path}>", "exec"), ns)  # noqa: S102
-    return ns["_comb"], src
-
-
-def compile_lane_region(owner, ordered_rules: Sequence, inputs: List[Signal]):
-    """Compile a levelized rule list to one lane-vectorized function.
-
-    The NumPy dialect of :func:`compile_region`: the returned function
-    takes ``(N,)`` ``uint64`` arrays (one element per simulation lane)
-    for the region's external inputs and returns the target arrays in
-    rule order — one call settles the whole region for every lane at
-    once.  When any involved signal exceeds 64 bits the region is
-    emitted in the wide lane dialect instead: the compiled function
-    then takes and returns ``object``-dtype arrays of Python ints.
-    """
-    wide = any(sig.width > 64 for sig in inputs) or any(
-        rule.target.width > 64 for rule in ordered_rules
-    )
-    src, consts = _emit_region_source(
-        ordered_rules, inputs, lanes=True, wide=wide
-    )
-    ns = dict(consts)
-    exec(compile(src, f"<lane-comb:{owner.path}>", "exec"), ns)  # noqa: S102
     return ns["_comb"], src
 
 

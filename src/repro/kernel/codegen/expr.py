@@ -15,27 +15,6 @@ The emitted form is what the elaboration-time compiler turns into
 straight-line region functions; the reference form is both the X/Z
 fallback path and the oracle for the compiled/interpreted differential
 property tests.
-
-:meth:`CombExpr.emit` has a second target dialect: when the
-:class:`EmitContext` is created with ``lanes=True`` the same node tree
-emits NumPy expressions over ``(N,)`` ``uint64`` lane arrays — one
-evaluation advances N simulation lanes at once (see
-:mod:`repro.kernel.lanes`).  Scalar-only constructs translate to their
-vector forms (``1 if a < b else 0`` becomes ``(a < b).astype(uint64)``,
-the mux ternary becomes ``np.where``, ``bit_count`` becomes
-``np.bitwise_count``); masks and literals are bound as ``np.uint64``
-constants so intermediate dtypes never leave ``uint64``.
-
-Designs with any signal wider than 64 bits use the **wide** variant of
-the lane dialect (``EmitContext(..., lanes=True, wide=True)``): lane
-arrays are ``object``-dtype vectors of Python ints, masks and literals
-bind as plain ints, and the few NumPy helpers that assume a fixed-width
-dtype are swapped for ``frompyfunc`` equivalents (``np.bitwise_count``
-becomes a per-element ``int.bit_count``, comparisons coerce through
-``int`` instead of ``.astype(uint64)``).  Python ints are arbitrary
-precision, so the same emitted shape is exact at any width — slower
-than packed ``uint64``, but still one vectorized evaluation per region
-instead of a peel to the scalar event kernel.
 """
 
 from __future__ import annotations
@@ -49,7 +28,6 @@ __all__ = [
     "CombExpr",
     "SigRef",
     "Const",
-    "LaneWidthError",
     "ref",
     "mux",
     "cat",
@@ -57,76 +35,16 @@ __all__ = [
 
 
 class EmitContext:
-    """Collects named mask constants while an expression is emitted.
+    """Collects named mask constants while an expression is emitted."""
 
-    ``lanes=True`` switches emission to the NumPy lane dialect: masks
-    and literals are bound as ``np.uint64`` scalars (so every
-    intermediate stays ``uint64`` under NEP-50 promotion) and the NumPy
-    helpers the vector translations need (``np.where``,
-    ``np.bitwise_count``, the ``uint64`` dtype) are pre-bound in the
-    compiled namespace.
-
-    ``wide=True`` (lane mode only) selects the packed-word variant for
-    designs with >64-bit signals: lane arrays carry Python ints in
-    ``object`` dtype, so masks and literals bind as plain ints and the
-    dtype-bound helpers are replaced by ``frompyfunc`` equivalents
-    (``NPOBJ`` coerces per-element to ``int`` in ``object`` dtype,
-    ``NPPC`` is a per-element popcount).  Mixing ``uint64`` and
-    ``object`` operands would silently overflow the fixed-width side,
-    so wideness is a whole-design property, never per-signal.
-    """
-
-    def __init__(self, names: Dict[Signal, str], lanes: bool = False,
-                 wide: bool = False):
+    def __init__(self, names: Dict[Signal, str]):
         self.names = names  # Signal -> local variable name
         self.consts: Dict[str, object] = {}
-        self.lanes = lanes
-        self.wide = wide and lanes
-        self._literals: Dict[int, str] = {}
-        if lanes:
-            import numpy as _np  # deferred: the scalar kernel stays numpy-free
-
-            self._np = _np
-            self.consts["NPW"] = _np.where
-            if self.wide:
-                self.consts["NPOBJ"] = _np.frompyfunc(int, 1, 1)
-                self.consts["NPPC"] = _np.frompyfunc(
-                    lambda v: int(v).bit_count(), 1, 1
-                )
-            else:
-                self.consts["NPU64"] = _np.uint64
-                self.consts["NPBC"] = _np.bitwise_count
 
     def mask(self, width: int) -> str:
-        if self.lanes and width > 64 and not self.wide:
-            raise LaneWidthError(width)
         name = f"M{width}"
-        m = _mask(width)
-        self.consts[name] = (
-            m if (self.wide or not self.lanes) else self._np.uint64(m)
-        )
+        self.consts[name] = _mask(width)
         return name
-
-    def literal(self, value: int) -> str:
-        """A literal operand: inline int scalar, bound array-safe in lanes."""
-        if not self.lanes:
-            return repr(value)
-        name = self._literals.get(value)
-        if name is None:
-            name = f"K{len(self._literals)}"
-            self._literals[value] = name
-            self.consts[name] = value if self.wide else self._np.uint64(value)
-        return name
-
-
-class LaneWidthError(ValueError):
-    """A signal too wide for the packed-``uint64`` lane representation."""
-
-    def __init__(self, width: int):
-        super().__init__(
-            f"width {width} exceeds the 64-bit lane representation"
-        )
-        self.width = width
 
 
 def _to_expr(value: Union["CombExpr", Signal, LogicVector, int, bool], width_hint: int = 0) -> "CombExpr":
@@ -283,7 +201,7 @@ class Const(CombExpr):
     def emit(self, ctx):
         if not self.value.is_defined:
             raise ValueError("cannot emit 2-state code for an X/Z constant")
-        return ctx.literal(self.value.value)
+        return repr(self.value.value)
 
     def __repr__(self):
         return f"Const({self.value!r})"
@@ -414,17 +332,6 @@ class _Compare(CombExpr):
         return LogicVector(1, int(a.value < b.value))
 
     def emit(self, ctx):
-        if ctx.lanes:
-            # elementwise bool -> 0/1 per lane; the wide dialect stays
-            # in object dtype (a uint64 cast would poison later ops)
-            if ctx.wide:
-                return (
-                    f"NPOBJ({self.a.emit(ctx)} {self.op} {self.b.emit(ctx)})"
-                )
-            return (
-                f"(({self.a.emit(ctx)} {self.op} {self.b.emit(ctx)})"
-                f".astype(NPU64))"
-            )
         return f"(1 if {self.a.emit(ctx)} {self.op} {self.b.emit(ctx)} else 0)"
 
 
@@ -449,26 +356,11 @@ class _Reduce(CombExpr):
 
     def emit(self, ctx):
         a = self.a.emit(ctx)
-        if ctx.lanes:
-            if ctx.wide:
-                if self.kind == "or":
-                    return f"NPOBJ({a} != {ctx.literal(0)})"
-                if self.kind == "and":
-                    return f"NPOBJ({a} == {ctx.mask(self.a.width)})"
-                # NPPC is a frompyfunc popcount: arbitrary-precision,
-                # already object dtype, so the parity AND stays wide
-                return f"(NPPC({a}) & {ctx.literal(1)})"
-            if self.kind == "or":
-                return f"(({a} != {ctx.literal(0)}).astype(NPU64))"
-            if self.kind == "and":
-                return f"(({a} == {ctx.mask(self.a.width)}).astype(NPU64))"
-            # np.bitwise_count returns uint8 — widen before the parity AND
-            return f"((NPBC({a}).astype(NPU64)) & {ctx.literal(1)})"
         if self.kind == "or":
             return f"(1 if {a} else 0)"
         if self.kind == "and":
             return f"(1 if {a} == {ctx.mask(self.a.width)} else 0)"
-        return f"(({a}).bit_count() & 1)"
+        return f'(bin({a}).count("1") & 1)'
 
 
 class _Mux(CombExpr):
@@ -494,15 +386,6 @@ class _Mux(CombExpr):
         return picked.eval_lv(env).resize(self.width)
 
     def emit(self, ctx):
-        if ctx.lanes:
-            # every lane picks its own arm — no scalar collapse of the
-            # select, which is exactly what makes control flow on
-            # lane-varying data vectorizable here and a divergence
-            # everywhere else
-            return (
-                f"NPW({self.sel.emit(ctx)}, {self.a.emit(ctx)}, "
-                f"{self.b.emit(ctx)})"
-            )
         return (
             f"({self.a.emit(ctx)} if {self.sel.emit(ctx)} else {self.b.emit(ctx)})"
         )

@@ -25,11 +25,14 @@ from __future__ import annotations
 import heapq
 import time as _time
 from collections import defaultdict, deque
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from .events import Event, Trigger, _FirstWaiter
 from .process import Process, ProcessError
 from .signal import Signal
+
+if TYPE_CHECKING:
+    from .codegen.backend import CodegenBackend
 
 __all__ = ["Simulator", "SimulationError", "DeltaOverflowError", "SimStats"]
 
@@ -112,26 +115,22 @@ class Simulator:
     MAX_DELTAS_PER_STEP = 10_000
 
     def __init__(self, profile: bool = False, backend: str = "interp"):
-        if backend not in ("interp", "codegen", "lanes"):
+        if backend not in ("interp", "codegen"):
             raise ValueError(
                 f"unknown execution backend {backend!r} "
-                f"(expected 'interp', 'codegen' or 'lanes')"
+                f"(expected 'interp' or 'codegen')"
             )
         self.time = 0  # picoseconds
         self.profile = profile
         self.backend_name = backend
-        #: the ExecutionBackend for compiled execution, or None for the
-        #: default interpreter (which runs inline, with no dispatch
-        #: layer on the hot path)
-        self._backend = None
+        #: the compiled-execution backend, or None for the default
+        #: interpreter (which runs inline, with no dispatch layer on the
+        #: hot path)
+        self._backend: Optional[CodegenBackend] = None
         if backend == "codegen":
             from .codegen.backend import CodegenBackend
 
             self._backend = CodegenBackend(self)
-        elif backend == "lanes":
-            from .lanes import BatchBackend
-
-            self._backend = BatchBackend(self)
         self.stats = SimStats()
         self._seq = 0
         self._timed: List[Tuple[int, int, Trigger]] = []

@@ -22,12 +22,14 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional
 
 from ..exec.cache import ARTIFACT_CACHE
-from ..exec.fleet import RunSpec
-from ..exec.lanes import register_scalar_peel, run_many_laned
+from ..exec.fleet import RunSpec, run_many
 from ..system.autovision import AutoVisionSystem, SystemConfig
 from ..system.software import AutoVisionSoftware
 from .faults import BUGS, BugSpec, validate_fault_keys
 from .scoreboard import RunResult, SystemScoreboard
+
+# perfbench/workloads.py swaps this module attribute to time fleet tasks
+run_many_laned = run_many
 
 __all__ = ["run_system", "run_bug_campaign", "CampaignResult", "BugOutcome"]
 
@@ -248,11 +250,6 @@ def _campaign_run(config: SystemConfig, n_frames: int) -> RunResult:
     return run_system(config, n_frames)
 
 
-# a full system run needs the whole event-driven kernel, so lane blocks
-# of campaign runs always peel to the scalar path (plan-time divergence)
-register_scalar_peel(_campaign_run)
-
-
 def failed_run_result(
     config: SystemConfig, n_frames: int, error: str
 ) -> RunResult:
@@ -276,17 +273,13 @@ def run_bug_campaign(
     n_frames: int = 2,
     include_baseline: bool = True,
     jobs: int = 1,
-    lanes: int = 1,
     fault_injection: Optional[Dict[str, str]] = None,
 ) -> CampaignResult:
     """Inject each bug under both methods and classify the outcomes.
 
     ``jobs`` selects the fleet width: 1 runs serially in-process, N
     fans the independent runs out to worker processes; the merged
-    result is identical either way.  ``lanes`` selects the lane-block
-    width (:func:`repro.exec.lanes.run_many_laned`); full system runs
-    are plan-time peels, so any value produces byte-identical reports.
-    ``fault_injection`` is passed through to the fleet (crash testing
+    result is identical either way.  ``fault_injection`` is passed through to the fleet (crash testing
     seam).
     """
     if base_config is None:
@@ -310,9 +303,7 @@ def run_bug_campaign(
         add(f"{key}:vmux", replace(base_config, method="vmux", faults=frozenset({key})))
         add(f"{key}:resim", replace(base_config, method="resim", faults=frozenset({key})))
 
-    fleet = run_many_laned(
-        specs, jobs=jobs, lanes=lanes, fault_injection=fault_injection
-    )
+    fleet = run_many_laned(specs, jobs=jobs, fault_injection=fault_injection)
     by_key = {o.key: o for o in fleet.outcomes}
 
     def result_of(run_key: str) -> RunResult:

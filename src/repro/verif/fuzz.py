@@ -46,8 +46,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..exec.fleet import RunSpec, derive_seed
-from ..exec.lanes import register_scalar_peel, run_many_laned
+from ..exec.fleet import RunSpec, derive_seed, run_many
 from ..system.autovision import SystemConfig
 from ..system.scenarios import FUZZ_CONSTRAINTS
 from .campaign import _run_json, run_system
@@ -591,10 +590,6 @@ def _fuzz_task(scenario: FuzzScenario, backend: str = "interp") -> FuzzRecord:
     return run_differential(scenario, backend)
 
 
-# each differential is two full system runs: lane blocks peel to scalar
-register_scalar_peel(_fuzz_task)
-
-
 def _failed_record(scenario: FuzzScenario, error: str) -> FuzzRecord:
     """Placeholder for a differential whose fleet task failed/crashed."""
     return FuzzRecord(
@@ -683,7 +678,6 @@ def run_fuzz_campaign(
     budget: int = 25,
     seed: int = 2013,
     jobs: int = 1,
-    lanes: int = 1,
     wave_size: int = 8,
     inject_divergence: Optional[str] = None,
     fault_injection: Optional[Dict[str, str]] = None,
@@ -698,8 +692,6 @@ def run_fuzz_campaign(
     has hit, or when a wave surfaced a real divergence (the caller then
     hands the first failing record to the shrinker).
 
-    ``lanes`` selects the lane-block width; differentials are plan-time
-    peels, so reports are byte-identical at any value.
     ``fault_injection`` is the fleet-crash testing seam, keyed by
     ``fuzz:<index>``.
     """
@@ -729,9 +721,7 @@ def run_fuzz_campaign(
         wave_injection = {
             k: v for k, v in injection.items() if k in keyset
         } or None
-        fleet = run_many_laned(
-            specs, jobs=jobs, lanes=lanes, fault_injection=wave_injection
-        )
+        fleet = run_many(specs, jobs=jobs, fault_injection=wave_injection)
         report.worker_crashes += fleet.worker_crashes
         for scenario, outcome in zip(batch, fleet.outcomes):
             record = (

@@ -32,8 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exec.fleet import RunSpec
-from ..exec.lanes import register_scalar_peel, run_many_laned
+from ..exec.fleet import RunSpec, run_many
 from ..kernel import Timer
 from ..reconfig.simb import TYPE2_LEN_TAG, simb_header_words
 from ..system.autovision import SystemConfig
@@ -377,11 +376,6 @@ def _soak_one(
     )
 
 
-# full system runs: lane blocks always peel to the scalar path
-register_scalar_peel(_soak_calibrate)
-register_scalar_peel(_soak_one)
-
-
 def _failed_soak_run(
     config: SystemConfig, frames: int, method: str, key: str, error: str
 ) -> SoakRun:
@@ -410,7 +404,6 @@ def run_soak_campaign(
     transients: Optional[Sequence[str]] = None,
     base_config: Optional[SystemConfig] = None,
     jobs: int = 1,
-    lanes: int = 1,
     fault_injection: Optional[Dict[str, str]] = None,
 ) -> SoakReport:
     """Inject every transient at a seeded random instant of a run.
@@ -424,8 +417,7 @@ def run_soak_campaign(
     The calibration runs execute as one fleet phase and the transient
     runs as a second; with ``jobs=1`` both phases run serially
     in-process, and the report is byte-identical for any ``jobs``.
-    ``lanes`` selects the lane-block width; system runs are plan-time
-    peels, so any value is byte-identical too.  ``fault_injection``
+    ``fault_injection``
     reaches the fleet (crash testing seam; calibration keys are
     ``calibrate:M``, transient keys ``M:K``).
     """
@@ -456,9 +448,8 @@ def run_soak_campaign(
         )
         for m in methods
     ]
-    cal = run_many_laned(
-        cal_specs, jobs=jobs, lanes=lanes,
-        fault_injection=injection_for(cal_specs),
+    cal = run_many(
+        cal_specs, jobs=jobs, fault_injection=injection_for(cal_specs)
     )
     windows: Dict[str, int] = {}
     for method in methods:
@@ -487,9 +478,8 @@ def run_soak_campaign(
         for method in methods
         for key in keys
     ]
-    fleet = run_many_laned(
-        soak_specs, jobs=jobs, lanes=lanes,
-        fault_injection=injection_for(soak_specs),
+    fleet = run_many(
+        soak_specs, jobs=jobs, fault_injection=injection_for(soak_specs)
     )
     runs: List[SoakRun] = []
     for outcome in fleet.outcomes:

@@ -1,131 +1,11 @@
-"""The lane-block batcher: planning, unpacking, accounting, crashes.
+"""Counter merging for batch producers that report their own counters.
 
-Everything here exercises :mod:`repro.exec.lanes` against the fleet
-contract — outcomes in input order, per-member error format, block
-fault injection — using cheap registered task functions.
+Producers (a batch runner, a cache) report per-kind counter dicts;
+:func:`repro.exec.cache.merge_stats` must sum any integer counter, not
+just the cache's own hits and misses.
 """
 
-import pytest
-
 from repro.exec.cache import merge_stats
-from repro.exec.fleet import RunSpec, run_many
-from repro.exec.lanes import (
-    plan_lane_blocks,
-    register_lane_runner,
-    register_scalar_peel,
-    run_many_laned,
-)
-
-
-# --- module-level task functions (must be picklable) -------------------
-def _double(x):
-    return 2 * x
-
-
-def _cube(x):
-    if x == 13:
-        raise ValueError(f"unlucky {x}")
-    return x**3
-
-
-def _free(x):
-    """Deliberately unregistered: passes through the planner."""
-    return -x
-
-
-def _double_block(kwargs_list):
-    values = [
-        {"ok": True, "value": 2 * k["x"], "error": ""} for k in kwargs_list
-    ]
-    n = len(kwargs_list)
-    return values, {"lanes": n, "vectorized": n, "peeled": 0}
-
-
-register_lane_runner(_double, _double_block)
-register_scalar_peel(_cube)
-
-
-def _mixed_specs():
-    return (
-        [RunSpec(f"d:{i}", _double, {"x": i}) for i in range(5)]
-        + [RunSpec("free", _free, {"x": 4})]
-        + [RunSpec(f"c:{i}", _cube, {"x": i}) for i in range(3)]
-    )
-
-
-def test_plan_groups_only_adjacent_same_fn_specs():
-    planned, members_of = plan_lane_blocks(_mixed_specs(), lanes=4)
-    keys = [s.key for s in planned]
-    assert keys == ["lanes[d:0+3]", "lanes[d:4+0]", "free", "lanes[c:0+2]"]
-    assert members_of["lanes[d:0+3]"] == [0, 1, 2, 3]
-    assert members_of["lanes[d:4+0]"] == [4]
-    assert members_of["lanes[c:0+2]"] == [6, 7, 8]
-    assert "free" not in members_of
-
-
-def test_lanes_one_is_strict_passthrough():
-    specs = _mixed_specs()
-    laned = run_many_laned(specs, lanes=1)
-    plain = run_many(specs)
-    assert [(o.key, o.value) for o in laned.outcomes] == [
-        (o.key, o.value) for o in plain.outcomes
-    ]
-    assert "lane_blocks" not in laned.cache
-
-
-@pytest.mark.parametrize("lanes", [2, 4, 7])
-def test_outcomes_unpack_in_input_order(lanes):
-    specs = _mixed_specs()
-    report = run_many_laned(specs, lanes=lanes)
-    assert [o.key for o in report.outcomes] == [s.key for s in specs]
-    assert [o.index for o in report.outcomes] == list(range(len(specs)))
-    expected = [0, 2, 4, 6, 8, -4, 0, 1, 8]
-    assert [o.value for o in report.outcomes] == expected
-
-
-def test_member_failure_keeps_fleet_error_format():
-    specs = [RunSpec(f"c:{x}", _cube, {"x": x}) for x in (12, 13, 14)]
-    report = run_many_laned(specs, lanes=3)
-    (bad,) = report.failures()
-    assert bad.key == "c:13"
-    assert bad.error == "ValueError: unlucky 13"
-    assert report.value_of("c:14") == 14**3
-
-
-def test_lane_block_accounting_merges_into_cache_stats():
-    report = run_many_laned(_mixed_specs(), lanes=4)
-    stats = report.cache["lane_blocks"]
-    # 5 vectorized doubles + 3 scalar-peeled cubes
-    assert stats["lanes"] == 8
-    assert stats["vectorized"] == 5
-    assert stats["peeled"] == 3
-    # the merge kept the mandatory cache counters present
-    assert stats["hits"] == 0 and stats["misses"] == 0
-
-
-def test_fault_injection_remaps_member_key_to_its_block():
-    specs = [RunSpec(f"d:{i}", _double, {"x": i}) for i in range(4)]
-    report = run_many_laned(
-        specs, jobs=2, lanes=2, fault_injection={"d:3": "crash"}
-    )
-    assert report.worker_crashes == 1
-    assert report.ok  # retried block recovers every member
-    assert [o.value for o in report.outcomes] == [0, 2, 4, 6]
-
-
-def test_dead_block_fails_all_members():
-    specs = [RunSpec(f"d:{i}", _double, {"x": i}) for i in range(4)]
-    report = run_many_laned(
-        specs,
-        jobs=2,
-        lanes=2,
-        crash_retries=0,
-        fault_injection={"d:0": "crash"},
-    )
-    failures = report.failures()
-    assert {o.key for o in failures} == {"d:0", "d:1"}
-    assert all("worker died" in o.error for o in failures)
-    assert report.value_of("d:2") == 4
 
 
 def test_merge_stats_sums_arbitrary_counters():

@@ -55,8 +55,9 @@ def _both(build_and_run):
 
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            Simulator(backend="bogus")
+        for name in ("bogus", "lanes"):
+            with pytest.raises(ValueError, match="unknown execution backend"):
+                Simulator(backend=name)
 
     def test_backend_name_recorded(self):
         assert Simulator().backend_name == "interp"
@@ -313,9 +314,15 @@ class TestCompiledCombProperty:
         x = top.signal("x", 8, init=0)
         y = top.signal("y", 8, init=0)
         z = top.signal("z", 4, init=0)
+        r_or = top.signal("r_or", 1, init=0)
+        r_and = top.signal("r_and", 1, init=0)
+        r_xor = top.signal("r_xor", 1, init=0)
         top.comb(x, (ref(a) & ref(b)) | (~ref(a) >> 2))
         top.comb(y, mux(ref(sel), ref(x) + ref(b), ref(a) - 1))
         top.comb(z, ref(y)[2:6] ^ ref(x)[0:4])
+        top.comb(r_or, (ref(a) & ref(b)).reduce_or())
+        top.comb(r_and, (ref(a) | ref(b)).reduce_and())
+        top.comb(r_xor, ref(y).reduce_xor())
         sim.add_module(top)
         return top._comb_region, (a, b, sel)
 

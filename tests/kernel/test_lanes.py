@@ -1,263 +1,16 @@
-"""The lane engine's determinism contract: vector == scalar, always.
+"""The retired ``lanes`` backend name must be rejected, not ignored.
 
-Every test here runs the same :class:`LaneProgram` on both paths and
-compares results structurally — the block result of lane i must be
-identical whether the lane stayed on the packed NumPy vector path or
-was peeled (plan-time or mid-run) to the event-driven scalar kernel.
+Only the ``interp`` and ``codegen`` backends exist; asking for
+``lanes`` has to fail loudly and name the backends that are valid.
 """
 
 import pytest
 
-from repro.kernel import (
-    Clock,
-    LogicVector,
-    LaneProgram,
-    LaneSpec,
-    MHz,
-    Module,
-    Simulator,
-    run_lane_block,
-    run_scalar_lane,
-)
-from repro.kernel.codegen import mux, ref
-
-N_CYCLES = 64
-
-
-def _build():
-    top = Module("lane_test")
-    clk = Clock("clk", MHz(100), parent=top)
-    a = top.signal("a", 16, init=0x3)
-    b = top.signal("b", 16, init=0x5)
-    acc = top.signal("acc", 16, init=0)
-    inj = top.signal("inj", 16, init=0)
-    c = top.signal("c", 16)
-    p = top.signal("p", 1)
-    top.comb(c, (ref(a) ^ (ref(b) >> 2)) + ref(inj))
-    top.comb(p, ref(c).reduce_xor())
-    spec = LaneSpec(
-        registers=(
-            (a, ref(c) + 1),
-            (b, mux(ref(p), ref(a) ^ ref(c), ref(b) + 3)),
-            (acc, ref(acc) ^ ref(c)),
-        ),
-        inputs=(inj,),
-        taps=(acc, a, b),
-    )
-    return top, clk, spec
-
-
-def _stimulus(param, cycle):
-    if cycle == 0:
-        return {"inj": param["seed"] & 0xFFFF}
-    if cycle == param.get("x_at"):
-        return {"inj": LogicVector(16, value=0x11, xmask=0xFF00)}
-    if cycle % 5 == 0:
-        return {"inj": (param["seed"] * cycle) & 0xFFFF}
-    return None
-
-
-PROGRAM = LaneProgram(
-    name="lane_test",
-    build=_build,
-    n_cycles=N_CYCLES,
-    stimulus=_stimulus,
-)
-
-
-def _params(n, **extra):
-    return [{"seed": 17 + 13 * i, **extra} for i in range(n)]
-
-
-def _scalar_results(params):
-    return [run_scalar_lane(PROGRAM, p) for p in params]
-
-
-@pytest.mark.parametrize("n", [1, 4, 7])
-def test_vector_matches_scalar(n):
-    params = _params(n)
-    results, stats = run_lane_block(PROGRAM, params)
-    assert results == _scalar_results(params)
-    assert stats.lanes == n
-    assert stats.vectorized == n
-    assert stats.peeled == []
-
-
-def test_mid_run_timing_divergence_peels_and_matches():
-    params = _params(5)
-    params[1]["diverge_at_cycle"] = 20
-    params[3]["diverge_at_cycle"] = 0
-    results, stats = run_lane_block(PROGRAM, params)
-    assert results == _scalar_results(params)
-    assert stats.vectorized == 3
-    assert stats.peeled == [(1, "timing-divergence"), (3, "timing-divergence")]
-
-
-def test_x_stimulus_peels_and_matches_four_state_scalar():
-    params = _params(4)
-    params[2]["x_at"] = 9
-    results, stats = run_lane_block(PROGRAM, params)
-    assert results == _scalar_results(params)
-    assert stats.peeled == [(2, "x-stimulus")]
-    # the peeled lane's taps really went through the 4-state path
-    assert isinstance(results[2]["taps"]["acc"], dict)
-    assert results[2]["taps"]["acc"]["x"] != 0
-
-
-def test_plan_time_vcd_and_monitor_demands_peel():
-    params = _params(4)
-    params[0]["vcd"] = "waves.vcd"
-    params[3]["monitor"] = object()  # unpicklable on purpose: never shipped
-    results, stats = run_lane_block(PROGRAM, params)
-    scalar = _scalar_results(params)
-    assert results == scalar
-    assert stats.vectorized == 2
-    assert stats.peeled == [(0, "vcd-demand"), (3, "monitor-demand")]
-
-
-def test_wide_signal_vectorizes():
-    # >64-bit signals used to peel the whole block; the wide lane
-    # dialect (object-dtype arrays of Python ints) keeps them vector
-    def build():
-        top = Module("wide")
-        clk = Clock("clk", MHz(100), parent=top)
-        w = top.signal("w", 96, init=1)
-        spec = LaneSpec(
-            registers=((w, ref(w) + 1),), inputs=(), taps=(w,)
-        )
-        return top, clk, spec
-
-    program = LaneProgram(
-        name="wide", build=build, n_cycles=8, stimulus=lambda p, c: None
-    )
-    params = [{}, {}, {}]
-    results, stats = run_lane_block(program, params)
-    assert stats.vectorized == 3
-    assert stats.peeled == []
-    assert results == [run_scalar_lane(program, p) for p in params]
-    assert results[0]["taps"]["w"] == 9
-
-
-def _build_wide():
-    top = Module("wide_mix")
-    clk = Clock("clk", MHz(100), parent=top)
-    a = top.signal("a", 96, init=(1 << 95) | 0x3)
-    b = top.signal("b", 96, init=0x5)
-    acc = top.signal("acc", 128, init=0)
-    inj = top.signal("inj", 96, init=0)
-    c = top.signal("c", 96)
-    p = top.signal("p", 1)
-    ov = top.signal("ov", 1)
-    # exercise the whole wide dialect: bitwise, arith wrap, shift,
-    # slice, concat, compare, mux, all three reductions
-    top.comb(c, ((ref(a) ^ (ref(b) >> 2)) + ref(inj)) & ~ref(b))
-    top.comb(p, ref(c).reduce_xor() ^ ref(c).reduce_and())
-    top.comb(ov, ref(c).lt(ref(a)) & ref(c)[95] & ref(c).reduce_or())
-    from repro.kernel.codegen import cat
-
-    spec = LaneSpec(
-        registers=(
-            (a, (ref(c) << 1) + 1),
-            (b, mux(ref(p), ref(a) ^ ref(c), ref(b) + 3)),
-            (acc, (ref(acc) ^ cat(ref(ov), ref(c)[0:64])) + ref(a)),
-        ),
-        inputs=(inj,),
-        taps=(acc, a, b, ov),
-    )
-    return top, clk, spec
-
-
-def _wide_stimulus(param, cycle):
-    if cycle == 0:
-        return {"inj": (param["seed"] * (1 << 70)) | param["seed"]}
-    if cycle == param.get("x_at"):
-        return {"inj": LogicVector(96, value=0x11, xmask=0x3 << 90)}
-    if cycle % 3 == 0:
-        return {"inj": (param["seed"] << 65) ^ (param["seed"] * cycle)}
-    return None
-
-
-WIDE_PROGRAM = LaneProgram(
-    name="wide_mix",
-    build=_build_wide,
-    n_cycles=N_CYCLES,
-    stimulus=_wide_stimulus,
-)
-
-
-@pytest.mark.parametrize("n", [1, 5])
-def test_wide_vector_matches_scalar(n):
-    params = _params(n)
-    results, stats = run_lane_block(WIDE_PROGRAM, params)
-    assert results == [run_scalar_lane(WIDE_PROGRAM, p) for p in params]
-    assert stats.vectorized == n
-    assert stats.peeled == []
-    # the values really exceeded the packed-uint64 range
-    assert results[0]["taps"]["acc"] >= (1 << 64)
-
-
-def test_wide_x_stimulus_peels_and_matches():
-    params = _params(4)
-    params[1]["x_at"] = 7
-    results, stats = run_lane_block(WIDE_PROGRAM, params)
-    assert results == [run_scalar_lane(WIDE_PROGRAM, p) for p in params]
-    assert stats.peeled == [(1, "x-stimulus")]
-    assert isinstance(results[1]["taps"]["acc"], dict)
-
-
-def test_foreign_process_peels_whole_block():
-    def build():
-        top, clk, spec = _build()
-
-        def rogue():
-            yield from ()
-
-        top.process(rogue, name="rogue")
-        return top, clk, spec
-
-    program = LaneProgram(
-        name="rogue", build=build, n_cycles=N_CYCLES, stimulus=_stimulus
-    )
-    params = _params(3)
-    results, stats = run_lane_block(program, params)
-    assert stats.vectorized == 0
-    assert len(stats.peeled) == 3
-    assert all("rogue" in reason for _, reason in stats.peeled)
-    assert results == [run_scalar_lane(program, p) for p in params]
-
-
-def test_lanes_backend_without_block_is_plain_interp():
-    # Simulator(backend="lanes") with no attached block must behave
-    # exactly like the interpreter — the universal scalar fallback.
-    ticks = []
-
-    def build(sim):
-        top = Module("plain")
-        clk = Clock("clk", MHz(100), parent=top)
-
-        def counter():
-            from repro.kernel import RisingEdge
-
-            while True:
-                yield RisingEdge(clk.out)
-                ticks.append(sim.time)
-
-        top.process(counter, name="counter")
-        sim.add_module(top)
-        return clk
-
-    sim = Simulator(backend="lanes")
-    clk = build(sim)
-    sim.run(until=10 * clk.period)
-    assert len(ticks) == 10
-
-    sim2 = Simulator(backend="interp")
-    ticks2, ticks[:] = list(ticks), []
-    clk2 = build(sim2)
-    sim2.run(until=10 * clk2.period)
-    assert ticks == ticks2
+from repro.kernel import Simulator
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="lanes"):
+    with pytest.raises(ValueError, match="expected 'interp' or 'codegen'"):
+        Simulator(backend="lanes")
+    with pytest.raises(ValueError, match="unknown execution backend"):
         Simulator(backend="warp")

@@ -47,18 +47,18 @@ def test_cli_options_cover_all_subcommands():
     options = checker.cli_options()
     for sub in ("run", "bench", "campaign", "soak", "fuzz", "trace"):
         assert sub in options
-    assert "--lanes" in options["campaign"]
-    assert "--lanes" in options["soak"]
-    assert "--lanes" in options["fuzz"]
-    assert "--lanes-bench" in options["bench"]
+    assert "--jobs" in options["campaign"]
+    assert "--jobs" in options["soak"]
+    assert "--jobs" in options["fuzz"]
+    assert "--system" in options["bench"]
 
 
 def test_extract_cli_refs_attribution():
     refs = checker.extract_cli_refs(
-        "PYTHONPATH=src python -m repro fuzz --budget 4 --lanes=4 "
+        "PYTHONPATH=src python -m repro fuzz --budget 4 --jobs=4 "
         "&& python -m repro bench --check"
     )
-    assert refs == [("fuzz", ["--budget", "--lanes"]), ("bench", ["--check"])]
+    assert refs == [("fuzz", ["--budget", "--jobs"]), ("bench", ["--check"])]
 
 
 def test_stale_flag_would_be_caught():
