@@ -47,9 +47,6 @@ __all__ = [
     "DEFAULT_CODEGEN_BASELINE",
     "DEFAULT_SYSTEM_BASELINE",
     "DEFAULT_TOLERANCE",
-    "MIN_CODEGEN_SPEEDUP",
-    "compare_speedup",
-    "measure_speedup",
     "default_baseline_path",
     "bench_clock_toggle",
     "bench_signal_update",
@@ -100,11 +97,10 @@ def bench_clock_toggle(cycles: int = 100_000, backend: str = "interp") -> int:
 def bench_signal_update(updates: int = 40_000, backend: str = "interp") -> int:
     """Back-to-back non-blocking updates with a sensitive watcher.
 
-    Both loops are written as ``while`` loops on purpose: segment
-    tracing (:mod:`repro.kernel.codegen.segments`) cannot trace
-    ``for`` loops (the iterator lives on the generator's value stack),
-    so this shape is what lets the codegen backend compile the resume
-    path of the benchmark instead of only its scheduling.  The signal
+    The writer is paced by a lone ``Timer``, so on the codegen backend
+    it runs through the driver's timer sprint and single-update settle.
+    The loop shapes are kept as recorded in the committed baselines,
+    so throughput stays comparable across revisions.  The signal
     is 8 bits wide and the written values wrap through the full
     :class:`LogicVector` interning table, so the kernel times the
     commit/wakeup machinery itself rather than vector allocation
@@ -160,11 +156,9 @@ def bench_proc_resume(cycles: int = 40_000, backend: str = "interp") -> int:
 
     The workload is dominated by process resumes, not commits: a
     three-state FSM wakes on every rising edge, branches on its state
-    local, and writes two signals, while an ``Edge`` watcher rides the
-    output.  This is the pattern segment tracing targets — a hot
-    ``while``/``if`` generator body between two yield points — so the
-    kernel doubles as the regression witness for trace-compiled
-    segments (the ``proc_resume`` speedup gate in CI).  Both signals
+    local, and writes two signals, while an ``Edge`` watcher rides
+    ``state``.  On the codegen backend each two-signal commit settles
+    through the driver's generic multi-update round.  Both signals
     are narrow enough that every written value hits the
     :class:`LogicVector` interning table, keeping vector allocation (a
     cost both backends share equally) out of the measurement.
@@ -238,83 +232,6 @@ KERNELS: Dict[str, tuple] = {
     "proc_resume": (bench_proc_resume, "cycles"),
     "plb_burst": (bench_plb_burst, "beats"),
 }
-
-#: minimum codegen-over-interp throughput ratios gated by
-#: ``repro bench --check --backend codegen`` (absolute floors, measured
-#: against a fresh interp run of the same kernel on the same machine —
-#: not against a committed baseline, so the gate is machine-independent)
-MIN_CODEGEN_SPEEDUP: Dict[str, float] = {
-    "signal_update": 3.0,
-    "proc_resume": 2.5,
-}
-
-
-def measure_speedup(
-    kernels: Optional[Iterable[str]] = None,
-    rounds: int = 3,
-    repeats: int = 3,
-) -> tuple:
-    """Paired interp/codegen measurements for the absolute speedup gate.
-
-    Runs both backends back-to-back ``rounds`` times and keeps, per
-    kernel, the round with the best codegen/interp ratio.  Shared
-    machines routinely swing either backend by 30-40% between trials;
-    a genuine regression depresses *every* round, while noise only
-    depresses some, so max-over-rounds is the robust statistic for a
-    floor check (where min-of-N within one measurement is the robust
-    statistic for a single throughput).  Returns ``(codegen, interp)``
-    result dicts shaped like :func:`measure` output, ready for
-    :func:`compare_speedup`.
-    """
-    names = [n for n in (kernels or MIN_CODEGEN_SPEEDUP) if n in KERNELS]
-    best_c: Dict[str, dict] = {}
-    best_i: Dict[str, dict] = {}
-    best_r: Dict[str, float] = {}
-    for _ in range(max(1, rounds)):
-        interp = measure(repeats=repeats, kernels=names, backend="interp")
-        codegen = measure(repeats=repeats, kernels=names, backend="codegen")
-        for name in names:
-            base = interp[name]["per_sec"]
-            ratio = codegen[name]["per_sec"] / base if base else 0.0
-            if ratio > best_r.get(name, -1.0):
-                best_r[name] = ratio
-                best_c[name] = codegen[name]
-                best_i[name] = interp[name]
-    return best_c, best_i
-
-
-def compare_speedup(
-    codegen: Dict[str, dict],
-    interp: Dict[str, dict],
-    floors: Optional[Dict[str, float]] = None,
-) -> List[dict]:
-    """Absolute codegen-vs-interp speedup rows (the CI speedup gate).
-
-    One row per kernel in ``floors`` present in both measurements:
-    ``ratio`` is codegen/interp throughput and ``ok`` is False when it
-    falls below the floor.  Unlike :func:`compare`, both sides are
-    fresh measurements, so the rows do not depend on a baseline file.
-    """
-    if floors is None:
-        floors = MIN_CODEGEN_SPEEDUP
-    rows = []
-    for name in sorted(floors):
-        if name not in codegen or name not in interp:
-            continue
-        base = interp[name]["per_sec"]
-        now = codegen[name]["per_sec"]
-        ratio = now / base if base else 0.0
-        rows.append(
-            {
-                "name": f"speedup:{name}",
-                "baseline_per_sec": base * floors[name],
-                "per_sec": now,
-                "ratio": ratio / floors[name] if floors[name] else 0.0,
-                "ok": ratio >= floors[name],
-            }
-        )
-    return rows
-
 
 def _measure_one(name: str, repeats: int, backend: str = "interp") -> dict:
     """Fleet task: min-of-N measurement of one kernel."""

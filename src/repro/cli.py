@@ -192,8 +192,6 @@ def _cmd_bench(args) -> int:
 
     if args.system:
         return _bench_system(args)
-    if args.speedup:
-        return _bench_speedup(args)
 
     kernels = args.kernel or None
     try:
@@ -258,47 +256,6 @@ def _cmd_bench(args) -> int:
         print(
             f"{len(failed)} kernel(s) regressed more than "
             f"{args.tolerance:.0%} vs {baseline_path}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _bench_speedup(args) -> int:
-    """Absolute codegen-over-interp speedup gate (``bench --speedup``).
-
-    Measures both backends in paired rounds (max-over-rounds, see
-    :func:`benchkit.measure_speedup`) and fails when any gated kernel
-    falls below its ``MIN_CODEGEN_SPEEDUP`` floor.
-    """
-    import json as _json
-
-    from .analysis import benchkit
-
-    kernels = args.kernel or None
-    codegen, interp = benchkit.measure_speedup(
-        kernels=kernels, repeats=args.repeats
-    )
-    rows = benchkit.compare_speedup(codegen, interp)
-    if args.json:
-        print(_json.dumps(rows, indent=2))
-    else:
-        floors = benchkit.MIN_CODEGEN_SPEEDUP
-        for row in rows:
-            name = row["name"].split(":", 1)[1]
-            verdict = "ok" if row["ok"] else "TOO SLOW"
-            ratio = (
-                row["per_sec"] / row["baseline_per_sec"] * floors[name]
-                if row["baseline_per_sec"] else 0.0
-            )
-            print(
-                f"[{verdict:9s}] {name}: codegen {row['per_sec']:,.0f}/s "
-                f"= {ratio:.2f}x interp (floor {floors[name]:.1f}x)"
-            )
-    failed = [row for row in rows if not row["ok"]]
-    if failed:
-        print(
-            f"{len(failed)} kernel(s) below their codegen speedup floor",
             file=sys.stderr,
         )
         return 1
@@ -684,11 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--check", action="store_true",
         help="fail if throughput regressed vs the committed baseline",
-    )
-    p_bench.add_argument(
-        "--speedup", action="store_true",
-        help="measure both backends and fail if codegen falls below "
-             "its absolute speedup floors (MIN_CODEGEN_SPEEDUP)",
     )
     p_bench.add_argument(
         "--update", action="store_true",

@@ -1,6 +1,6 @@
 """Elaboration-time code generation for the simulation kernel.
 
-The kernel's describe/execute split lives here (ROADMAP item 1):
+The kernel's describe/execute split lives here:
 
 ``expr``
     a small combinational expression IR with two consistent

@@ -42,16 +42,14 @@ _EVENT_LOG_LIMIT = 64
 
 
 def record_codegen_event(sim, kind: str, reason: str) -> None:
-    """Attribute a compiled-driver bail or a segment deopt to its cause.
+    """Attribute a compiled-driver bail to its cause.
 
-    ``kind`` is ``"bail"`` (driver returned control to the interpreter),
-    ``"deopt"`` (a trace-compiled segment was uninstalled) or
-    ``"refuse"`` (a process was considered and rejected for segment
-    compilation).  Counters accumulate per ``(kind, reason)`` on the
-    backend; the first few events are kept with timestamps for
-    attribution, and a ``codegen`` trace-category instant is emitted
-    when a tracer is attached (segment deopts can fire under the
-    interpreter loops, where a tracer may be live).
+    ``kind`` is ``"bail"``: the driver returned control to the
+    interpreter, for ``reason`` (``clock-simultaneous``,
+    ``timer-simultaneous``, ``vcd-or-tracer``, ...).  Counters
+    accumulate per ``(kind, reason)`` on the backend; the first few
+    events are kept with timestamps for attribution, and a ``codegen``
+    trace-category instant is emitted when a tracer is attached.
     """
     be = sim._backend
     counts = getattr(be, "event_counts", None)
@@ -119,7 +117,7 @@ class CodegenBackend:
         self._driver = None
         #: generated driver source, kept for introspection and tests
         self.driver_source: Optional[str] = None
-        #: (kind, reason) -> count of driver bails / segment deopts
+        #: (kind, reason) -> count of driver bails
         self.event_counts: dict = {}
         #: first few (time, kind, reason) events, for attribution
         self.events: list = []

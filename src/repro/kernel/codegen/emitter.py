@@ -36,6 +36,14 @@ Two emitters live here:
     into the old one's list slot — no list remove/append, no prime
     call.
 
+    Lone-waiter ``Timer`` events are drained by a **timer sprint**
+    that resumes each waiter inline.  After any resume, pending
+    updates are committed by the **settle epilogue**: a single-update
+    round takes a lean inline path, a multi-update round the generic
+    one, and either replays through the interpreter on anything it
+    cannot represent exactly (X/Z, monitors, mis-sized commits,
+    multi-process or ``First`` waiters).
+
     The driver's stats accounting is bit-exact against the interpreter
     for resumes / value changes / per-owner maps (see the backend
     module docstring for the full contract); ``deltas``/``timesteps``
@@ -52,7 +60,6 @@ from ..events import Timer, Trigger
 from ..process import Process, ProcessError
 from ..signal import Signal
 from ..simulator import DeltaOverflowError
-from . import segments
 from .backend import _unprime_edge, record_codegen_event
 from .expr import EmitContext
 
@@ -107,8 +114,7 @@ ow = proc.owner
 if ow is not None:
     owner_resumes[ow] = owner_resumes.get(ow, 0) + 1
 proc._waiting_on = None
-rc = proc.resume_count
-proc.resume_count = rc + 1
+proc.resume_count += 1
 try:
     y = proc._send(et)
 except StopIteration as stop:
@@ -138,8 +144,6 @@ else:
     else:
         _unprime_edge(et)
         proc._handle_nontrigger_yield(sim, y)
-    if (rc & %HOTMASK%) == %HOT%:
-        _segment_consider(sim, proc)
 """
 
 # Generic resume of one Edge waiter inside a multi-trigger round
@@ -150,8 +154,7 @@ ow = proc.owner
 if ow is not None:
     owner_resumes[ow] = owner_resumes.get(ow, 0) + 1
 proc._waiting_on = None
-rc = proc.resume_count
-proc.resume_count = rc + 1
+proc.resume_count += 1
 try:
     y = proc._send(et)
 except StopIteration as stop:
@@ -175,8 +178,6 @@ else:
     else:
         _unprime_edge(et)
         proc._handle_nontrigger_yield(sim, y)
-    if (rc & %HOTMASK%) == %HOT%:
-        _segment_consider(sim, proc)
 """
 
 # Resume a waiter whose trigger is already fully consumed (Timer popped
@@ -188,8 +189,7 @@ ow = proc.owner
 if ow is not None:
     owner_resumes[ow] = owner_resumes.get(ow, 0) + 1
 proc._waiting_on = None
-rc = proc.resume_count
-proc.resume_count = rc + 1
+proc.resume_count += 1
 try:
     y = proc._send(trig)
 except StopIteration as stop:
@@ -207,8 +207,6 @@ else:
         y._prime(sim, proc)
     else:
         proc._handle_nontrigger_yield(sim, y)
-    if (rc & %HOTMASK%) == %HOT%:
-        _segment_consider(sim, proc)
 """
 
 # Settle the pending signal updates of the current timestep inline.
@@ -286,171 +284,6 @@ while updates:
         if fall2:
             fired.extend(w_f2)
     else:
-        # ---- two-signal settle fast path: a process that writes the
-        # same signal pair every resume (the FSM state/output pattern),
-        # with at most one of the pair watched, and then by a lone
-        # plain-Process any-edge waiter.  Commit order, stats and the
-        # fire/resume protocol mirror the generic path below exactly;
-        # every dynamic fact (X/Z, monitors, widths, waiter identity)
-        # is rechecked per settle, so the cache only ever skips the
-        # *shape discovery*, never a semantic check. ----
-        fast2 = 0
-        if len(updates) == 2:
-            sb2, nb2 = updates.popitem()
-            sa2, na2 = updates.popitem()
-            if sa2 is ep_a and sb2 is ep_b:
-                fast2 = 1
-            else:
-                wa2a = sa2._w_any
-                wa2b = sb2._w_any
-                oka = (1 if (len(wa2a) == 1 and not sa2._w_rise
-                             and not sa2._w_fall)
-                       else (0 if not (wa2a or sa2._w_rise or sa2._w_fall)
-                             else -1))
-                okb = (1 if (len(wa2b) == 1 and not sb2._w_rise
-                             and not sb2._w_fall)
-                       else (0 if not (wa2b or sb2._w_rise or sb2._w_fall)
-                             else -1))
-                if oka >= 0 and okb >= 0 and oka + okb <= 1:
-                    if ep_ca and ep_owna is not None:
-                        owner_changes[ep_owna] = (
-                            owner_changes.get(ep_owna, 0) + ep_ca)
-                    ep_ca = 0
-                    if ep_cb and ep_ownb is not None:
-                        owner_changes[ep_ownb] = (
-                            owner_changes.get(ep_ownb, 0) + ep_cb)
-                    ep_cb = 0
-                    if ep_rn and ep_ownp is not None:
-                        owner_resumes[ep_ownp] = (
-                            owner_resumes.get(ep_ownp, 0) + ep_rn)
-                    ep_rn = 0
-                    if oka or okb:
-                        et2 = wa2a[0] if oka else wa2b[0]
-                        ws2 = et2._waiters
-                        if len(ws2) == 1 and ws2[0].__class__ is Process:
-                            ep_a = sa2
-                            ep_b = sb2
-                            ep_et = et2
-                            ep_ws = ws2
-                            ep_wa = wa2a if oka else wa2b
-                            ep_pr = ws2[0]
-                            ep_fs = sa2 if oka else sb2
-                            ep_fire = 1 if oka else 2
-                            ep_owna = sa2.owner
-                            ep_ownb = sb2.owner
-                            ep_ownp = ep_pr.owner
-                            fast2 = 1
-                    else:
-                        ep_a = sa2
-                        ep_b = sb2
-                        ep_et = None
-                        ep_fire = 0
-                        ep_owna = sa2.owner
-                        ep_ownb = sb2.owner
-                        fast2 = 1
-            if fast2:
-                olda2 = sa2._value
-                oldb2 = sb2._value
-                if (na2.xmask | na2.zmask | olda2.xmask | olda2.zmask
-                        or nb2.xmask | nb2.zmask
-                        | oldb2.xmask | oldb2.zmask
-                        or sa2._monitors is not None
-                        or sb2._monitors is not None
-                        or na2.width != sa2.width
-                        or nb2.width != sb2.width):
-                    fast2 = 0
-                elif ep_fire:
-                    if (len(ep_wa) != 1 or ep_wa[0] is not ep_et
-                            or len(ep_ws) != 1 or ep_ws[0] is not ep_pr
-                            or ep_pr.finished
-                            or ep_fs._w_rise or ep_fs._w_fall):
-                        fast2 = 0
-                        ep_a = None
-                    else:
-                        uw2 = sb2 if ep_fire == 1 else sa2
-                        if uw2._w_any or uw2._w_rise or uw2._w_fall:
-                            fast2 = 0
-                            ep_a = None
-                else:
-                    if (sa2._w_any or sa2._w_rise or sa2._w_fall
-                            or sb2._w_any or sb2._w_rise or sb2._w_fall):
-                        fast2 = 0
-                        ep_a = None
-            if not fast2:
-                updates[sa2] = na2
-                updates[sb2] = nb2
-            else:
-                sa2.fast_hits += 1
-                sb2.fast_hits += 1
-                fired2 = 0
-                va2 = na2.value
-                if va2 != olda2.value:
-                    sa2._value = na2
-                    sa2.change_count += 1
-                    changes += 1
-                    ep_ca += 1
-                    if ep_fire == 1:
-                        fired2 = 1
-                vb2 = nb2.value
-                if vb2 != oldb2.value:
-                    sb2._value = nb2
-                    sb2.change_count += 1
-                    changes += 1
-                    ep_cb += 1
-                    if ep_fire == 2:
-                        fired2 = 1
-                if not fired2:
-                    if ready or dts:
-                        sim._step_deltas()
-                        break
-                    continue
-                deltas += 1
-                proc = ep_pr
-                et = ep_et
-                resumes += 1
-                ep_rn += 1
-                proc._waiting_on = None
-                rc = proc.resume_count
-                proc.resume_count = rc + 1
-                try:
-                    y = proc._send(et)
-                except StopIteration as stop:
-                    proc.finished = True
-                    proc.result = stop.value
-                    _unprime_edge(et)
-                    proc._finish(sim)
-                except Exception as exc:
-                    proc.finished = True
-                    proc.exception = exc
-                    _unprime_edge(et)
-                    proc._finish(sim)
-                    errors.append(ProcessError(proc, exc))
-                else:
-                    if y is et:
-                        proc._waiting_on = et
-                    elif (y.__class__ is et.__class__
-                            and ep_wa[0] is et
-                            and len(ep_wa) == 1 and y.signal is ep_fs):
-                        et._waiters.clear()
-                        ep_wa[0] = y
-                        y._waiters.append(proc)
-                        proc._waiting_on = y
-                        ep_et = y
-                        ep_ws = y._waiters
-                    elif isinstance(y, Trigger):
-                        _unprime_edge(et)
-                        proc._waiting_on = y
-                        y._prime(sim, proc)
-                        ep_a = None
-                    else:
-                        _unprime_edge(et)
-                        proc._handle_nontrigger_yield(sim, y)
-                        ep_a = None
-                    if (rc & %HOTMASK%) == %HOT%:
-                        _segment_consider(sim, proc)
-                if errors:
-                    break
-                continue
         items = list(updates.items())
         updates.clear()
         simple = True
@@ -839,26 +672,6 @@ def driver(sim, until, event, event_start):
     owner_changes = {{}}
     status = 0
     why = 'pending-work'
-    # monomorphic cache for the two-signal settle fast path (a process
-    # writing the same signal pair every resume, at most one of them
-    # watched by a lone plain-Process any-edge waiter)
-    ep_a = None
-    ep_b = None
-    ep_et = None
-    ep_pr = None
-    ep_wa = None
-    ep_ws = None
-    ep_fire = 0
-    ep_fs = None
-    ep_owna = None
-    ep_ownb = None
-    ep_ownp = None
-    # owner tallies for the pair path, batched into plain ints and
-    # flushed at cache refill and driver exit (owner_resumes and
-    # owner_changes are driver locals, so deferring is unobservable)
-    ep_ca = 0
-    ep_cb = 0
-    ep_rn = 0
 {clock_locals}\
 {reposts}\
     try:
@@ -907,275 +720,6 @@ def driver(sim, until, event, event_start):
                     proc = ws[0]
                     ws.clear()
                     if not proc.finished:
-                        seg = proc._seg
-                        if (seg is not None and seg.__class__ is _SegState
-                                and trig in seg.owned):
-                            # ---- owned-timer resonance: the timer is a
-                            # reusable instance created by the process's
-                            # compiled segment, so real generator code
-                            # cannot be running while every resume keeps
-                            # returning it — monitors, events, finish()
-                            # and X injection are impossible, and the
-                            # per-commit checks collapse to identity
-                            # tests against a monomorphic cache.  Any
-                            # deviation restores state and falls back to
-                            # the generic sprint body below. ----
-                            psend = proc._send
-                            sc0 = seg.exit_count
-                            tdelay = trig.delay
-                            pown = proc.owner
-                            u2 = until if until is not None else 1 << 62
-                            fsig = None
-                            fet = None
-                            fws = None
-                            fproc = None
-                            wa = None
-                            wsend = None
-                            wseg = None
-                            wc0 = 0
-                            fow = None
-                            wown = None
-                            # owner tallies batched into plain ints;
-                            # owner_resumes/owner_changes are driver
-                            # locals flushed at driver exit, so
-                            # deferring these adds is unobservable
-                            prn = 0
-                            wrn = 0
-                            fcn = 0
-                            trig._waiters.append(proc)
-                            while True:
-                                resumes += 1
-                                prn += 1
-                                rc = proc.resume_count
-                                proc.resume_count = rc + 1
-                                try:
-                                    y = psend(trig)
-                                except StopIteration as stop:
-                                    proc.finished = True
-                                    proc.result = stop.value
-                                    proc._waiting_on = None
-                                    trig._waiters.clear()
-                                    proc._finish(sim)
-                                    break
-                                except Exception as exc:
-                                    proc.finished = True
-                                    proc.exception = exc
-                                    proc._waiting_on = None
-                                    trig._waiters.clear()
-                                    proc._finish(sim)
-                                    errors.append(ProcessError(proc, exc))
-                                    break
-                                if y is not trig:
-                                    trig._waiters.clear()
-                                    if isinstance(y, Trigger):
-                                        proc._waiting_on = y
-                                        y._prime(sim, proc)
-                                    else:
-                                        proc._waiting_on = None
-                                        proc._handle_nontrigger_yield(sim, y)
-                                    break
-                                sim._seq += 1
-                                nseq = sim._seq
-                                # the next firing keeps this seq
-                                # (allocated now so Timer tie-breaks
-                                # match the interpreter), but the
-                                # heappush is deferred to the exit
-                                # paths: a solo steady iteration
-                                # never touches the heap at all
-                                if seg.exit_count != sc0:
-                                    # a side exit replayed real
-                                    # generator code behind the
-                                    # segment (and may have swapped
-                                    # proc._send or echoed the owned
-                                    # trigger): every hoisted
-                                    # invariant is void, so rejoin
-                                    # the generic sprint
-                                    heappush(
-                                        timed,
-                                        (when + tdelay, nseq, trig))
-                                    break
-                                n_u = len(updates)
-                                if n_u:
-                                    if n_u != 1:
-                                        heappush(
-                                            timed,
-                                            (when + tdelay, nseq, trig))
-                                        break
-                                    s2, new = updates.popitem()
-                                    if s2 is not fsig:
-                                        old2 = s2._value
-                                        wa2 = s2._w_any
-                                        et2 = (wa2[0] if len(wa2) == 1
-                                               else None)
-                                        if (new.xmask | new.zmask
-                                                or old2.xmask | old2.zmask
-                                                or s2._monitors is not None
-                                                or new.width != s2.width
-                                                or s2._w_rise or s2._w_fall
-                                                or et2 is None):
-                                            updates[s2] = new
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            break
-                                        ws2 = et2._waiters
-                                        p2 = (ws2[0] if len(ws2) == 1
-                                              else None)
-                                        if (p2 is None
-                                                or p2.__class__ is not Process
-                                                or p2.finished):
-                                            updates[s2] = new
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            break
-                                        seg2 = p2._seg
-                                        if (seg2 is None
-                                                or seg2.__class__
-                                                is not _SegState
-                                                or et2 not in seg2.owned):
-                                            updates[s2] = new
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            break
-                                        if fcn and fow is not None:
-                                            owner_changes[fow] = (
-                                                owner_changes.get(fow, 0)
-                                                + fcn)
-                                        fcn = 0
-                                        if wrn and wown is not None:
-                                            owner_resumes[wown] = (
-                                                owner_resumes.get(wown, 0)
-                                                + wrn)
-                                        wrn = 0
-                                        fsig = s2
-                                        fet = et2
-                                        wa = wa2
-                                        fws = ws2
-                                        fproc = p2
-                                        wsend = p2._send
-                                        wseg = seg2
-                                        wc0 = seg2.exit_count
-                                        fow = s2.owner
-                                        wown = p2.owner
-                                    else:
-                                        old2 = fsig._value
-                                    v2 = new.value
-                                    if v2 == old2.value:
-                                        fsig.fast_hits += 1
-                                    else:
-                                        if (len(wa) != 1 or wa[0] is not fet
-                                                or len(fws) != 1
-                                                or fws[0] is not fproc
-                                                or fproc.finished):
-                                            updates[fsig] = new
-                                            fsig = None
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            break
-                                        fsig.fast_hits += 1
-                                        fsig._value = new
-                                        fsig.change_count += 1
-                                        changes += 1
-                                        fcn += 1
-                                        deltas += 1
-                                        resumes += 1
-                                        wrn += 1
-                                        rc = fproc.resume_count
-                                        fproc.resume_count = rc + 1
-                                        try:
-                                            y2 = wsend(fet)
-                                        except StopIteration as stop:
-                                            fproc.finished = True
-                                            fproc.result = stop.value
-                                            fproc._waiting_on = None
-                                            _unprime_edge(fet)
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            fproc._finish(sim)
-                                            break
-                                        except Exception as exc:
-                                            fproc.finished = True
-                                            fproc.exception = exc
-                                            fproc._waiting_on = None
-                                            _unprime_edge(fet)
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            fproc._finish(sim)
-                                            errors.append(
-                                                ProcessError(fproc, exc))
-                                            break
-                                        if y2 is not fet:
-                                            _unprime_edge(fet)
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            if isinstance(y2, Trigger):
-                                                fproc._waiting_on = y2
-                                                y2._prime(sim, fproc)
-                                            else:
-                                                fproc._waiting_on = None
-                                                fproc._handle_nontrigger_yield(
-                                                    sim, y2)
-                                            fsig = None
-                                            break
-                                        if wseg.exit_count != wc0:
-                                            # watcher side-exited:
-                                            # real code ran (and its
-                                            # _send may be stale)
-                                            fsig = None
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            break
-                                        if updates:
-                                            heappush(
-                                                timed,
-                                                (when + tdelay, nseq, trig))
-                                            break
-                                if errors:
-                                    heappush(
-                                        timed, (when + tdelay, nseq, trig))
-                                    break
-                                if timed:
-                                    heappush(
-                                        timed, (when + tdelay, nseq, trig))
-                                    e0 = timed[0]
-                                    if e0[2] is not trig:
-                                        break
-                                    when2 = e0[0]
-                                    n2 = len(timed)
-                                    if ((n2 > 1 and timed[1][0] == when2)
-                                            or (n2 > 2
-                                                and timed[2][0] == when2)):
-                                        break
-                                    if when2 > u2:
-                                        break
-                                    heappop(timed)
-                                else:
-                                    when2 = when + tdelay
-                                    if when2 > u2:
-                                        heappush(
-                                            timed, (when2, nseq, trig))
-                                        break
-                                sim.time = when2
-                                when = when2
-                                steps += 1
-                                deltas += 1
-                            if prn and pown is not None:
-                                owner_resumes[pown] = (
-                                    owner_resumes.get(pown, 0) + prn)
-                            if fcn and fow is not None:
-                                owner_changes[fow] = (
-                                    owner_changes.get(fow, 0) + fcn)
-                            if wrn and wown is not None:
-                                owner_resumes[wown] = (
-                                    owner_resumes.get(wown, 0) + wrn)
-                        else:
 {resume_timer}\
                     if errors:
                         why = 'process-error'
@@ -1233,15 +777,6 @@ def driver(sim, until, event, event_start):
                 why = 'process-error'
                 break
     finally:
-        if ep_ca and ep_owna is not None:
-            owner_changes[ep_owna] = (
-                owner_changes.get(ep_owna, 0) + ep_ca)
-        if ep_cb and ep_ownb is not None:
-            owner_changes[ep_ownb] = (
-                owner_changes.get(ep_ownb, 0) + ep_cb)
-        if ep_rn and ep_ownp is not None:
-            owner_resumes[ep_ownp] = (
-                owner_resumes.get(ep_ownp, 0) + ep_rn)
         stats.resumes += resumes
         stats.value_changes += changes
         stats.deltas += deltas
@@ -1319,14 +854,12 @@ def compile_driver(sim) -> Tuple[object, str]:
             reposts="".join(reposts),
             clock_arms="".join(arms),
             timer_kw="elif" if clocks else "if",
-            resume_timer=_indent(_RESUME_GENERIC, " " * 28),
+            resume_timer=_indent(_RESUME_GENERIC, " " * 24),
             epilogue_timer=_epilogue(" " * 24),
             epilogue_main=_epilogue(" " * 12),
             clock_locals=locals_,
             clock_flush=flush,
         )
-        src = src.replace("%HOTMASK%", str(segments.HOT_MASK))
-        src = src.replace("%HOT%", str(segments.HOT_PHASE))
         code = compile(src, f"<codegen-driver-{len(clocks)}clk>", "exec")
         _CODE_CACHE[len(clocks)] = (code, src)
     ns = {
@@ -1339,8 +872,6 @@ def compile_driver(sim) -> Tuple[object, str]:
         "DeltaOverflowError": DeltaOverflowError,
         "_unprime_edge": _unprime_edge,
         "_record_bail": record_codegen_event,
-        "_segment_consider": segments.consider,
-        "_SegState": segments._SegmentState,
     }
     for i, clk in enumerate(clocks):
         ns[f"C{i}"] = clk

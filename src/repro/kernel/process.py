@@ -47,7 +47,6 @@ class Process:
         "_waiting_on",
         "_killed",
         "_send",
-        "_seg",
     )
 
     def __init__(self, gen: Generator, name: str = "proc", owner=None):
@@ -68,13 +67,9 @@ class Process:
         self.elapsed_ns = 0
         self._waiting_on: Optional[Trigger] = None
         self._killed = False
-        # All resume paths (interpreter loops and the compiled driver) call
-        # ``_send`` rather than ``_gen.send`` directly.  The codegen backend
-        # may swap in a trace-compiled segment entry here; ``_seg`` then holds
-        # the segment state so kill()/close() can write shadow locals back
-        # into the generator frame first.
+        # Every resume path (interpreter loops and the compiled driver)
+        # calls this cached bound method, saving the ``_gen.send`` hop.
         self._send = gen.send
-        self._seg = None
 
     def kill(self) -> None:
         """Terminate the process without resuming it again.
@@ -86,9 +81,6 @@ class Process:
             return
         self._killed = True
         self.finished = True
-        seg = self._seg
-        if seg is not None:
-            seg.deactivate()
         self._gen.close()
         if self._sim is not None:
             self._finish(self._sim)

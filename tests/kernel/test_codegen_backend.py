@@ -4,9 +4,11 @@ The interpreter is the specification; the compiled driver must be
 *observationally identical* on everything that feeds a report:
 ``resumes``, ``value_changes``, the per-owner maps, per-signal
 counters, final values and simulated time.  These tests exercise each
-specialized driver arm (batched clock, sprint, timers, single-update
-epilogue) plus every bail-out reason (X/Z, monitors, multi-waiter
-wakeups) on designs small enough that a divergence pinpoints the arm.
+specialized driver arm (batched clock, sprint, timers, single- and
+multi-update epilogue) plus every bail-out reason (X/Z, monitors,
+multi-waiter wakeups) and the process lifecycle (kill with
+``finally``, raise, return, trigger echo) on designs small enough that
+a divergence pinpoints the arm.
 """
 
 import io
@@ -31,6 +33,9 @@ from repro.kernel import (
 )
 from repro.kernel.codegen import mux, ref
 from repro.kernel.codegen.emitter import _CODE_CACHE
+
+# resumes per process in the longer-running parity scenarios
+N_CYCLES = 1024
 
 
 def _stats_fingerprint(sim, *extra):
@@ -269,6 +274,262 @@ class TestMicroParity:
             sim.add_module(top)
             sim.run()
             return _stats_fingerprint(sim, x.value.value, y.value.value)
+
+        a, b = _both(run)
+        assert a == b
+
+    def test_fsm_pair_writer_with_state_watcher(self):
+        # a timer-paced process committing the same signal pair every
+        # resume, with a lone Edge watcher on one of them: two-update
+        # rounds settle through the generic multi-update path
+        def run(backend):
+            sim = Simulator(backend=backend)
+            state = Signal("state", 8, init=0)
+            out = Signal("out", 8, init=0)
+            sim.register_signal(state)
+            sim.register_signal(out)
+            seen = [0]
+
+            def fsm():
+                acc = 0
+                i = 0
+                while i < N_CYCLES:
+                    acc = (acc * 5 + i) & 0xFFFF
+                    state.next = acc & 0xFF
+                    out.next = (acc >> 8) & 0xFF
+                    i += 1
+                    yield Timer(10)
+
+            def watcher():
+                while True:
+                    yield Edge(state)
+                    seen[0] += 1
+
+            proc = sim.fork(fsm(), "fsm")
+            sim.fork(watcher(), "watcher")
+            sim.run()
+            assert proc.finished
+            return _stats_fingerprint(
+                sim, seen[0], state.value.value, out.value.value,
+                state.change_count, out.change_count, state.fast_hits,
+            )
+
+        a, b = _both(run)
+        assert a == b
+
+    def test_branchy_writer_stats_stay_exact(self):
+        # a rare data-dependent branch changes what each resume commits;
+        # counters must not drift by even one resume or commit
+        def run(backend):
+            sim = Simulator(backend=backend)
+            sig = Signal("s", 16, init=0)
+            sim.register_signal(sig)
+            hits = [0]
+
+            def writer():
+                i = 0
+                while i < N_CYCLES:
+                    if i % 97 == 3:
+                        hits[0] += 1
+                        sig.next = 0xBEEF ^ i
+                    else:
+                        sig.next = i & 0xFFFF
+                    i += 1
+                    yield Timer(7)
+
+            sim.fork(writer(), "writer")
+            sim.run()
+            return _stats_fingerprint(sim, sig.value.value, hits[0],
+                                      sig.change_count)
+
+        a, b = _both(run)
+        assert a == b
+
+    def test_mid_run_x_injection_parity(self):
+        # X-carrying commits can't take any compiled fast path; they
+        # must flow through the four-state interpreter on both backends
+        def run(backend):
+            sim = Simulator(backend=backend)
+            sig = Signal("s", 8, init=0)
+            sim.register_signal(sig)
+            log = []
+
+            def writer():
+                i = 0
+                while i < N_CYCLES:
+                    if i == 700:
+                        sig.next = xbits(8)
+                    elif i == 701:
+                        sig.next = 0x5A
+                    else:
+                        sig.next = (i * 3) & 0xFF
+                    i += 1
+                    yield Timer(5)
+
+            def watcher():
+                while True:
+                    yield Edge(sig)
+                    log.append(repr(sig.value))
+
+            sim.fork(writer(), "writer")
+            sim.fork(watcher(), "watcher")
+            sim.run()
+            return _stats_fingerprint(sim, tuple(log), sig.fast_hits,
+                                      sig.fast_misses)
+
+        a, b = _both(run)
+        assert a == b
+
+    def test_kill_runs_finally_with_live_locals(self):
+        # kill() closes the generator; its finally block must see the
+        # loop locals as the last resume left them
+        finals = {}
+
+        def run(backend):
+            sim = Simulator(backend=backend)
+            sig = Signal("s", 16, init=0)
+            sim.register_signal(sig)
+
+            def counter():
+                i = 0
+                try:
+                    while True:
+                        i += 1
+                        sig.next = i & 0xFFFF
+                        yield Timer(10)
+                finally:
+                    finals[backend] = i
+
+            proc = sim.fork(counter(), "counter")
+
+            def killer():
+                yield Timer(10 * N_CYCLES)
+                proc.kill()
+
+            sim.fork(killer(), "killer")
+            sim.run()
+            return _stats_fingerprint(sim, sig.value.value, proc.finished)
+
+        a, b = _both(run)
+        assert a == b
+        assert finals["interp"] == finals["codegen"] == N_CYCLES
+
+    def test_body_raise_propagates_identically(self):
+        def run(backend):
+            sim = Simulator(backend=backend)
+            sig = Signal("s", 16, init=0)
+            sim.register_signal(sig)
+
+            def bomb():
+                i = 0
+                while i < N_CYCLES:
+                    sig.next = i & 0xFFFF
+                    yield Timer(10)
+                    if i == N_CYCLES - 2:
+                        raise RuntimeError("boom")
+                    i += 1
+
+            sim.fork(bomb(), "bomb")
+            with pytest.raises(Exception, match="boom"):
+                sim.run()
+            return _stats_fingerprint(sim, sig.value.value)
+
+        a, b = _both(run)
+        assert a == b
+
+    def test_finite_generator_return_parity(self):
+        # the generator runs out: the process must finish with its
+        # return value exactly like the interpreter
+        def run(backend):
+            sim = Simulator(backend=backend)
+            sig = Signal("s", 16, init=0)
+            sim.register_signal(sig)
+
+            def finite():
+                i = 0
+                while i < N_CYCLES:
+                    sig.next = (i ^ 0x33) & 0xFFFF
+                    i += 1
+                    yield Timer(4)
+                return 0xD00D
+
+            proc = sim.fork(finite(), "finite")
+            sim.run()
+            return _stats_fingerprint(sim, proc.finished, proc.result,
+                                      sig.value.value)
+
+        a, b = _both(run)
+        assert a == b
+        assert a[-1][1] == 0xD00D
+
+    def test_trigger_echo_parity(self):
+        # `got = yield got` hands the fired Timer straight back to the
+        # scheduler, re-arming an already-consumed trigger
+        def run(backend):
+            sim = Simulator(backend=backend)
+            sig = Signal("s", 16, init=0)
+            sim.register_signal(sig)
+
+            def echo():
+                i = 0
+                got = None
+                while i < N_CYCLES:
+                    i += 1
+                    sig.next = i & 0xFFFF
+                    if got is not None and i % 51 == 0:
+                        got = yield got
+                    else:
+                        got = yield Timer(9)
+
+            sim.fork(echo(), "echo")
+            sim.run()
+            return _stats_fingerprint(sim, sig.value.value, sig.change_count)
+
+        a, b = _both(run)
+        assert a == b
+
+    def test_zero_delay_timer_parity(self):
+        def run(backend):
+            sim = Simulator(backend=backend)
+            sig = Signal("s", 16, init=0)
+            sim.register_signal(sig)
+
+            def spinner():
+                i = 0
+                while i < N_CYCLES:
+                    sig.next = i & 0xFFFF
+                    i += 1
+                    yield Timer(0) if i % 3 else Timer(2)
+
+            sim.fork(spinner(), "spinner")
+            sim.run()
+            return _stats_fingerprint(sim, sig.value.value, sig.change_count)
+
+        a, b = _both(run)
+        assert a == b
+
+    def test_vcd_bytes_identical_with_x_commit(self):
+        # VCD demand makes the compiled driver fall back wholesale; the
+        # waveform must still be byte-identical to the interpreter's
+        def run(backend):
+            sim = Simulator(backend=backend)
+            top = Module("top")
+            data = top.signal("data", 8, init=0)
+            stream = io.StringIO()
+            writer = VcdWriter(stream, timescale="1ps")
+            writer.trace(data, scope="top")
+
+            def stim():
+                for i in range(400):
+                    data.next = xbits(8) if i == 170 else (i * 11) & 0xFF
+                    yield Timer(10)
+
+            top.process(stim, name="stim")
+            sim.add_module(top)
+            sim.attach_vcd(writer)
+            sim.run()
+            sim.close()
+            return stream.getvalue()
 
         a, b = _both(run)
         assert a == b
