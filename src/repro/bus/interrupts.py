@@ -96,25 +96,40 @@ class InterruptController(DcrRegisterFile):
     # Behaviour
     # ------------------------------------------------------------------
     def _scan(self):
-        """Latch request lines into pending and drive irq each cycle."""
-        clk = self.clock.out
+        """Latch request lines into pending and drive irq each cycle.
+
+        Runs on every bus-clock rising edge, so the body is kept lean:
+        one reusable edge trigger, ``pending`` in a local, raw X/Z mask
+        tests, and the ISR word written straight to its register slot
+        (what :meth:`poke` does, minus the name lookup).
+        """
+        edge = RisingEdge(self.clock.out)
+        sources = self._sources
+        names = self._index_names
+        raised_by_source = self.raised_by_source
+        regs = self._regs
+        isr = self._names["ISR"]
+        irq = self.irq
         while True:
-            yield RisingEdge(clk)
-            for i, sig in enumerate(self._sources):
-                v = sig.value
-                if not v.is_defined:
+            yield edge
+            pending = self._pending
+            for i, sig in enumerate(sources):
+                v = sig._value
+                if v.xmask | v.zmask:
                     self.x_violations += 1
                     if self.first_x_violation_at is None:
                         self.first_x_violation_at = self.sim.time
                 elif v.value & 1:
-                    if not self._pending & (1 << i):
+                    if not pending & (1 << i):
                         self.interrupts_raised += 1
-                        self.raised_by_source[self._index_names[i]] += 1
-                    self._pending |= 1 << i
-            self.poke("ISR", self._pending)
-            want = 1 if (self._pending & self._enabled) else 0
-            if self.irq.value.to_int_or(-1) != want:
-                self.irq.next = want
+                        raised_by_source[names[i]] += 1
+                        pending |= 1 << i
+            self._pending = pending
+            regs[isr] = pending
+            want = 1 if pending & self._enabled else 0
+            v = irq._value
+            if v.xmask | v.zmask or v.value != want:
+                irq.next = want
 
     @property
     def pending_mask(self) -> int:

@@ -2,7 +2,8 @@
 
 Elaboration produces a module hierarchy, signals, processes and clocks
 (the *description*).  By default the simulator *executes* it with its
-own event-driven interpreter (:meth:`Simulator._run_fast` /
+own event-driven interpreter (the timestep loop
+:meth:`Simulator._run_loop` and the delta loop
 :meth:`Simulator._step_deltas`), the canonical semantics.  With
 ``backend="codegen"`` it delegates to :class:`CodegenBackend` instead: a
 per-design scheduler driver generated and compiled once at first run
@@ -14,6 +15,8 @@ cannot prove cheap and exact: X/Z values on a committing signal,
 monitors, ``First``/multi-waiter wakeups, simultaneous timed events,
 unknown trigger types — and falls back entirely when a VCD writer or
 tracer is attached (those need the interpreter's per-commit hooks).
+Every bail settles through the interpreter's one delta loop, and a
+fallback hands the rest of the run to its one timestep loop.
 Stats contract: ``resumes``, ``value_changes``, per-owner maps and
 per-signal counters are bit-exact against the interpreter (they feed
 byte-compared reports); ``deltas``/``timesteps`` may differ slightly at
@@ -152,7 +155,8 @@ class CodegenBackend:
                 break
             if status == _FALLBACK:
                 record_codegen_event(sim, "bail", "vcd-or-tracer")
-                return sim._run_fast(until)
+                sim._run_loop(until)
+                break
             if sim._ready or sim._updates or sim._delta_triggers:
                 sim._step_deltas()
                 continue
@@ -180,9 +184,8 @@ class CodegenBackend:
                 return event.fired_count > start
             if status == _FALLBACK:
                 record_codegen_event(sim, "bail", "vcd-or-tracer")
-                remaining = None if deadline is None else max(0, deadline - sim.time)
-                fired = sim._run_until_event_body(event, remaining)
-                return fired or event.fired_count > start
+                sim._run_loop(deadline, event)
+                return event.fired_count > start
             if sim._ready or sim._updates or sim._delta_triggers:
                 sim._step_deltas()
                 continue

@@ -181,8 +181,8 @@ else:
 """
 
 # Resume a waiter whose trigger is already fully consumed (Timer popped
-# from the heap, waiter list cleared) — the interpreter's inlined
-# Process._resume, verbatim.
+# from the heap, waiter list cleared) — the resume of the interpreter's
+# delta loop (``Simulator._step_deltas``), verbatim.
 _RESUME_GENERIC = """\
 resumes += 1
 ow = proc.owner

@@ -67,8 +67,9 @@ class Process:
         self.elapsed_ns = 0
         self._waiting_on: Optional[Trigger] = None
         self._killed = False
-        # Every resume path (interpreter loops and the compiled driver)
-        # calls this cached bound method, saving the ``_gen.send`` hop.
+        # Every resume path (the interpreter's delta loop and the
+        # compiled driver) calls this cached bound method, saving the
+        # ``_gen.send`` hop.
         self._send = gen.send
 
     def kill(self) -> None:
@@ -85,34 +86,8 @@ class Process:
         if self._sim is not None:
             self._finish(self._sim)
 
-    def _resume(self, sim, value) -> None:
-        """Advance the generator one step.  Called only by the scheduler."""
-        if self.finished:
-            return
-        self._waiting_on = None
-        self.resume_count += 1
-        try:
-            yielded = self._send(value)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = getattr(stop, "value", None)
-            self._finish(sim)
-            return
-        except Exception as exc:  # noqa: BLE001 - surface to scheduler
-            self.finished = True
-            self.exception = exc
-            self._finish(sim)
-            sim._report_process_error(ProcessError(self, exc))
-            return
-
-        if isinstance(yielded, Trigger):  # common case first
-            self._waiting_on = yielded
-            yielded._prime(sim, self)
-            return
-        self._handle_nontrigger_yield(sim, yielded)
-
     def _handle_nontrigger_yield(self, sim, yielded) -> None:
-        """Slow path shared with the scheduler's inlined resume loop."""
+        """Slow path of a resume: a joined process or an invalid yield."""
         if isinstance(yielded, Process):
             join = Join(yielded)
             self._waiting_on = join

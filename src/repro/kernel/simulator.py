@@ -9,6 +9,12 @@ fire, and newly sensitive processes become runnable in the next delta).
 When a time step stabilizes, simulated time advances to the earliest
 pending timed event.
 
+There is one timestep loop (:meth:`Simulator._run_loop`) and one delta
+loop (:meth:`Simulator._step_deltas`).  :meth:`~Simulator.run`,
+:meth:`~Simulator.run_until_event` and profile mode all run on them,
+and the codegen backend settles every bail through the same delta loop,
+so every entry point executes one schedule.
+
 Activity accounting
 -------------------
 The paper's Table II observes that wall-clock simulation cost tracks
@@ -25,8 +31,9 @@ from __future__ import annotations
 import heapq
 import time as _time
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
+from .clock import _ClockEdge
 from .events import Event, Trigger, _FirstWaiter
 from .process import Process, ProcessError
 from .signal import Signal
@@ -111,7 +118,8 @@ class SimStats:
 class Simulator:
     """Delta-cycle discrete-event simulator with activity accounting."""
 
-    #: safety net against combinational loops
+    #: safety net against combinational loops (the delta loop reads it
+    #: once, at construction)
     MAX_DELTAS_PER_STEP = 10_000
 
     def __init__(self, profile: bool = False, backend: str = "interp"):
@@ -121,6 +129,7 @@ class Simulator:
                 f"(expected 'interp' or 'codegen')"
             )
         self.time = 0  # picoseconds
+        #: fixed at construction (the delta loop binds it once)
         self.profile = profile
         self.backend_name = backend
         #: the compiled-execution backend, or None for the default
@@ -135,11 +144,11 @@ class Simulator:
         self._seq = 0
         self._timed: List[Tuple[int, int, Trigger]] = []
         # The scheduler queues below are drained in place and never
-        # rebound, so hot loops can hold direct references to them.
+        # rebound (nor is ``stats``), so the delta loop binds them once.
         self._ready: deque = deque()  # (process, fired trigger)
         self._updates: Dict[Signal, object] = {}
         self._delta_triggers: List[Trigger] = []
-        self._fired_scratch: List[Trigger] = []  # reused by _run_update
+        self._fired_scratch: List[Trigger] = []  # reused by each delta
         self._processes: List[Process] = []
         self._errors: List[ProcessError] = []
         #: (time_ps, message) records from Module.warn() — the trace
@@ -153,6 +162,8 @@ class Simulator:
         self._vcd = None
         self._finished = False
         self._modules: List[object] = []
+        #: the kernel's only delta loop (see :meth:`_delta_loop`)
+        self._step_deltas: Callable[[], None] = self._delta_loop()
 
     # ------------------------------------------------------------------
     # Elaboration
@@ -236,245 +247,21 @@ class Simulator:
     def _report_process_error(self, error: ProcessError) -> None:
         self._errors.append(error)
 
-    def _run_evaluation(self) -> None:
-        # Drain the ready queue in place: processes woken *during* the
-        # drain land beyond the snapshot length and run next delta.  Off
-        # profile mode, Process._resume is inlined — the generator
-        # resume is the single most frequent operation in the kernel.
-        # Process._resume stays the canonical definition of the resume
-        # semantics; this loop must match it.
-        ready = self._ready
-        popleft = ready.popleft
-        stats = self.stats
-        resumes_by_owner = stats.resumes_by_owner
-        if self.profile:
-            for _ in range(len(ready)):
-                proc, fired = popleft()
-                if proc.finished:
-                    continue
-                stats.resumes += 1
-                owner = proc.owner
-                if owner is not None:
-                    resumes_by_owner[owner] += 1
-                t0 = _time.perf_counter_ns()
-                proc._resume(self, fired)
-                dt = _time.perf_counter_ns() - t0
-                proc.elapsed_ns += dt
-                if owner is not None:
-                    stats.elapsed_ns_by_owner[owner] += dt
-            return
-        resumes = 0
-        try:
-            for _ in range(len(ready)):
-                proc, fired = popleft()
-                if proc.finished:
-                    continue
-                resumes += 1
-                owner = proc.owner
-                if owner is not None:
-                    resumes_by_owner[owner] += 1
-                # -- inlined Process._resume --
-                proc._waiting_on = None
-                proc.resume_count += 1
-                try:
-                    yielded = proc._send(fired)
-                except StopIteration as stop:
-                    proc.finished = True
-                    proc.result = getattr(stop, "value", None)
-                    proc._finish(self)
-                except Exception as exc:  # noqa: BLE001 - surface to scheduler
-                    proc.finished = True
-                    proc.exception = exc
-                    proc._finish(self)
-                    self._errors.append(ProcessError(proc, exc))
-                else:
-                    if isinstance(yielded, Trigger):
-                        proc._waiting_on = yielded
-                        yielded._prime(self, proc)
-                    else:
-                        proc._handle_nontrigger_yield(self, yielded)
-        finally:
-            stats.resumes += resumes
+    def _delta_loop(self) -> Callable[[], None]:
+        """Build this simulator's delta loop, bound once to its queues.
 
-    def _run_update(self) -> None:
-        # Inlines Signal._apply (the canonical commit semantics) with a
-        # 2-state fast path: when neither old nor new value carries X/Z
-        # bits, the comparison and the rise/fall lsb extraction skip all
-        # mask work.  Per-signal fast_hits/fast_misses count which path
-        # each commit took (rolled up per owner by analysis.profiling).
-        updates = self._updates
-        dts = self._delta_triggers
-        if not updates and not dts:
-            return
-        fired: List[Trigger] = self._fired_scratch
-        if dts:
-            # capture-and-clear before firing: triggers scheduled while
-            # firing land in dts again and run next delta
-            fired.extend(dts)
-            dts.clear()
-        if updates:
-            if len(updates) == 1:
-                # common case: one signal changed
-                items = (updates.popitem(),)
-            else:
-                items = list(updates.items())
-                updates.clear()
-            stats = self.stats
-            changes_by_owner = stats.changes_by_owner
-            vcd = self._vcd
-            time_now = self.time
-            for signal, new in items:
-                if new.width != signal.width:
-                    new = signal._normalize_width(new)
-                old = signal._value
-                if new.xmask | new.zmask | old.xmask | old.zmask:
-                    # four-state path
-                    signal.fast_misses += 1
-                    if (
-                        new.value == old.value
-                        and new.xmask == old.xmask
-                        and new.zmask == old.zmask
-                        and new.width == old.width
-                    ):
-                        continue
-                    lsb_new = (
-                        new.value & 1 if not (new.xmask | new.zmask) & 1 else None
-                    )
-                    lsb_old = (
-                        old.value & 1 if not (old.xmask | old.zmask) & 1 else None
-                    )
-                else:
-                    # 2-state fast path
-                    signal.fast_hits += 1
-                    if new.value == old.value and new.width == old.width:
-                        continue
-                    lsb_new = new.value & 1
-                    lsb_old = old.value & 1
-                signal._value = new
-                signal.change_count += 1
-                stats.value_changes += 1
-                owner = signal.owner
-                if owner is not None:
-                    changes_by_owner[owner] += 1
-                if vcd is not None and signal._vcd_id is not None:
-                    vcd._record(time_now, signal)
-                if signal._monitors:
-                    for cb in signal._monitors:
-                        cb(signal, old, new)
-                w = signal._w_any
-                if w:
-                    fired.extend(w)
-                w = signal._w_rise
-                if w and lsb_new == 1 and lsb_old != 1:
-                    fired.extend(w)
-                w = signal._w_fall
-                if w and lsb_new == 0 and lsb_old != 0:
-                    fired.extend(w)
-        try:
-            for trig in fired:
-                trig._fire(self)
-        finally:
-            fired.clear()
-
-    def _step_deltas(self) -> None:
-        """Run delta cycles at the current time until quiescent.
-
-        This is the canonical delta loop, used by profiling runs and by
-        :meth:`run_until_event`.  Non-profiling :meth:`run` calls go
-        through :meth:`_run_fast`, which inlines the same semantics.
-        """
-        deltas = 0
-        max_deltas = self.MAX_DELTAS_PER_STEP
-        stats = self.stats
-        # the scheduler queues are drained in place, never rebound, so
-        # direct references stay valid across deltas
-        ready = self._ready
-        updates = self._updates
-        dts = self._delta_triggers
-        errors = self._errors
-        run_evaluation = self._run_evaluation
-        run_update = self._run_update
-        while ready or updates or dts:
-            deltas += 1
-            stats.deltas += 1
-            if deltas > max_deltas:
-                raise DeltaOverflowError(
-                    f"time step at t={self.time}ps did not stabilize after "
-                    f"{max_deltas} delta cycles "
-                    f"(combinational loop?)"
-                )
-            if ready:
-                run_evaluation()
-            if updates or dts:
-                run_update()
-            if errors:
-                raise errors.pop(0)
-
-    # ------------------------------------------------------------------
-    # Running
-    # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None) -> int:
-        """Run until ``until`` picoseconds (inclusive) or quiescence.
-
-        Returns the simulation time at which the run stopped.
-        """
-        if until is not None and until < self.time:
-            raise SimulationError(
-                f"cannot run until t={until}ps: simulation is already at "
-                f"t={self.time}ps"
-            )
-        if (
-            self._backend is not None
-            and not self.profile
-            and self.tracer is None
-            and self._vcd is None
-        ):
-            return self._backend.run(until)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled_for("kernel"):
-            span = tracer.begin("kernel", "run")
-            try:
-                return self._run_body(until)
-            finally:
-                span.end()
-                tracer.sample_kernel()
-        return self._run_body(until)
-
-    def _run_body(self, until: Optional[int]) -> int:
-        if not self.profile:
-            return self._run_fast(until)
-        self._step_deltas()
-        self.stats.timesteps += 1
-        timed = self._timed
-        heappop = heapq.heappop
-        step_deltas = self._step_deltas
-        stats = self.stats
-        while timed and not self._finished:
-            when = timed[0][0]
-            if until is not None and when > until:
-                self.time = until
-                return self.time
-            self.time = when
-            stats.timesteps += 1
-            while timed and timed[0][0] == when:
-                heappop(timed)[2]._fire(self)
-            step_deltas()
-        if until is not None and self.time < until and not self._finished:
-            self.time = until
-        return self.time
-
-    def _run_fast(self, until: Optional[int]) -> int:
-        """Non-profiling :meth:`run` loop.
-
-        Everything the scheduler touches is bound once per call; the
-        delta loop lives in a closure so each time step costs one plain
-        call with zero attribute traffic.  The closure inlines
-        :meth:`_run_evaluation` (via ``Process._resume``) and
-        :meth:`_run_update` (via ``Signal._apply``) — those methods stay
-        the canonical definitions of the phase semantics, and this loop
-        must match them.  The scheduler queues are drained in place and
-        never rebound, so the direct references below stay valid for the
-        whole run.
+        The returned function, installed as :attr:`_step_deltas`, is the
+        kernel's only delta loop: every run entry point, profile mode
+        and each codegen-driver bail settle through it.  It runs delta
+        cycles at the current time until quiescent.  Each delta resumes
+        the ready processes (evaluation), then commits the scheduled
+        updates and fires the triggers they and the pending delta
+        triggers raise (update).  The resume and commit are inlined;
+        :meth:`Signal._apply` stays the test-visible definition of the
+        commit.  The scheduler queues are drained in place and never
+        rebound, so they are bound here once, with ``profile``; ``_vcd``
+        and ``time`` are read once per call.  Counters accumulate in
+        locals and are flushed on exit, including on an error.
         """
         ready = self._ready
         popleft = ready.popleft
@@ -485,12 +272,14 @@ class Simulator:
         stats = self.stats
         resumes_by_owner = stats.resumes_by_owner
         changes_by_owner = stats.changes_by_owner
-        vcd = self._vcd
+        elapsed_ns_by_owner = stats.elapsed_ns_by_owner
+        perf_counter_ns = _time.perf_counter_ns
+        profile = self.profile
         max_deltas = self.MAX_DELTAS_PER_STEP
-        timed = self._timed
-        heappop = heapq.heappop
 
-        def step_deltas(time_now: int) -> None:
+        def step_deltas() -> None:
+            vcd = self._vcd
+            time_now = self.time
             deltas = 0
             resumes = 0
             changes = 0
@@ -503,9 +292,9 @@ class Simulator:
                             f"after {max_deltas} delta cycles "
                             f"(combinational loop?)"
                         )
-                    # ---- evaluation phase (inlined Process._resume) ----
-                    # snapshot drain: processes woken during the drain
-                    # land beyond the snapshot length and run next delta
+                    # ---- evaluation phase ----
+                    # snapshot drain: processes woken during the drain land
+                    # beyond the snapshot length and run next delta
                     for _ in range(len(ready)):
                         proc, sent = popleft()
                         if proc.finished:
@@ -517,7 +306,17 @@ class Simulator:
                         proc._waiting_on = None
                         proc.resume_count += 1
                         try:
-                            yielded = proc._send(sent)
+                            if profile:
+                                t0 = perf_counter_ns()
+                                try:
+                                    yielded = proc._send(sent)
+                                finally:
+                                    dt = perf_counter_ns() - t0
+                                    proc.elapsed_ns += dt
+                                    if owner is not None:
+                                        elapsed_ns_by_owner[owner] += dt
+                            else:
+                                yielded = proc._send(sent)
                         except StopIteration as stop:
                             proc.finished = True
                             proc.result = stop.value
@@ -533,11 +332,10 @@ class Simulator:
                                 yielded._prime(self, proc)
                             else:
                                 proc._handle_nontrigger_yield(self, yielded)
-                    # ---- update phase (inlined Signal._apply) ----
+                    # ---- update phase ----
                     if dts:
-                        # capture-and-clear before firing: triggers
-                        # scheduled while firing land in dts again and
-                        # run next delta
+                        # capture-and-clear before firing: triggers scheduled
+                        # while firing land in dts again and run next delta
                         fired.extend(dts)
                         dts.clear()
                     if updates:
@@ -614,23 +412,105 @@ class Simulator:
                 stats.value_changes += changes
                 stats.deltas += deltas
 
+        return step_deltas
+
+    def _run_loop(
+        self, until: Optional[int], event: Optional[Event] = None
+    ) -> None:
+        """Advance time step by step until ``until``, quiescence or ``event``.
+
+        The kernel's only timestep loop, behind :meth:`run`,
+        :meth:`run_until_event`, profile mode and the codegen backend's
+        fallback.  Each step pops every timed event due at the earliest
+        pending time, then settles it with :meth:`_step_deltas`.  Clock
+        edges, most of the heap traffic, are fired inline (the body of
+        ``_ClockEdge._fire``).  With ``event`` the loop stops as soon as
+        its ``fired_count`` rises; without it, a run that goes quiescent
+        before ``until`` still advances time to ``until``.
+        """
+        timed = self._timed
+        updates = self._updates
+        heappop = heapq.heappop
+        step_deltas = self._step_deltas
+        clock_edge = _ClockEdge
+        start = 0 if event is None else event.fired_count
         timesteps = 1
         try:
-            step_deltas(self.time)
+            step_deltas()
             while timed and not self._finished:
+                if event is not None and event.fired_count > start:
+                    return
                 when = timed[0][0]
                 if until is not None and when > until:
                     self.time = until
-                    return until
+                    return
                 self.time = when
                 timesteps += 1
                 while timed and timed[0][0] == when:
-                    heappop(timed)[2]._fire(self)
-                step_deltas(when)
+                    trig = heappop(timed)[2]
+                    if trig.__class__ is clock_edge:
+                        clock = trig.clock
+                        updates[clock.out] = trig.value
+                        clock.cycles += trig.bump
+                        clock._outstanding -= 1
+                        if not clock._outstanding:
+                            clock._post_batch(self)
+                    else:
+                        trig._fire(self)
+                step_deltas()
         finally:
-            stats.timesteps += timesteps
-        if until is not None and self.time < until and not self._finished:
+            self.stats.timesteps += timesteps
+        if (
+            event is None
+            and until is not None
+            and self.time < until
+            and not self._finished
+        ):
             self.time = until
+
+    def _interpret(
+        self, until: Optional[int], event: Optional[Event] = None
+    ) -> None:
+        """:meth:`_run_loop` inside a ``kernel`` trace span, if enabled."""
+        tracer = self.tracer
+        if tracer is None or not tracer.enabled_for("kernel"):
+            self._run_loop(until, event)
+            return
+        if event is None:
+            span = tracer.begin("kernel", "run")
+        else:
+            span = tracer.begin("kernel", "run_until_event", event=event.name)
+        try:
+            self._run_loop(until, event)
+        finally:
+            span.end()
+            tracer.sample_kernel()
+
+    def _compiled_run_ok(self) -> bool:
+        """True when the codegen backend may take this run."""
+        return (
+            self._backend is not None
+            and not self.profile
+            and self.tracer is None
+            and self._vcd is None
+        )
+
+    # ------------------------------------------------------------------
+    # Running
+    # ------------------------------------------------------------------
+    def run(self, until: Optional[int] = None) -> int:
+        """Run until ``until`` picoseconds (inclusive) or quiescence.
+
+        Returns the simulation time at which the run stopped.
+        """
+        if until is not None and until < self.time:
+            raise SimulationError(
+                f"cannot run until t={until}ps: simulation is already at "
+                f"t={self.time}ps"
+            )
+        if self._compiled_run_ok():
+            return self._backend.run(until)
+        self._interpret(until)
         return self.time
 
     def run_for(self, duration: int) -> int:
@@ -638,45 +518,20 @@ class Simulator:
         return self.run(until=self.time + duration)
 
     def run_until_event(self, event: Event, timeout: Optional[int] = None) -> bool:
-        """Run until ``event`` fires; returns False on timeout/quiescence."""
-        if (
-            self._backend is not None
-            and not self.profile
-            and self.tracer is None
-            and self._vcd is None
-        ):
-            return self._backend.run_until_event(event, timeout)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled_for("kernel"):
-            span = tracer.begin("kernel", "run_until_event", event=event.name)
-            try:
-                return self._run_until_event_body(event, timeout)
-            finally:
-                span.end()
-                tracer.sample_kernel()
-        return self._run_until_event_body(event, timeout)
+        """Run until ``event`` fires; returns False on timeout/quiescence.
 
-    def _run_until_event_body(
-        self, event: Event, timeout: Optional[int] = None
-    ) -> bool:
-        start_count = event.fired_count
-        deadline = None if timeout is None else self.time + timeout
-        self._step_deltas()
-        self.stats.timesteps += 1
-        while self._timed and not self._finished:
-            if event.fired_count > start_count:
-                return True
-            when = self._timed[0][0]
-            if deadline is not None and when > deadline:
-                self.time = deadline
-                return event.fired_count > start_count
-            self.time = when
-            self.stats.timesteps += 1
-            while self._timed and self._timed[0][0] == when:
-                _, _, trig = heapq.heappop(self._timed)
-                trig._fire(self)
-            self._step_deltas()
-        return event.fired_count > start_count
+        On quiescence time stays where the last event left it; it does
+        not advance to the deadline.
+        """
+        if timeout is not None and timeout < 0:
+            raise SimulationError(
+                f"cannot run for a negative timeout of {timeout}ps"
+            )
+        if self._compiled_run_ok():
+            return self._backend.run_until_event(event, timeout)
+        start = event.fired_count
+        self._interpret(None if timeout is None else self.time + timeout, event)
+        return event.fired_count > start
 
     def finish(self) -> None:
         """Request the simulation stop at the end of the current step."""

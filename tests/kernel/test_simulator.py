@@ -6,6 +6,7 @@ from repro.kernel import (
     NS,
     Clock,
     DeltaOverflowError,
+    Edge,
     Event,
     FallingEdge,
     First,
@@ -435,8 +436,6 @@ def test_process_kill():
 
 def test_delta_overflow_detection():
     """A zero-delay combinational loop must be caught, not spin forever."""
-    from repro.kernel import Edge
-
     sim = Simulator()
     x = Signal("x", 1, init=0)
     sim.register_signal(x)
@@ -546,3 +545,133 @@ def test_signal_force_bypasses_triggers():
     sim.run_for(100)
     assert hits == []
     assert sig.value == 1
+
+
+# ----------------------------------------------------------------------
+# One schedule behind every entry point
+# ----------------------------------------------------------------------
+#: the mixed design's horizon: a coincident edge of both clocks
+SCHEDULE_T = 400
+
+
+def _mixed_design(profile=False):
+    """Two clocks with coincident edges, a Timer process, an Edge watcher
+    and a ``First``, all owned by modules; ``done`` fires at SCHEDULE_T."""
+    sim = Simulator(profile=profile)
+    top = Module("top")
+    fast = Clock("fast", 10, parent=top)
+    slow = Clock("slow", 40, parent=top)
+    logic = Module("logic", parent=top)
+    count = logic.signal("count", 8)
+    seen = logic.signal("seen", 8)
+    done = Event("done")
+
+    def counter():
+        while True:
+            yield RisingEdge(fast.out)
+            count.next = (count.value.to_int() + 1) & 0xFF
+
+    def watcher():
+        while True:
+            yield Edge(count)
+            seen.next = count.value.to_int()
+
+    def racer():
+        while True:
+            yield First(RisingEdge(slow.out), Timer(7))
+
+    def pacer():
+        for _ in range(SCHEDULE_T // 25):
+            yield Timer(25)
+        done.set(sim)
+        while True:
+            yield Timer(25)
+
+    for fn in (counter, watcher, racer, pacer):
+        logic.process(fn)
+    sim.add_module(top)
+    return sim, done
+
+
+def _schedule(stats):
+    def by_path(m):
+        return {o.path: n for o, n in m.items() if n}
+
+    return (
+        stats.resumes,
+        stats.value_changes,
+        stats.deltas,
+        stats.timesteps,
+        by_path(stats.resumes_by_owner),
+        by_path(stats.changes_by_owner),
+    )
+
+
+def test_entry_points_run_one_schedule():
+    ran, _ = _mixed_design()
+    assert ran.run(until=SCHEDULE_T) == SCHEDULE_T
+
+    evented, done = _mixed_design()
+    assert evented.run_until_event(done)
+    assert evented.time == SCHEDULE_T
+
+    profiled, _ = _mixed_design(profile=True)
+    profiled.run(until=SCHEDULE_T)
+
+    expected = _schedule(ran.stats)
+    assert expected[0] > 0 and expected[2] > 0
+    assert _schedule(evented.stats) == expected
+    assert _schedule(profiled.stats) == expected
+    assert profiled.stats.elapsed_ns_by_owner
+    assert not ran.stats.elapsed_ns_by_owner
+
+
+def test_run_until_event_surfaces_process_error_with_resume_counted():
+    sim = Simulator()
+
+    def bad():
+        yield Timer(10)
+        raise ValueError("boom")
+
+    sim.fork(bad(), "bad")
+    with pytest.raises(ProcessError) as exc_info:
+        sim.run_until_event(Event("never"))
+    assert isinstance(exc_info.value.original, ValueError)
+    # the first resume started the process; the raising one counts too
+    assert sim.stats.resumes == 2
+
+
+def test_run_until_event_detects_delta_overflow():
+    sim = Simulator()
+    x = Signal("x", 1, init=0)
+    sim.register_signal(x)
+
+    def oscillate():
+        while True:
+            yield Edge(x)
+            x.next = 0 if x.value.to_int() else 1
+
+    def kick():
+        x.next = 1
+        yield Timer(1)
+
+    sim.fork(oscillate())
+    sim.fork(kick())
+    with pytest.raises(DeltaOverflowError):
+        sim.run_until_event(Event("never"))
+
+
+@pytest.mark.parametrize("backend", ["interp", "codegen"])
+def test_run_until_event_rejects_negative_timeout(backend):
+    """A negative timeout must not move simulated time backwards."""
+    sim = Simulator(backend=backend)
+
+    def tick():
+        while True:
+            yield Timer(100)
+
+    sim.fork(tick())
+    sim.run(until=500)
+    with pytest.raises(SimulationError):
+        sim.run_until_event(Event("never"), timeout=-300)
+    assert sim.time == 500
