@@ -60,7 +60,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--fault", action="append", default=[],
         help="inject a bug by key (repeatable); see `bugs`",
     )
-    _add_backend(parser)
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
@@ -614,10 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate the demonstrator")
     _add_common(p_run)
+    _add_backend(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_bugs = sub.add_parser("bugs", help="list or inject historical bugs")
     _add_common(p_bugs)
+    _add_backend(p_bugs)
     p_bugs.add_argument("key", nargs="?", help="bug key to inject")
     p_bugs.set_defaults(func=_cmd_bugs)
 
@@ -627,6 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cov = sub.add_parser("coverage", help="DPR functional coverage")
     _add_common(p_cov)
+    _add_backend(p_cov)
     p_cov.set_defaults(func=_cmd_coverage)
 
     p_sc = sub.add_parser("scenarios", help="list named scenarios")

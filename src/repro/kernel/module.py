@@ -34,8 +34,6 @@ class Module:
         self.children: List[Module] = []
         self.signals: List[Signal] = []
         self._process_factories: List[tuple] = []
-        self._comb_rules: List[object] = []
-        self._comb_region = None
         self.processes: List[Process] = []
         self.sim = None
         if parent is not None:
@@ -91,29 +89,6 @@ class Module:
             return proc
         return None
 
-    def comb(self, target: Signal, expr):
-        """Declare a combinational rule ``target <= expr``.
-
-        ``expr`` is built from :func:`repro.kernel.codegen.ref` /
-        :func:`~repro.kernel.codegen.mux` / :func:`~repro.kernel.codegen.cat`
-        expressions (or a plain Signal/int/LogicVector).  At elaboration
-        the module's rules are levelized into one region, compiled to a
-        straight-line packed-int function, and driven by a process
-        sensitive to the region's external inputs.  A combinational
-        loop is rejected at elaboration time.  Rules must be declared
-        before the module is elaborated.
-        """
-        if self.sim is not None:
-            raise ElaborationError(
-                f"{self.path}: comb rules must be declared before elaboration"
-            )
-        from .codegen.expr import _to_expr
-        from .codegen.levelize import CombRule
-
-        rule = CombRule(target, _to_expr(expr, target.width))
-        self._comb_rules.append(rule)
-        return rule
-
     # ------------------------------------------------------------------
     # Elaboration
     # ------------------------------------------------------------------
@@ -129,16 +104,6 @@ class Module:
             proc = sim.fork(factory(), name=f"{self.path}.{name}", owner=self)
             self.processes.append(proc)
         self._process_factories = []
-        if self._comb_rules:
-            # levelize + compile the combinational region once, here at
-            # elaboration; the region process runs under both backends
-            from .codegen.levelize import CombRegion
-
-            region = CombRegion(self, self._comb_rules)
-            self._comb_region = region
-            self._comb_rules = []
-            proc = sim.fork(region.process(), name=f"{self.path}.comb", owner=self)
-            self.processes.append(proc)
         for ch in self.children:
             ch._elaborate(sim)
 

@@ -217,9 +217,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._timed, (when, self._seq, trigger))
 
-    def _schedule_update(self, signal: Signal, value) -> None:
-        self._updates[signal] = value  # last write wins within a delta
-
     def _schedule_delta_trigger(self, trigger: Trigger) -> None:
         self._delta_triggers.append(trigger)
 

@@ -13,9 +13,7 @@ a divergence pinpoints the arm.
 
 import io
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 from repro.kernel import (
     Clock,
@@ -31,7 +29,6 @@ from repro.kernel import (
     VcdWriter,
     xbits,
 )
-from repro.kernel.codegen import mux, ref
 from repro.kernel.codegen.emitter import _CODE_CACHE
 
 # resumes per process in the longer-running parity scenarios
@@ -250,33 +247,6 @@ class TestMicroParity:
         a, b = _both(run)
         assert a == b
         assert a[0] is True
-
-    def test_comb_region_parity(self):
-        def run(backend):
-            sim = Simulator(backend=backend)
-            top = Module("top")
-            a = top.signal("a", 8, init=0)
-            b_ = top.signal("b", 8, init=0)
-            sel = top.signal("sel", 1, init=0)
-            x = top.signal("x", 8, init=0)
-            y = top.signal("y", 8, init=0)
-            top.comb(x, ref(a) & ref(b_))
-            top.comb(y, mux(ref(sel), ref(x) ^ ref(a), ref(b_) + 1))
-
-            def stim():
-                for i in range(200):
-                    a.next = (i * 7) & 0xFF
-                    b_.next = (i * 13) & 0xFF
-                    sel.next = i & 1
-                    yield Timer(10)
-
-            top.process(stim, name="stim")
-            sim.add_module(top)
-            sim.run()
-            return _stats_fingerprint(sim, x.value.value, y.value.value)
-
-        a, b = _both(run)
-        assert a == b
 
     def test_fsm_pair_writer_with_state_watcher(self):
         # a timer-paced process committing the same signal pair every
@@ -561,61 +531,3 @@ class TestVcdFallback:
 
         a, b = _both(run)
         assert a == b
-
-
-class TestCompiledCombProperty:
-    """The compiled packed-int region equals the four-state reference."""
-
-    def _region(self):
-        sim = Simulator()
-        top = Module("top")
-        a = top.signal("a", 8, init=0)
-        b = top.signal("b", 8, init=0)
-        sel = top.signal("sel", 1, init=0)
-        x = top.signal("x", 8, init=0)
-        y = top.signal("y", 8, init=0)
-        z = top.signal("z", 4, init=0)
-        r_or = top.signal("r_or", 1, init=0)
-        r_and = top.signal("r_and", 1, init=0)
-        r_xor = top.signal("r_xor", 1, init=0)
-        top.comb(x, (ref(a) & ref(b)) | (~ref(a) >> 2))
-        top.comb(y, mux(ref(sel), ref(x) + ref(b), ref(a) - 1))
-        top.comb(z, ref(y)[2:6] ^ ref(x)[0:4])
-        top.comb(r_or, (ref(a) & ref(b)).reduce_or())
-        top.comb(r_and, (ref(a) | ref(b)).reduce_and())
-        top.comb(r_xor, ref(y).reduce_xor())
-        sim.add_module(top)
-        return top._comb_region, (a, b, sel)
-
-    @given(
-        st.integers(0, 255), st.integers(0, 255), st.integers(0, 1)
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_compiled_matches_eval_lv(self, av, bv, sv):
-        region, (a, b, sel) = self._region()
-        a.force(av)
-        b.force(bv)
-        sel.force(sv)
-        vals = [s.value.value for s in region.inputs]
-        outs = region.fn(*vals)
-        env = {}
-        for rule in region.ordered:
-            env[rule.target] = rule.expr.eval_lv(env)
-        for target, out in zip(region.targets, outs):
-            ref_lv = env[target]
-            assert ref_lv.xmask == 0 and ref_lv.zmask == 0
-            assert out == ref_lv.value, (
-                f"{target.name}: compiled {out:#x} != reference "
-                f"{ref_lv.value:#x} for a={av:#x} b={bv:#x} sel={sv}"
-            )
-
-    def test_x_input_uses_four_state_reference(self):
-        region, (a, b, sel) = self._region()
-        a.force(xbits(8))
-        b.force(0x0F)
-        sel.force(1)
-        env = {}
-        for rule in region.ordered:
-            env[rule.target] = rule.expr.eval_lv(env)
-        # X contaminates: the AND with defined 0x0F keeps X where b is 1
-        assert env[region.targets[0]].xmask != 0

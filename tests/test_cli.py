@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_scenarios_command(capsys):
@@ -49,6 +49,21 @@ def test_profile_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "CensusImg Engine" in out and "Overall" in out
+
+
+@pytest.mark.parametrize("command", ["profile", "trace"])
+def test_observer_commands_reject_backend(command, capsys):
+    # profile and trace always attach a tracer, which runs the
+    # interpreter whatever backend is named, so they take no --backend
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--backend", "codegen"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
+def test_run_still_accepts_backend():
+    args = build_parser().parse_args(["run", "--backend", "codegen"])
+    assert args.backend == "codegen"
 
 
 def test_coverage_command(capsys):
