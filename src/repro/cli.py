@@ -10,9 +10,7 @@ Commands:
 ``scenarios``  list the named scenarios
 ``timeline``   the Figure 5 development-timeline model
 ``bench``      kernel throughput micro-benchmarks; ``--check`` gates
-               against the committed BENCH_kernel.json baseline;
-               ``--system`` measures the end-to-end sweep instead
-               (cache warmth + fleet parallelism, BENCH_system.json)
+               against the committed BENCH_kernel.json baseline
 ``campaign``   the full Table III bug-detection campaign; ``--jobs N``
                fans runs out to fleet workers with byte-identical
                reports
@@ -46,26 +44,36 @@ from .verif import BUGS, DprCoverage, run_system
 __all__ = ["build_parser", "main"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _positive_int(text: str) -> int:
+    """argparse type for a count: a zero or negative one is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario", default="tiny", choices=scenario_names(),
         help="named operating point (default: tiny)",
     )
+    parser.add_argument("--frames", type=_positive_int, default=2)
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_scenario(parser)
     parser.add_argument(
         "--method", choices=("resim", "vmux", "dcs"), default=None,
         help="override the simulation method",
     )
-    parser.add_argument("--frames", type=int, default=2)
     parser.add_argument(
         "--fault", action="append", default=[],
         help="inject a bug by key (repeatable); see `bugs`",
-    )
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=("interp", "codegen"), default="interp",
-        help="kernel execution backend (default: interp)",
     )
 
 
@@ -75,8 +83,6 @@ def _config(args):
         overrides["method"] = args.method
     if args.fault:
         overrides["faults"] = frozenset(args.fault)
-    if getattr(args, "backend", "interp") != "interp":
-        overrides["backend"] = args.backend
     return scenario(args.scenario, **overrides)
 
 
@@ -189,26 +195,19 @@ def _cmd_bench(args) -> int:
 
     from .analysis import benchkit
 
-    if args.system:
-        return _bench_system(args)
-
     kernels = args.kernel or None
     try:
-        results = benchkit.measure(
-            repeats=args.repeats, kernels=kernels, jobs=args.jobs,
-            backend=args.backend,
-        )
+        results = benchkit.measure(repeats=args.repeats, kernels=kernels)
     except KeyError as exc:
         print(f"unknown kernel {exc.args[0]!r}; "
               f"choose from {', '.join(benchkit.KERNELS)}", file=sys.stderr)
         return 2
 
     baseline_path = (
-        Path(args.baseline) if args.baseline
-        else benchkit.default_baseline_path(args.backend)
+        Path(args.baseline) if args.baseline else benchkit.DEFAULT_BASELINE
     )
     if args.update:
-        benchkit.write_baseline(results, baseline_path, backend=args.backend)
+        benchkit.write_baseline(results, baseline_path)
 
     if args.json:
         print(_json.dumps({n: r for n, r in sorted(results.items())}, indent=2))
@@ -226,8 +225,7 @@ def _cmd_bench(args) -> int:
             format_table(
                 ["Kernel", "Work", "Best", "Throughput"],
                 rows,
-                title=f"Kernel throughput "
-                      f"({args.backend} backend, min of {args.repeats})",
+                title=f"Kernel throughput (min of {args.repeats})",
             )
         )
 
@@ -261,66 +259,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _bench_system(args) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from .analysis import benchkit
-
-    result = benchkit.measure_system(jobs=args.jobs, frames=args.frames)
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline
-        else benchkit.DEFAULT_SYSTEM_BASELINE
-    )
-    if args.update:
-        benchkit.write_system_baseline(result, baseline_path)
-
-    single = result["single_run"]
-    campaign = result["campaign"]
-    if args.json:
-        print(_json.dumps(result, indent=2))
-    else:
-        rows = [
-            ("single run (cold cache)", f"{single['cold_s']:.2f} s", "-"),
-            (
-                "single run (warm cache)",
-                f"{single['warm_s']:.2f} s",
-                f"{single['warm_speedup']:.2f}x, "
-                f"{single['warm_cache_hits']} cache hits",
-            ),
-            (
-                f"campaign x{campaign['runs']} (serial)",
-                f"{campaign['serial_s']:.2f} s",
-                "-",
-            ),
-            (
-                f"campaign x{campaign['runs']} (--jobs {campaign['jobs']})",
-                f"{campaign['parallel_s']:.2f} s",
-                f"{campaign['speedup']:.2f}x on {result['cpus']} cpu(s)",
-            ),
-        ]
-        print(
-            format_table(
-                ["Workload", "Wall clock", "Notes"],
-                rows,
-                title=f"End-to-end system benchmark "
-                      f"({result['scenario']}, {result['frames']} frame(s))",
-            )
-        )
-
-    if args.update:
-        print(f"system benchmark recorded to {baseline_path}")
-    if args.check and single["warm_cache_hits"] <= 0:
-        print(
-            "system bench FAILURE - warm run produced zero artifact-cache "
-            "hits (memoization broken)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_campaign(args) -> int:
     from .analysis.reporting import canonical_json
     from .verif import BUGS
@@ -332,7 +270,7 @@ def _cmd_campaign(args) -> int:
             return 2
     result = run_bug_campaign(
         bug_keys=args.bug or None,
-        base_config=scenario(args.scenario, backend=args.backend),
+        base_config=scenario(args.scenario),
         n_frames=args.frames,
         include_baseline=not args.no_baseline,
         jobs=args.jobs,
@@ -477,7 +415,6 @@ def _cmd_fuzz(args) -> int:
         jobs=args.jobs,
         wave_size=args.wave,
         inject_divergence=args.inject_divergence or None,
-        backend=args.backend,
     )
     shrink_result = None
     if report.real_failures and not args.no_shrink:
@@ -613,12 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate the demonstrator")
     _add_common(p_run)
-    _add_backend(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_bugs = sub.add_parser("bugs", help="list or inject historical bugs")
-    _add_common(p_bugs)
-    _add_backend(p_bugs)
+    _add_scenario(p_bugs)
     p_bugs.add_argument("key", nargs="?", help="bug key to inject")
     p_bugs.set_defaults(func=_cmd_bugs)
 
@@ -628,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cov = sub.add_parser("coverage", help="DPR functional coverage")
     _add_common(p_cov)
-    _add_backend(p_cov)
     p_cov.set_defaults(func=_cmd_coverage)
 
     p_sc = sub.add_parser("scenarios", help="list named scenarios")
@@ -652,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable output"
     )
     p_bench.add_argument(
-        "--repeats", type=int, default=3, help="runs per kernel (min wins)"
+        "--repeats", type=_positive_int, default=3,
+        help="runs per kernel (min wins)",
     )
     p_bench.add_argument(
         "--tolerance", type=float, default=0.20,
@@ -660,45 +595,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--baseline", default=None,
-        help="baseline file path (default: benchmarks/BENCH_kernel.json, "
-             "or benchmarks/BENCH_kernel_codegen.json with "
-             "--backend codegen)",
+        help="baseline file path (default: benchmarks/BENCH_kernel.json)",
     )
-    _add_backend(p_bench)
     p_bench.add_argument(
         "--kernel", action="append", default=[],
         help="run only this kernel (repeatable)",
-    )
-    p_bench.add_argument(
-        "--jobs", type=int, default=1,
-        help="fleet workers for the measurement (default 1: serial)",
-    )
-    p_bench.add_argument(
-        "--system", action="store_true",
-        help="end-to-end sweep benchmark instead of kernel micro-benchmarks "
-             "(cache warmth + campaign parallelism; baseline: "
-             "benchmarks/BENCH_system.json)",
-    )
-    p_bench.add_argument(
-        "--frames", type=int, default=1,
-        help="frames per system run for --system (default 1)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 
     p_camp = sub.add_parser(
         "campaign", help="Table III bug-detection campaign"
     )
-    p_camp.add_argument(
-        "--scenario", default="tiny", choices=scenario_names(),
-        help="named operating point (default: tiny)",
-    )
+    _add_scenario(p_camp)
     p_camp.add_argument(
         "--bug", action="append", default=[],
         help="campaign only this bug key (repeatable); default: all",
     )
-    p_camp.add_argument("--frames", type=int, default=2)
     p_camp.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="fleet worker processes (default 1: serial; report bytes are "
              "identical for any value)",
     )
@@ -714,13 +628,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="fail unless every bug matches the paper and no run failed",
     )
-    _add_backend(p_camp)
     p_camp.set_defaults(func=_cmd_campaign)
 
     p_soak = sub.add_parser(
         "soak", help="seeded transient-fault soak campaign"
     )
-    p_soak.add_argument("--frames", type=int, default=2)
+    p_soak.add_argument("--frames", type=_positive_int, default=2)
     p_soak.add_argument(
         "--seed", type=int, default=7,
         help="campaign seed; same seed -> byte-identical JSON report",
@@ -743,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail on silent corruption or a hung run",
     )
     p_soak.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="fleet worker processes (default 1: serial; report bytes are "
              "identical for any value)",
     )
@@ -752,9 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz", help="coverage-closure differential fuzzing"
     )
-    _add_backend(p_fuzz)
     p_fuzz.add_argument(
-        "--budget", type=int, default=25,
+        "--budget", type=_positive_int, default=25,
         help="maximum scenarios to generate (default 25)",
     )
     p_fuzz.add_argument(
@@ -762,12 +674,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign seed; same seed -> byte-identical JSON report",
     )
     p_fuzz.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="fleet worker processes (default 1: serial; report bytes are "
              "identical for any value)",
     )
     p_fuzz.add_argument(
-        "--wave", type=int, default=8,
+        "--wave", type=_positive_int, default=8,
         help="scenarios generated per closure-check wave (default 8; part "
              "of the determinism contract, NOT tied to --jobs)",
     )
@@ -781,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report real divergences without minimizing them",
     )
     p_fuzz.add_argument(
-        "--shrink-evals", type=int, default=48,
+        "--shrink-evals", type=_positive_int, default=48,
         help="differential evaluation budget for the shrinker (default 48)",
     )
     p_fuzz.add_argument(

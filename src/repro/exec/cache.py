@@ -20,7 +20,7 @@ that need a mutable copy — e.g. the per-run main-memory image — must
 deep-copy, which is exactly the "copy a cached pristine image instead
 of rebuilding" discipline the campaign hot path relies on.  Hit/miss
 counters per kind are surfaced through the tracer (category ``exec``)
-and ``repro bench --system``.
+and perfbench's ``exec.cache_*`` metrics.
 """
 
 from __future__ import annotations

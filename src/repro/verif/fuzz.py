@@ -156,7 +156,7 @@ class FuzzScenario:
     #: only (testing the differential checker and the shrinker)
     divergence_fault: Optional[str] = None
 
-    def config(self, method: str, backend: str = "interp") -> SystemConfig:
+    def config(self, method: str) -> SystemConfig:
         faults = (
             frozenset({self.divergence_fault})
             if self.divergence_fault and method == "resim"
@@ -164,7 +164,6 @@ class FuzzScenario:
         )
         return SystemConfig(
             method=method,
-            backend=backend,
             width=self.width,
             height=self.height,
             n_objects=self.n_objects,
@@ -445,10 +444,12 @@ def _arm_stimulus(scenario: FuzzScenario, system, software, sim) -> None:
             )
 
 
-def _run_side(
-    scenario: FuzzScenario, method: str, backend: str = "interp"
-) -> SideResult:
-    """Run one method's simulation and collect every diffed observable."""
+def _run_side(scenario: FuzzScenario, config: SystemConfig) -> SideResult:
+    """Run one side of the differential and collect every diffed observable.
+
+    ``config`` is ``scenario.config(method)`` or a variant of it; the
+    side's method is read from it and the stimulus from ``scenario``.
+    """
     captured: dict = {}
 
     def prepare(system, software, sim):
@@ -459,7 +460,7 @@ def _run_side(
         _arm_stimulus(scenario, system, software, sim)
 
     result = run_system(
-        scenario.config(method, backend),
+        config,
         n_frames=scenario.n_frames,
         prepare=prepare,
     )
@@ -467,7 +468,7 @@ def _run_side(
     coverage = captured["coverage"]
     coverage.finalize()
     return SideResult(
-        method=method,
+        method=config.method,
         frames_processed=result.frames_processed,
         frames_drawn=result.frames_drawn,
         frames_dropped=result.frames_dropped,
@@ -564,30 +565,20 @@ def diff_sides(
     return diffs
 
 
-def run_differential(
-    scenario: FuzzScenario, backend: str = "interp"
-) -> FuzzRecord:
+def run_differential(scenario: FuzzScenario) -> FuzzRecord:
     """Run one scenario under both methods and classify the divergences.
 
-    ``backend`` picks the kernel execution backend for both sides; the
-    record's observables are backend-independent by the codegen parity
-    contract, so a differential found under one backend must reproduce
-    under the other.
+    Module-level and picklable, so it is also the fleet task.
     """
     scenario.validate()
-    resim = _run_side(scenario, "resim", backend)
-    vmux = _run_side(scenario, "vmux", backend)
+    resim = _run_side(scenario, scenario.config("resim"))
+    vmux = _run_side(scenario, scenario.config("vmux"))
     return FuzzRecord(
         scenario=scenario,
         resim=resim,
         vmux=vmux,
         diffs=diff_sides(scenario, resim, vmux),
     )
-
-
-def _fuzz_task(scenario: FuzzScenario, backend: str = "interp") -> FuzzRecord:
-    """Fleet task: module-level and picklable."""
-    return run_differential(scenario, backend)
 
 
 def _failed_record(scenario: FuzzScenario, error: str) -> FuzzRecord:
@@ -681,7 +672,6 @@ def run_fuzz_campaign(
     wave_size: int = 8,
     inject_divergence: Optional[str] = None,
     fault_injection: Optional[Dict[str, str]] = None,
-    backend: str = "interp",
 ) -> FuzzReport:
     """Generate-and-check until coverage closes or the budget dries.
 
@@ -710,11 +700,7 @@ def run_fuzz_campaign(
             for i in range(index, min(index + wave_size, budget))
         ]
         specs = [
-            RunSpec(
-                f"fuzz:{s.index}",
-                _fuzz_task,
-                {"scenario": s, "backend": backend},
-            )
+            RunSpec(f"fuzz:{s.index}", run_differential, {"scenario": s})
             for s in batch
         ]
         keyset = {s.key for s in specs}

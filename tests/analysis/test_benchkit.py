@@ -22,12 +22,7 @@ def test_workloads_return_their_work_counts():
 def test_measure_selected_kernels(monkeypatch):
     monkeypatch.setitem(
         benchkit.KERNELS, "clock_toggle",
-        (
-            lambda backend="interp": benchkit.bench_clock_toggle(
-                200, backend=backend
-            ),
-            "cycles",
-        ),
+        (lambda: benchkit.bench_clock_toggle(200), "cycles"),
     )
     results = benchkit.measure(repeats=1, kernels=["clock_toggle"])
     assert set(results) == {"clock_toggle"}
@@ -48,37 +43,15 @@ def test_baseline_round_trip(tmp_path):
     assert loaded["clock_toggle"]["per_sec"] == 200.0
 
 
-def test_baseline_records_backend(tmp_path):
-    results = {
-        "clock_toggle": {
-            "work": 100, "unit": "cycles", "best_s": 0.5, "per_sec": 200.0,
-        }
-    }
-    path = tmp_path / "BENCH_kernel_codegen.json"
-    benchkit.write_baseline(results, path, backend="codegen")
-    assert json.loads(path.read_text())["backend"] == "codegen"
-    assert benchkit.baseline_backend(path) == "codegen"
-    # the kernels mapping loads regardless of which backend produced it
-    assert benchkit.load_baseline(path)["clock_toggle"]["per_sec"] == 200.0
-
-
 def test_pre_backend_baseline_still_loads(tmp_path):
-    """Files written before the backend field existed keep working."""
+    """Only ``schema`` and ``kernels`` are read; other fields (``python``,
+    ``platform``, the committed file's old ``backend``) are informational."""
     path = tmp_path / "old.json"
     path.write_text(json.dumps({
         "schema": 1,
         "kernels": {"clock_toggle": {"per_sec": 10.0}},
     }))
     assert benchkit.load_baseline(path)["clock_toggle"]["per_sec"] == 10.0
-    assert benchkit.baseline_backend(path) == "interp"
-
-
-def test_default_baseline_path_per_backend():
-    assert benchkit.default_baseline_path("interp") == benchkit.DEFAULT_BASELINE
-    assert (
-        benchkit.default_baseline_path("codegen")
-        == benchkit.DEFAULT_CODEGEN_BASELINE
-    )
 
 
 def test_load_baseline_rejects_unknown_schema(tmp_path):
@@ -105,10 +78,7 @@ def _patch_tiny_kernels(monkeypatch):
         unit = benchkit.KERNELS[name][1]
         monkeypatch.setitem(
             benchkit.KERNELS, name,
-            (
-                lambda fn=fn, n=n, backend="interp": fn(n, backend=backend),
-                unit,
-            ),
+            (lambda fn=fn, n=n: fn(n), unit),
         )
 
 
@@ -117,14 +87,13 @@ def _patch_fixed_measure(monkeypatch, *scales):
 
     The n-th ``measure`` call reports ``200/s * scales[n]`` for every
     kernel, so CLI tests check recorded-vs-fresh comparisons on injected
-    numbers instead of wall-clock timings.  Returns the list of backends
-    the calls asked for.
+    numbers instead of wall-clock timings.
     """
-    backends = []
+    calls = []
 
-    def fixed(repeats=3, kernels=None, jobs=1, backend="interp"):
-        scale = scales[len(backends)]
-        backends.append(backend)
+    def fixed(repeats=3, kernels=None):
+        scale = scales[len(calls)]
+        calls.append(kernels)
         names = list(kernels) if kernels is not None else list(benchkit.KERNELS)
         return {
             name: {
@@ -137,7 +106,6 @@ def _patch_fixed_measure(monkeypatch, *scales):
         }
 
     monkeypatch.setattr(benchkit, "measure", fixed)
-    return backends
 
 
 def test_cli_bench_update_then_check_passes(tmp_path, monkeypatch, capsys):
@@ -191,17 +159,3 @@ def test_cli_bench_json_output(monkeypatch, capsys):
 def test_cli_bench_unknown_kernel(capsys):
     assert main(["bench", "--kernel", "bogus", "--repeats", "1"]) == 2
     assert "unknown kernel" in capsys.readouterr().err
-
-
-def test_cli_bench_codegen_backend(tmp_path, monkeypatch, capsys):
-    """--backend codegen measures, records, and checks its own baseline."""
-    backends = _patch_fixed_measure(monkeypatch, 1.0, 1.0)
-    baseline = tmp_path / "BENCH_kernel_codegen.json"
-    assert main(["bench", "--update", "--repeats", "1",
-                 "--backend", "codegen", "--baseline", str(baseline)]) == 0
-    assert json.loads(baseline.read_text())["backend"] == "codegen"
-    assert main(["bench", "--check", "--repeats", "1",
-                 "--backend", "codegen", "--baseline", str(baseline)]) == 0
-    assert backends == ["codegen", "codegen"]
-    out = capsys.readouterr().out
-    assert "codegen backend" in out

@@ -84,3 +84,19 @@ def test_merge_stats_accumulates():
         "a": {"hits": 4, "misses": 2},
         "b": {"hits": 0, "misses": 1},
     }
+
+
+def test_merge_stats_sums_arbitrary_counters():
+    # producers may report counters beyond the cache's own hits/misses
+    merged = merge_stats(
+        {"batch": {"runs": 4, "retried": 3, "skipped": 1}},
+        {"batch": {"runs": 2, "skipped": 2}, "code": {"hits": 1}},
+    )
+    assert merged["batch"] == {
+        "hits": 0,
+        "misses": 0,
+        "retried": 3,
+        "runs": 6,
+        "skipped": 3,
+    }
+    assert merged["code"] == {"hits": 1, "misses": 0}

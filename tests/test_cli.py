@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -44,6 +46,14 @@ def test_bugs_unknown_key(capsys):
     assert main(["bugs", "bogus"]) == 2
 
 
+def test_bugs_rejects_method(capsys):
+    # bugs always runs both methods with only the named bug injected
+    with pytest.raises(SystemExit) as exc:
+        main(["bugs", "dpr.4", "--method", "vmux"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
 def test_profile_command(capsys):
     code = main(["profile", "--scenario", "tiny"])
     out = capsys.readouterr().out
@@ -61,9 +71,47 @@ def test_observer_commands_reject_backend(command, capsys):
     assert "--backend" in capsys.readouterr().err
 
 
-def test_run_still_accepts_backend():
-    args = build_parser().parse_args(["run", "--backend", "codegen"])
-    assert args.backend == "codegen"
+def _options(command):
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        s for a in sub.choices[command]._actions for s in a.option_strings
+    } - {"-h", "--help"}
+
+
+def test_no_command_accepts_backend():
+    # the backend is picked in code (Simulator / SystemConfig) only
+    for command in ("run", "bugs", "profile", "coverage", "bench",
+                    "campaign", "soak", "fuzz", "trace"):
+        assert "--backend" not in _options(command), command
+    assert _options("bench") == {
+        "--check", "--update", "--json", "--repeats", "--tolerance",
+        "--baseline", "--kernel",
+    }
+    assert _options("bugs") == {"--scenario", "--frames"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--frames", "0"],
+    ["bugs", "dpr.4", "--frames", "-1"],
+    ["soak", "--frames", "0"],
+    ["soak", "--jobs", "0"],
+    ["campaign", "--jobs", "0"],
+    ["campaign", "--frames", "0"],
+    ["fuzz", "--budget", "0"],
+    ["fuzz", "--jobs", "0"],
+    ["fuzz", "--wave", "0"],
+    ["fuzz", "--shrink-evals", "0"],
+    ["bench", "--repeats", "0"],
+    ["run", "--frames", "two"],
+], ids=" ".join)
+def test_bad_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_coverage_command(capsys):
@@ -125,13 +173,6 @@ def test_campaign_json_identical_across_jobs(capsys):
 
 def test_campaign_unknown_bug(capsys):
     assert main(["campaign", "--bug", "bogus"]) == 2
-
-
-def test_bench_system_check(capsys):
-    code = main(["bench", "--system", "--frames", "1", "--check"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "warm cache" in out and "cache hits" in out
 
 
 def test_trace_command_writes_chrome_json(tmp_path, capsys):

@@ -50,7 +50,6 @@ def test_cli_options_cover_all_subcommands():
     assert "--jobs" in options["campaign"]
     assert "--jobs" in options["soak"]
     assert "--jobs" in options["fuzz"]
-    assert "--system" in options["bench"]
 
 
 def test_extract_cli_refs_attribution():

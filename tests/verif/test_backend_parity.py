@@ -8,6 +8,8 @@ byte-compared across runs.  These tests run the same scenario under
 both backends and compare the canonical JSON.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.reporting import canonical_json
@@ -16,15 +18,20 @@ from repro.verif import run_system
 from repro.verif.fuzz import ScenarioGenerator, _run_side, _side_json
 
 
-def _fuzz_side_json(backend: str, method: str) -> str:
-    sc = ScenarioGenerator(2013, None).scenario(0)
-    return canonical_json(_side_json(_run_side(sc, method, backend)))
+def _fuzz_side_json(index: int, method: str, backend: str) -> str:
+    sc = ScenarioGenerator(2013).scenario(index)
+    config = replace(sc.config(method), backend=backend)
+    return canonical_json(_side_json(_run_side(sc, config)))
 
 
+# seed 2013's first four scenarios cover cfg_mhz 25/50/100, fault
+# tolerance on and off, and the dma_stall, truncated_simb and
+# fifo_backpressure transients
 @pytest.mark.parametrize("method", ["resim", "vmux"])
-def test_fuzz_side_bytes_identical_across_backends(method):
-    assert _fuzz_side_json("interp", method) == _fuzz_side_json(
-        "codegen", method
+@pytest.mark.parametrize("index", range(4))
+def test_fuzz_side_bytes_identical_across_backends(index, method):
+    assert _fuzz_side_json(index, method, "interp") == _fuzz_side_json(
+        index, method, "codegen"
     )
 
 
