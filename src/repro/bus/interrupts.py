@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..kernel import Edge, RisingEdge, Signal
+from ..kernel import Edge, Event, First, RisingEdge, Signal
 from .dcr import DcrRegisterFile
 
 __all__ = ["InterruptController"]
@@ -51,10 +51,20 @@ class InterruptController(DcrRegisterFile):
         self.x_violations = 0
         #: simulated time of the first violation (detection latency)
         self.first_x_violation_at = None
-        self.add_register("ISR", 0, on_read=lambda: self._pending,
+        #: simulated time of the last latched rising edge
+        self._latched_at = None
+        #: the last latch saw every source at a clean 0 and ``irq``
+        #: already at its wanted value
+        self._quiet = False
+        #: ISR, IER or the source list changed since the last latch
+        self._stale = False
+        #: set on every such change: wakes a sleeping scan
+        self._wake = Event(f"{name}.wake")
+        self.add_register("ISR", 0, on_read=self._read_pending,
                           on_write=self._ack)
         self.add_register("IER", 1, on_write=self._set_enable)
         self.add_register("IVR", 2, on_read=self._vector)
+        self._isr = self._names["ISR"]
         self.process(self._scan, "scan")
 
     # ------------------------------------------------------------------
@@ -71,6 +81,7 @@ class InterruptController(DcrRegisterFile):
         self._source_names[name] = index
         self._index_names.append(name)
         self.raised_by_source[name] = 0
+        self._touch()
         return index
 
     def index_of(self, name: str) -> int:
@@ -79,57 +90,121 @@ class InterruptController(DcrRegisterFile):
     # ------------------------------------------------------------------
     # Register behaviour
     # ------------------------------------------------------------------
+    # A DCR access in the timestep of a bus-clock rising edge sees that
+    # edge already latched, wherever the scan sits in the waiter list:
+    # each callback first latches the edge if the scan has yet to.
+    def _read_pending(self) -> int:
+        self._catch_up()
+        return self._pending
+
     def _ack(self, mask: int) -> None:
+        self._catch_up()
         self._pending &= ~mask
         self.poke("ISR", self._pending)
+        self._touch()
 
     def _set_enable(self, mask: int) -> None:
+        self._catch_up()
         self._enabled = mask
+        self._touch()
 
     def _vector(self) -> int:
+        self._catch_up()
         active = self._pending & self._enabled
         if not active:
             return 0xFFFF_FFFF
         return (active & -active).bit_length() - 1
 
+    def _touch(self) -> None:
+        """Note a change the request lines do not show; wake the scan."""
+        self._stale = True
+        if self.sim is not None:
+            self._wake.set(self.sim)
+
+    def _catch_up(self) -> None:
+        """Latch the current rising edge now if it has committed and the
+        scan has not latched it yet."""
+        sim = self.sim
+        if sim is None:
+            return
+        now = sim.time
+        if (
+            self._latched_at != now
+            and self.clock.rises_at(now)
+            and self.clock.out.is_high
+        ):
+            self._latch()
+
     # ------------------------------------------------------------------
     # Behaviour
     # ------------------------------------------------------------------
-    def _scan(self):
-        """Latch request lines into pending and drive irq each cycle.
+    def _latch(self) -> None:
+        """One scan: latch the request lines into pending, drive irq.
 
-        Runs on every bus-clock rising edge, so the body is kept lean:
-        one reusable edge trigger, ``pending`` in a local, raw X/Z mask
-        tests, and the ISR word written straight to its register slot
-        (what :meth:`poke` does, minus the name lookup).
+        Runs at most once per bus-clock rising edge, so the body is kept
+        lean: ``pending`` in a local, raw X/Z mask tests, and the ISR
+        word written straight to its register slot (what :meth:`poke`
+        does, minus the name lookup).
         """
-        edge = RisingEdge(self.clock.out)
-        sources = self._sources
-        names = self._index_names
-        raised_by_source = self.raised_by_source
-        regs = self._regs
-        isr = self._names["ISR"]
+        now = self.sim.time
+        self._latched_at = now
+        self._stale = False
+        quiet = True
+        pending = self._pending
+        for i, sig in enumerate(self._sources):
+            v = sig._value
+            if v.xmask | v.zmask:
+                quiet = False
+                self.x_violations += 1
+                if self.first_x_violation_at is None:
+                    self.first_x_violation_at = now
+            elif v.value & 1:
+                quiet = False
+                if not pending & (1 << i):
+                    self.interrupts_raised += 1
+                    self.raised_by_source[self._index_names[i]] += 1
+                    pending |= 1 << i
+        self._pending = pending
+        self._regs[self._isr] = pending
+        want = 1 if pending & self._enabled else 0
         irq = self.irq
+        v = irq._value
+        if v.xmask | v.zmask or v.value != want:
+            irq.next = want
+            quiet = False
+        self._quiet = quiet
+
+    def _scan(self):
+        """Latch request lines into pending and drive irq on each
+        bus-clock rising edge that can change them.
+
+        The scan samples each rising edge once its delta has committed,
+        so it sees every change made in that delta and none made after.
+        It sleeps while every source is a clean 0, ``irq`` already holds
+        its wanted value and no register write is outstanding.  It wakes
+        on any source edge or on an ISR/IER write or new source
+        (:meth:`_touch`).  A change committed in the rising edge's own
+        delta is latched on that edge, any later one on the next, as the
+        every-cycle scan did.  While a source is X the scan polls every
+        cycle, so ``x_violations`` still counts cycles.
+        """
+        sim = self.sim
+        clock = self.clock
+        edge = RisingEdge(clock.out)
         while True:
             yield edge
-            pending = self._pending
-            for i, sig in enumerate(sources):
-                v = sig._value
-                if v.xmask | v.zmask:
-                    self.x_violations += 1
-                    if self.first_x_violation_at is None:
-                        self.first_x_violation_at = self.sim.time
-                elif v.value & 1:
-                    if not pending & (1 << i):
-                        self.interrupts_raised += 1
-                        raised_by_source[names[i]] += 1
-                        pending |= 1 << i
-            self._pending = pending
-            regs[isr] = pending
-            want = 1 if pending & self._enabled else 0
-            v = irq._value
-            if v.xmask | v.zmask or v.value != want:
-                irq.next = want
+            while True:
+                if self._latched_at != sim.time:
+                    self._latch()
+                if not self._quiet or self._stale:
+                    break
+                yield First(
+                    *[Edge(sig) for sig in self._sources], self._wake.wait()
+                )
+                # woken in delta 2 of a rising edge: the change was made
+                # in the edge's own delta, so this edge latches it
+                if not (sim.delta == 2 and clock.rises_at(sim.time)):
+                    break
 
     @property
     def pending_mask(self) -> int:

@@ -103,12 +103,16 @@ class Clock(Module):
             self._edge_b = _ClockEdge(self, bit(0), 1)
         self._outstanding = 0
         self._t = 0  # absolute time of the last posted edge
+        self._first_rise = None  # absolute time of the first rising edge
 
     def _elaborate(self, sim) -> None:
         already = self.sim is sim
         super()._elaborate(sim)
         if not already:
             self._t = sim.time
+            self._first_rise = sim.time + (
+                self.period if self._start_high else self._first_delay
+            )
             self._post_batch(sim)
 
     def _post_batch(self, sim) -> None:
@@ -128,6 +132,11 @@ class Clock(Module):
         sim._seq = seq
         self._t = t
         self._outstanding = 2 * self.BATCH
+
+    def rises_at(self, t: int) -> bool:
+        """True if this clock has a rising edge at time ``t`` (ps)."""
+        first = self._first_rise
+        return first is not None and t >= first and not (t - first) % self.period
 
     @property
     def frequency_mhz(self) -> float:

@@ -84,6 +84,14 @@ def _unprime_edge(et) -> None:
         pass
 
 
+#: :attr:`Simulator.delta` while the compiled driver runs.  The driver
+#: inlines only timesteps that hold a single timed event, so none of
+#: them commits a process's write in the same delta as a clock edge.
+#: Counting on from here, a delta loop the driver hands such a step to
+#: reports indices above 2, which says exactly that.
+_PAST_FIRST_DELTA = 2
+
+
 def _interp_step(sim, until: Optional[int]) -> bool:
     """Run exactly one timed step through the interpreter.
 
@@ -98,7 +106,9 @@ def _interp_step(sim, until: Optional[int]) -> bool:
     if until is not None and when > until:
         sim.time = until
         return False
-    sim.time = when
+    if when != sim.time:
+        sim.time = when
+        sim.delta = 0
     sim.stats.timesteps += 1
     heappop = heapq.heappop
     while timed and timed[0][0] == when:
@@ -146,6 +156,7 @@ class CodegenBackend:
         sim._step_deltas()
         sim.stats.timesteps += 1
         while True:
+            sim.delta = _PAST_FIRST_DELTA
             status = drv(sim, until, None, 0)
             if sim._errors:
                 # check before honouring _DONE: a process error followed
@@ -176,6 +187,7 @@ class CodegenBackend:
         while True:
             if event.fired_count > start:
                 return True
+            sim.delta = _PAST_FIRST_DELTA
             status = drv(sim, deadline, event, start)
             if sim._errors:
                 # same ordering as run(): errors outrank quiescence

@@ -13,7 +13,11 @@ There is one timestep loop (:meth:`Simulator._run_loop`) and one delta
 loop (:meth:`Simulator._step_deltas`).  :meth:`~Simulator.run`,
 :meth:`~Simulator.run_until_event` and profile mode all run on them,
 and the codegen backend settles every bail through the same delta loop,
-so every entry point executes one schedule.
+so every entry point executes one schedule.  Idle hardware costs next
+to nothing: a timestep holding nothing but clock edges that no process,
+monitor or VCD writer observes is *silent*, and the timestep loop
+commits its toggles inline, with the counters one delta of the delta
+loop would record, instead of entering the delta loop at all.
 
 Activity accounting
 -------------------
@@ -60,6 +64,7 @@ class SimStats:
         "value_changes",
         "deltas",
         "timesteps",
+        "silent_timesteps",
         "resumes_by_owner",
         "changes_by_owner",
         "elapsed_ns_by_owner",
@@ -70,6 +75,10 @@ class SimStats:
         self.value_changes = 0
         self.deltas = 0
         self.timesteps = 0
+        #: timesteps committed by the silent-edge path (see
+        #: :meth:`Simulator._run_loop`): nothing but unobserved clock
+        #: toggles, settled without a delta loop
+        self.silent_timesteps = 0
         self.resumes_by_owner: Dict[object, int] = defaultdict(int)
         self.changes_by_owner: Dict[object, int] = defaultdict(int)
         self.elapsed_ns_by_owner: Dict[object, int] = defaultdict(int)
@@ -80,6 +89,7 @@ class SimStats:
         copy.value_changes = self.value_changes
         copy.deltas = self.deltas
         copy.timesteps = self.timesteps
+        copy.silent_timesteps = self.silent_timesteps
         copy.resumes_by_owner = defaultdict(int, self.resumes_by_owner)
         copy.changes_by_owner = defaultdict(int, self.changes_by_owner)
         copy.elapsed_ns_by_owner = defaultdict(int, self.elapsed_ns_by_owner)
@@ -91,6 +101,7 @@ class SimStats:
         diff.value_changes = self.value_changes - earlier.value_changes
         diff.deltas = self.deltas - earlier.deltas
         diff.timesteps = self.timesteps - earlier.timesteps
+        diff.silent_timesteps = self.silent_timesteps - earlier.silent_timesteps
         owners = set(self.resumes_by_owner) | set(earlier.resumes_by_owner)
         for o in owners:
             diff.resumes_by_owner[o] = (
@@ -129,6 +140,12 @@ class Simulator:
                 f"(expected 'interp' or 'codegen')"
             )
         self.time = 0  # picoseconds
+        #: 1-based index of the delta cycle now being evaluated at
+        #: ``time`` (0 before the first); it keeps counting across
+        #: delta loops at one time and restarts when time advances.
+        #: Steps the codegen driver inlines count from above 2 (see
+        #: ``codegen.backend._PAST_FIRST_DELTA``).
+        self.delta = 0
         #: fixed at construction (the delta loop binds it once)
         self.profile = profile
         self.backend_name = backend
@@ -249,7 +266,9 @@ class Simulator:
 
         The returned function, installed as :attr:`_step_deltas`, is the
         kernel's only delta loop: every run entry point, profile mode
-        and each codegen-driver bail settle through it.  It runs delta
+        and each codegen-driver bail settle through it (a silent step,
+        which resumes nothing, is committed by :meth:`_run_loop`
+        itself).  It keeps :attr:`delta` current.  It runs delta
         cycles at the current time until quiescent.  Each delta resumes
         the ready processes (evaluation), then commits the scheduled
         updates and fires the triggers they and the pending delta
@@ -277,6 +296,7 @@ class Simulator:
         def step_deltas() -> None:
             vcd = self._vcd
             time_now = self.time
+            base = self.delta
             deltas = 0
             resumes = 0
             changes = 0
@@ -289,6 +309,7 @@ class Simulator:
                             f"after {max_deltas} delta cycles "
                             f"(combinational loop?)"
                         )
+                    self.delta = base + deltas
                     # ---- evaluation phase ----
                     # snapshot drain: processes woken during the drain land
                     # beyond the snapshot length and run next delta
@@ -421,17 +442,36 @@ class Simulator:
         fallback.  Each step pops every timed event due at the earliest
         pending time, then settles it with :meth:`_step_deltas`.  Clock
         edges, most of the heap traffic, are fired inline (the body of
-        ``_ClockEdge._fire``).  With ``event`` the loop stops as soon as
-        its ``fired_count`` rises; without it, a run that goes quiescent
-        before ``until`` still advances time to ``until``.
+        ``_ClockEdge._fire``).
+
+        A *silent* step skips the delta loop.  It holds nothing but clock
+        edges, with no process ready and no delta trigger pending, and no
+        toggled clock signal has an any-edge waiter, a waiter for the
+        edge's direction, a monitor, or a VCD id while a VCD writer is
+        attached.  Such a step is one delta that resumes nobody: its
+        toggles are committed inline, with the same counter updates
+        (``change_count``, ``fast_hits``, ``value_changes``,
+        ``changes_by_owner``, one ``deltas``) that delta would make, and
+        counted in ``silent_timesteps``.  Every edge still commits, so a
+        read of a clock signal is always exact.  X/Z on either side of a
+        toggle takes the delta loop.
+
+        With ``event`` the loop stops as soon as its ``fired_count``
+        rises; without it, a run that goes quiescent before ``until``
+        still advances time to ``until``.
         """
         timed = self._timed
         updates = self._updates
+        ready = self._ready
+        dts = self._delta_triggers
+        stats = self.stats
+        changes_by_owner = stats.changes_by_owner
         heappop = heapq.heappop
         step_deltas = self._step_deltas
         clock_edge = _ClockEdge
         start = 0 if event is None else event.fired_count
         timesteps = 1
+        silent = 0
         try:
             step_deltas()
             while timed and not self._finished:
@@ -439,10 +479,15 @@ class Simulator:
                     return
                 when = timed[0][0]
                 if until is not None and when > until:
-                    self.time = until
+                    if until != self.time:
+                        self.time = until
+                        self.delta = 0
                     return
-                self.time = when
+                if when != self.time:
+                    self.time = when
+                    self.delta = 0
                 timesteps += 1
+                edges_only = True
                 while timed and timed[0][0] == when:
                     trig = heappop(timed)[2]
                     if trig.__class__ is clock_edge:
@@ -453,10 +498,41 @@ class Simulator:
                         if not clock._outstanding:
                             clock._post_batch(self)
                     else:
+                        edges_only = False
                         trig._fire(self)
+                if edges_only and not ready and not dts:
+                    vcd = self._vcd
+                    for sig, new in updates.items():
+                        old = sig._value
+                        if (
+                            sig._w_any
+                            or (sig._w_rise if new.value & 1 else sig._w_fall)
+                            or sig._monitors
+                            or new.xmask | new.zmask | old.xmask | old.zmask
+                            or new.width != sig.width
+                            or (vcd is not None and sig._vcd_id is not None)
+                        ):
+                            break
+                    else:
+                        # silent step: commit as one delta of step_deltas
+                        for sig, new in updates.items():
+                            sig.fast_hits += 1
+                            if new.value != sig._value.value:
+                                sig._value = new
+                                sig.change_count += 1
+                                stats.value_changes += 1
+                                owner = sig.owner
+                                if owner is not None:
+                                    changes_by_owner[owner] += 1
+                        updates.clear()
+                        stats.deltas += 1
+                        self.delta = 1
+                        silent += 1
+                        continue
                 step_deltas()
         finally:
-            self.stats.timesteps += timesteps
+            stats.timesteps += timesteps
+            stats.silent_timesteps += silent
         if (
             event is None
             and until is not None
@@ -464,6 +540,7 @@ class Simulator:
             and not self._finished
         ):
             self.time = until
+            self.delta = 0
 
     def _interpret(
         self, until: Optional[int], event: Optional[Event] = None

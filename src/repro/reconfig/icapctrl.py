@@ -98,6 +98,9 @@ class IcapCtrl(DcrRegisterFile):
         self._start = Event(f"{name}.start")
         self._fifo: Deque[object] = deque()
         self._fetch_done = False
+        #: the fetch process is parked on the start event, so no word can
+        #: reach the FIFO before the next transfer starts
+        self._fetch_idle = True
         self.fifo_overflows = 0
         self.fifo_high_water = 0
         self.transfers_completed = 0
@@ -183,7 +186,9 @@ class IcapCtrl(DcrRegisterFile):
     # ------------------------------------------------------------------
     def _fetch_proc(self):
         while True:
+            self._fetch_idle = True
             yield self._start.wait()
+            self._fetch_idle = False
             baddr = self.peek("BADDR")
             bsize_bytes = self.peek("BSIZE")
             words = bsize_bytes // 4  # hardware contract: size in BYTES
@@ -234,8 +239,18 @@ class IcapCtrl(DcrRegisterFile):
     # Drain process (configuration clock domain)
     # ------------------------------------------------------------------
     def _drain_proc(self):
+        """Write one FIFO word to the ICAP per config-clock rising edge.
+
+        Between transfers the FIFO is empty and the fetch process is
+        parked, so the drain sleeps on the transfer-start event instead
+        of resuming on every edge; from the start of a transfer until
+        the FIFO runs dry after the fetch finishes it polls every edge,
+        exactly as a free-running drain would.
+        """
         cfg = self.cfg_clock.out
         while True:
+            if not self._fifo and self._fetch_idle:
+                yield self._start.wait()
             yield RisingEdge(cfg)
             if self.stall_drain:
                 continue
@@ -348,6 +363,7 @@ class IcapCtrl(DcrRegisterFile):
             yield self._rb_start.wait()
             dest = self.peek("RBADDR")
             words = self.peek("RBSIZE") // 4  # bytes, like BSIZE
+            self._error_latched = False
             self._set_status(done=False, busy=True, error=False)
             buffer = []
             for _ in range(words):

@@ -1,5 +1,7 @@
 """Unit tests for the delta-cycle scheduler, processes and triggers."""
 
+import io
+
 import pytest
 
 from repro.kernel import (
@@ -20,6 +22,8 @@ from repro.kernel import (
     SimulationError,
     Simulator,
     Timer,
+    VcdWriter,
+    xbits,
 )
 
 
@@ -501,6 +505,17 @@ def test_activity_accounting_by_owner():
     )
 
 
+def test_stats_snapshot_delta_carries_silent_timesteps():
+    sim = Simulator()
+    clk = Clock("clk", 10)
+    sim.add_module(clk)
+    sim.run(until=100)
+    snap = sim.stats.snapshot()
+    assert snap.silent_timesteps == sim.stats.silent_timesteps == 20
+    sim.run(until=300)
+    assert sim.stats.delta_from(snap).silent_timesteps == 40
+
+
 def test_stats_snapshot_delta():
     sim = Simulator()
     sig = Signal("s", 8, init=0)
@@ -675,3 +690,115 @@ def test_run_until_event_rejects_negative_timeout(backend):
     with pytest.raises(SimulationError):
         sim.run_until_event(Event("never"), timeout=-300)
     assert sim.time == 500
+
+
+# ----------------------------------------------------------------------
+# Silent clock edges: unobserved toggles skip the delta loop
+# ----------------------------------------------------------------------
+def _signal_counts(sim, top):
+    return {
+        f"{mod.path}.{sig.name}": (
+            sig.change_count,
+            sig.fast_hits,
+            sig.fast_misses,
+        )
+        for mod in top.iter_tree()
+        for sig in mod.signals
+    }
+
+
+def _silent_vs_full(build, until=SCHEDULE_T):
+    """Run ``build()`` as is and with a no-op monitor on every clock
+    (which forces every edge through the delta loop); return both."""
+    runs = []
+    for monitored in (False, True):
+        sim, top, clocks = build()
+        if monitored:
+            for clock in clocks:
+                clock.out.add_monitor(lambda *args: None)
+        sim.run(until=until)
+        runs.append((
+            sim.time,
+            _schedule(sim.stats),
+            _signal_counts(sim, top),
+            [clock.cycles for clock in clocks],
+            sim.stats.silent_timesteps,
+        ))
+    return runs
+
+
+def _mixed_design_parts():
+    sim, _ = _mixed_design()
+    top = sim._modules[0]
+    return sim, top, [top.find("fast"), top.find("slow")]
+
+
+def test_silent_edges_keep_every_counter():
+    silent, full = _silent_vs_full(_mixed_design_parts)
+    assert silent[:4] == full[:4]
+    assert full[4] == 0
+    assert silent[4] > 0  # e.g. the fast clock's unwatched falling edges
+
+
+def test_forced_x_clock_takes_the_four_state_path():
+    def build():
+        sim, top, clocks = _mixed_design_parts()
+        sim.run(until=7)  # past the fast clock's first rise
+        clocks[0].out.force(xbits(1))  # its falling edge at 10 is unwatched
+        return sim, top, clocks
+
+    silent, full = _silent_vs_full(build)
+    assert silent[:4] == full[:4]
+    assert silent[2]["top.fast.clk"][2] == 1  # the X -> 0/1 commit
+
+
+def test_processless_clock_runs_one_delta_loop():
+    sim = Simulator()
+    clk = Clock("clk", 10)
+    sim.add_module(clk)
+    calls = [0]
+    step = sim._step_deltas
+
+    def counted():
+        calls[0] += 1
+        step()
+
+    sim._step_deltas = counted
+    sim.run(until=1000)
+    assert calls[0] == 1  # the settle before the first timestep
+    assert sim.stats.silent_timesteps == 200
+    assert sim.stats.deltas == 200  # the initial settle had nothing to do
+    assert clk.out.change_count == 200
+    assert clk.cycles == 100
+
+
+def test_vcd_attached_mid_run_records_every_edge():
+    sim = Simulator()
+    clk = Clock("clk", 10)
+    sim.add_module(clk)
+    sim.run(until=100)
+    stream = io.StringIO()
+    writer = VcdWriter(stream)
+    writer.trace(clk.out)
+    sim.attach_vcd(writer)
+    sim.run(until=200)
+    assert writer.changes_recorded == 20
+    assert sim.stats.silent_timesteps == 20  # only the edges before it
+
+
+def test_waiter_primed_mid_run_gets_the_next_edge():
+    sim = Simulator()
+    clk = Clock("clk", 10)
+    sim.add_module(clk)
+    seen = []
+
+    def late():
+        yield Timer(33)
+        yield RisingEdge(clk.out)
+        seen.append(sim.time)
+        yield FallingEdge(clk.out)
+        seen.append(sim.time)
+
+    sim.fork(late())
+    sim.run(until=100)
+    assert seen == [35, 40]

@@ -97,12 +97,17 @@ class TestEngineStateVector:
         assert not bench.cie.restore_state([bench.cie.state_magic])
 
 
-def run_capture_readback(bench, read_words=6):
-    """Drive capture SimB + readback DMA; returns the saved words."""
+def run_capture_readback(bench, read_words=6, after_capture=None):
+    """Drive capture SimB + readback DMA; returns the saved words.
+
+    ``after_capture()``, if given, runs between the two transfers.
+    """
     cap = build_capture_simb(RR_ID, read_words)
     bench.mem.load_words(BITSTREAM_BASE, np.array(cap, dtype=np.uint32))
     bench.start_transfer(len(cap) * 4)
     assert bench.run_until_done()
+    if after_capture is not None:
+        after_capture()
 
     def rb_driver():
         # W1C acknowledge of the previous transfer's done bit
@@ -185,6 +190,27 @@ class TestFullSaveRestorePath:
         saved = run_capture_readback(bench)
         assert bench.portal.capture_errors == 1
         assert all(w == bench.icap.READBACK_PAD for w in saved)
+
+    def test_clean_readback_after_acknowledged_error_reports_no_error(self):
+        """An error latched on the capture transfer and acknowledged with
+        a DONE-only STATUS write must not resurface when the following,
+        clean readback completes."""
+        bench = MachineryBench()
+        bench.slot.select(bench.cie.ENGINE_ID)
+        bench.cie.reset()
+        ctrl = bench.icapctrl
+        errors = []
+
+        def fault():
+            ctrl._latch_error("injected transfer fault")
+            errors.append(len(ctrl.error_events))
+
+        saved = run_capture_readback(bench, after_capture=fault)
+        assert saved == bench.cie.capture_state()
+        assert ctrl.readbacks_completed == 1
+        assert ctrl.status_done
+        assert not ctrl.status_error
+        assert len(ctrl.error_events) == errors[0]
 
     def test_readback_underflow_pads(self):
         bench = MachineryBench()
