@@ -7,16 +7,22 @@ own event-driven interpreter (the timestep loop
 :meth:`Simulator._step_deltas`), the canonical semantics.  With
 ``backend="codegen"`` it delegates to :class:`CodegenBackend` instead: a
 per-design scheduler driver generated and compiled once at first run
-(see :mod:`repro.kernel.codegen.emitter`), with clock edges, timers and
-2-state signal commits executed as straight-line Python.
+(see :mod:`repro.kernel.codegen.emitter`), which executes a timestep
+holding a single clock edge or timer, and the 2-state signal commits
+it causes, as straight-line Python.  :meth:`CodegenBackend.run` is the
+one loop around it, behind both :meth:`Simulator.run` and
+:meth:`Simulator.run_until_event`.
 
 The codegen driver *bails out* to the interpreter for anything it
-cannot prove cheap and exact: X/Z values on a committing signal,
-monitors, ``First``/multi-waiter wakeups, simultaneous timed events,
-unknown trigger types — and falls back entirely when a VCD writer or
-tracer is attached (those need the interpreter's per-commit hooks).
-Every bail settles through the interpreter's one delta loop, and a
-fallback hands the rest of the run to its one timestep loop.
+cannot prove cheap and exact: simultaneous timed events (on the paper
+SoC every ``cfg_clk`` edge lands on a ``bus_clk`` edge), X/Z values on
+a committing signal, monitors, ``First``/multi-waiter wakeups, unknown
+trigger types — and falls back entirely when a VCD writer or tracer is
+attached (those need the interpreter's per-commit hooks).  Every bail
+is counted under ``("bail", reason)`` in
+:attr:`CodegenBackend.event_counts` and settles through the
+interpreter's one delta loop; a fallback hands the rest of the run to
+its one timestep loop.
 Stats contract: ``resumes``, ``value_changes``, per-owner maps and
 per-signal counters are bit-exact against the interpreter (they feed
 byte-compared reports); ``deltas``/``timesteps`` may differ slightly at
@@ -40,31 +46,21 @@ _BAIL = 0  # let the interpreter settle pending work / take one timestep
 _DONE = 1  # reached until/deadline, quiescence, finish() or the event
 _FALLBACK = 2  # VCD/tracer attached: whole run goes to the interpreter
 
-#: cap on the per-backend event log (counters are unbounded)
-_EVENT_LOG_LIMIT = 64
 
+def record_codegen_event(sim, reason: str) -> None:
+    """Count a compiled-driver bail under ``("bail", reason)``.
 
-def record_codegen_event(sim, kind: str, reason: str) -> None:
-    """Attribute a compiled-driver bail to its cause.
-
-    ``kind`` is ``"bail"``: the driver returned control to the
-    interpreter, for ``reason`` (``clock-simultaneous``,
-    ``timer-simultaneous``, ``vcd-or-tracer``, ...).  Counters
-    accumulate per ``(kind, reason)`` on the backend; the first few
-    events are kept with timestamps for attribution, and a ``codegen``
-    trace-category instant is emitted when a tracer is attached.
+    The driver returned control to the interpreter, for ``reason``
+    (``clock-simultaneous``, ``timer-simultaneous``, ``vcd-or-tracer``,
+    ...).  A ``codegen`` trace-category instant is emitted when a
+    tracer is attached.
     """
-    be = sim._backend
-    counts = getattr(be, "event_counts", None)
-    if counts is not None:
-        key = (kind, reason)
-        counts[key] = counts.get(key, 0) + 1
-        log = be.events
-        if len(log) < _EVENT_LOG_LIMIT:
-            log.append((sim.time, kind, reason))
+    counts = sim._backend.event_counts
+    key = ("bail", reason)
+    counts[key] = counts.get(key, 0) + 1
     tr = sim.tracer
     if tr is not None:
-        tr.instant("codegen", f"{kind}: {reason}")
+        tr.instant("codegen", f"bail: {reason}")
 
 
 def _unprime_edge(et) -> None:
@@ -104,7 +100,9 @@ def _interp_step(sim, until: Optional[int]) -> bool:
         return False
     when = timed[0][0]
     if until is not None and when > until:
-        sim.time = until
+        if until != sim.time:
+            sim.time = until
+            sim.delta = 0
         return False
     if when != sim.time:
         sim.time = when
@@ -120,7 +118,8 @@ def _interp_step(sim, until: Optional[int]) -> bool:
 class CodegenBackend:
     """Compiled-driver execution with automatic interpreter bail-out.
 
-    The simulator delegates :meth:`run` / :meth:`run_until_event` here;
+    The simulator delegates :meth:`Simulator.run` and
+    :meth:`Simulator.run_until_event` to :meth:`run`;
     :meth:`invalidate` is called whenever the description changes
     (e.g. ``add_module`` after a run) so the driver is rebuilt.
     """
@@ -130,10 +129,8 @@ class CodegenBackend:
         self._driver = None
         #: generated driver source, kept for introspection and tests
         self.driver_source: Optional[str] = None
-        #: (kind, reason) -> count of driver bails
+        #: ("bail", reason) -> count of driver bails
         self.event_counts: dict = {}
-        #: first few (time, kind, reason) events, for attribution
-        self.events: list = []
 
     def invalidate(self) -> None:
         """The design changed; drop the compiled driver."""
@@ -150,14 +147,22 @@ class CodegenBackend:
             self.driver_source = src
         return drv
 
-    def run(self, until: Optional[int]) -> int:
+    def run(self, until: Optional[int], event=None) -> None:
+        """Advance time until ``until``, quiescence or ``event``.
+
+        The contract of :meth:`Simulator._run_loop`: with ``event`` the
+        run stops as soon as its ``fired_count`` rises; without it, a
+        run that goes quiescent before ``until`` still advances time to
+        ``until``.
+        """
         sim = self._sim
         drv = self._compiled()
+        start = 0 if event is None else event.fired_count
         sim._step_deltas()
         sim.stats.timesteps += 1
-        while True:
+        while event is None or event.fired_count == start:
             sim.delta = _PAST_FIRST_DELTA
-            status = drv(sim, until, None, 0)
+            status = drv(sim, until, event, start)
             if sim._errors:
                 # check before honouring _DONE: a process error followed
                 # by quiescence must still raise, like the interpreter
@@ -165,41 +170,19 @@ class CodegenBackend:
             if status == _DONE:
                 break
             if status == _FALLBACK:
-                record_codegen_event(sim, "bail", "vcd-or-tracer")
-                sim._run_loop(until)
-                break
+                record_codegen_event(sim, "vcd-or-tracer")
+                sim._run_loop(until, event)
+                return
             if sim._ready or sim._updates or sim._delta_triggers:
                 sim._step_deltas()
                 continue
             if not _interp_step(sim, until):
                 break
-        if until is not None and sim.time < until and not sim._finished:
+        if (
+            event is None
+            and until is not None
+            and sim.time < until
+            and not sim._finished
+        ):
             sim.time = until
-        return sim.time
-
-    def run_until_event(self, event, timeout: Optional[int]) -> bool:
-        sim = self._sim
-        drv = self._compiled()
-        start = event.fired_count
-        deadline = None if timeout is None else sim.time + timeout
-        sim._step_deltas()
-        sim.stats.timesteps += 1
-        while True:
-            if event.fired_count > start:
-                return True
-            sim.delta = _PAST_FIRST_DELTA
-            status = drv(sim, deadline, event, start)
-            if sim._errors:
-                # same ordering as run(): errors outrank quiescence
-                raise sim._errors.pop(0)
-            if status == _DONE:
-                return event.fired_count > start
-            if status == _FALLBACK:
-                record_codegen_event(sim, "bail", "vcd-or-tracer")
-                sim._run_loop(deadline, event)
-                return event.fired_count > start
-            if sim._ready or sim._updates or sim._delta_triggers:
-                sim._step_deltas()
-                continue
-            if not _interp_step(sim, deadline):
-                return event.fired_count > start
+            sim.delta = 0

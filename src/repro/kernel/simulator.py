@@ -583,8 +583,9 @@ class Simulator:
                 f"t={self.time}ps"
             )
         if self._compiled_run_ok():
-            return self._backend.run(until)
-        self._interpret(until)
+            self._backend.run(until)
+        else:
+            self._interpret(until)
         return self.time
 
     def run_for(self, duration: int) -> int:
@@ -601,10 +602,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot run for a negative timeout of {timeout}ps"
             )
-        if self._compiled_run_ok():
-            return self._backend.run_until_event(event, timeout)
         start = event.fired_count
-        self._interpret(None if timeout is None else self.time + timeout, event)
+        deadline = None if timeout is None else self.time + timeout
+        if self._compiled_run_ok():
+            self._backend.run(deadline, event)
+        else:
+            self._interpret(deadline, event)
         return event.fired_count > start
 
     def finish(self) -> None:

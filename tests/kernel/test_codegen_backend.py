@@ -4,9 +4,9 @@ The interpreter is the specification; the compiled driver must be
 *observationally identical* on everything that feeds a report:
 ``resumes``, ``value_changes``, the per-owner maps, per-signal
 counters, final values and simulated time.  These tests exercise each
-specialized driver arm (batched clock, sprint, timers, single- and
-multi-update epilogue) plus every bail-out reason (X/Z, monitors,
-multi-waiter wakeups) and the process lifecycle (kill with
+driver arm (clock edge, timer, single- and multi-update epilogue) plus
+every bail-out reason (X/Z, monitors, multi-waiter wakeups,
+simultaneous clock edges) and the process lifecycle (kill with
 ``finally``, raise, return, trigger echo) on designs small enough that
 a divergence pinpoints the arm.
 """
@@ -536,3 +536,92 @@ class TestVcdFallback:
 
         a, b = _both(run)
         assert a == b
+
+
+class TestTwoClockSoc:
+    """The shape of every paper run: a 100 MHz bus clock and a 50 MHz
+    configuration clock, so each slow edge lands on a fast one."""
+
+    @staticmethod
+    def _run(backend, until=2 * 1_000_000):
+        sim = Simulator(backend=backend)
+        top = Module("soc")
+        bus = Clock("bus_clk", MHz(100), parent=top)
+        cfg = Clock("cfg_clk", MHz(50), parent=top)
+        plb = Module("plb", parent=top)
+        icap = Module("icap", parent=top)
+        data = plb.signal("data", 16, init=0)
+        seen = icap.signal("seen", 16, init=0)
+
+        def bus_waiter():
+            while True:
+                yield RisingEdge(bus.out)
+
+        def cfg_waiter():
+            while True:
+                yield RisingEdge(cfg.out)
+
+        def writer():
+            i = 0
+            while True:
+                i += 1
+                data.next = i & 0xFFFF
+                yield Timer(7_000)
+
+        def watcher():
+            n = 0
+            while True:
+                yield Edge(data)
+                n += 1
+                seen.next = n & 0xFFFF
+
+        plb.process(bus_waiter)
+        plb.process(writer)
+        icap.process(cfg_waiter)
+        icap.process(watcher)
+        sim.add_module(top)
+        sim.run(until=until)
+        st_ = sim.stats
+
+        def by_path(by_owner):
+            return sorted((k.path, v) for k, v in by_owner.items())
+
+        signals = {
+            f"{mod.path}.{sig.name}": (
+                sig.value.value, sig.change_count,
+                sig.fast_hits, sig.fast_misses,
+            )
+            for mod in top.iter_tree()
+            for sig in mod.signals
+        }
+        observed = (
+            sim.time, st_.resumes, st_.value_changes,
+            by_path(st_.resumes_by_owner), by_path(st_.changes_by_owner),
+            signals, bus.cycles, cfg.cycles,
+        )
+        return sim, observed
+
+    def test_matches_interp(self):
+        _, want = self._run("interp")
+        sim, got = self._run("codegen")
+        assert got == want
+        counts = sim._backend.event_counts
+        assert counts[("bail", "clock-simultaneous")] > 0
+        # the driver still takes the steps that hold one event
+        assert sum(counts.values()) < sim.stats.timesteps
+
+
+@pytest.mark.parametrize("backend", ["interp", "codegen"])
+def test_delta_restarts_when_run_advances_time(backend):
+    sim = Simulator(backend=backend)
+    clk = Clock("clk", MHz(100))
+    sim.add_module(clk)
+
+    def waiter():
+        while True:
+            yield RisingEdge(clk.out)
+
+    sim.fork(waiter())
+    sim.run(until=12_345)
+    assert sim.time == 12_345
+    assert sim.delta == 0
