@@ -30,7 +30,6 @@ from .profiling import (
     PhaseStats,
     fastpath_by_owner,
     measure_artifact_overhead,
-    phase_durations_from_trace,
     profile_one_frame,
 )
 from .reporting import format_ps, format_table, format_trace_timeline, Series
@@ -45,7 +44,6 @@ __all__ = [
     "PhaseStats",
     "fastpath_by_owner",
     "measure_artifact_overhead",
-    "phase_durations_from_trace",
     "profile_one_frame",
     "format_ps",
     "format_table",

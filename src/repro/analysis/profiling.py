@@ -13,14 +13,6 @@ kernel events to the phase the software is currently executing
 single frame keeps the pipeline un-overlapped so phases are disjoint,
 matching the paper's per-stage accounting.
 
-Phase boundaries ride the trace substrate
-(:mod:`repro.analysis.tracing`): the software's ``_enter_phase`` /
-``_log_phase`` call sites both update the sampled ``current_phase`` and
-emit ``firmware`` spans, so the profiler runs with firmware tracing on
-and reports the *exact* span-derived simulated duration per phase
-(:attr:`FrameProfile.span_simulated_ps`, :func:`phase_durations_from_trace`)
-alongside the quantum-rounded wall-time attribution.
-
 :func:`measure_artifact_overhead` reproduces the §V overhead numbers by
 attributing kernel events (and, in profile mode, process wall time) to
 the Engine_wrapper multiplexer and to the ReSim simulation-only
@@ -30,17 +22,17 @@ artifacts, as fractions of the whole run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..system.autovision import AutoVisionSystem, SystemConfig
 from ..system.software import AutoVisionSoftware
+from ..verif.campaign import run_system
 
 __all__ = [
     "PhaseStats",
     "FrameProfile",
     "profile_one_frame",
-    "phase_durations_from_trace",
     "OverheadProfile",
     "measure_artifact_overhead",
     "FastPathReport",
@@ -89,9 +81,6 @@ class FrameProfile:
     total_elapsed_s: float = 0.0
     total_events: int = 0
     clean: bool = True
-    #: exact simulated ps per phase, from the firmware trace spans
-    #: (the quantum loop above rounds to quantum granularity)
-    span_simulated_ps: Dict[str, int] = field(default_factory=dict)
 
     def phase(self, name: str) -> PhaseStats:
         return self.phases.setdefault(name, PhaseStats(name))
@@ -115,19 +104,6 @@ class FrameProfile:
         return out
 
 
-def phase_durations_from_trace(tracer) -> Dict[str, int]:
-    """Exact simulated ps per firmware phase, from closed trace spans.
-
-    Only spans whose name is a known Table II phase count; structural
-    spans (``frame``, ``reconfigure``, ``attempt``) are skipped.
-    """
-    out: Dict[str, int] = {}
-    for ev in tracer.events:
-        if ev.ph == "X" and ev.cat == "firmware" and ev.name in PHASE_LABELS:
-            out[ev.name] = out.get(ev.name, 0) + ev.dur_ps
-    return out
-
-
 def profile_one_frame(
     config: Optional[SystemConfig] = None,
     quantum_ps: int = 2_000_000,
@@ -135,15 +111,7 @@ def profile_one_frame(
     """Simulate one frame and attribute cost to each execution stage."""
     if config is None:
         config = SystemConfig()
-    run_config = config
-    if not run_config.tracing:
-        # ride the trace substrate for exact phase boundaries; firmware
-        # spans only, so the profiled run stays as close to untraced as
-        # possible (no bus observers, no kernel/reconfig events)
-        run_config = replace(
-            config, tracing=True, trace_categories=frozenset({"firmware"})
-        )
-    system = AutoVisionSystem(run_config)
+    system = AutoVisionSystem(config)
     software = AutoVisionSoftware(system)
     sim = system.build()
     profile = FrameProfile(config)
@@ -168,9 +136,6 @@ def profile_one_frame(
         profile.total_elapsed_s += elapsed
         profile.total_events += events
     profile.clean = software.finished and not software.anomalies
-    if sim.tracer is not None:
-        sim.tracer.finalize()
-        profile.span_simulated_ps = phase_durations_from_trace(sim.tracer)
     return profile
 
 
@@ -260,12 +225,13 @@ def measure_artifact_overhead(
     """Run the system and attribute cost to mux/artifact modules."""
     if config is None:
         config = SystemConfig(profile=True)
-    system = AutoVisionSystem(config)
-    software = AutoVisionSoftware(system)
-    sim = system.build()
-    sim.fork(software.run(n_frames), "software.main", owner=software)
-    guard = 400 * config.width * config.height * system.bus_clock.period * n_frames
-    sim.run_until_event(software.run_complete, timeout=guard)
+    captured = {}
+
+    def prepare(system, software, sim):
+        captured.update(system=system, sim=sim)
+
+    run_system(config, n_frames, prepare=prepare)
+    system, sim = captured["system"], captured["sim"]
 
     def subtree_events(module) -> int:
         act = module.activity()

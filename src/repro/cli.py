@@ -149,22 +149,17 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    from .system import AutoVisionSoftware, AutoVisionSystem
+    captured = {}
 
-    cfg = _config(args)
-    system = AutoVisionSystem(cfg)
-    software = AutoVisionSoftware(system)
-    sim = system.build()
-    cov = DprCoverage(system)
-    cov.start(sim)
-    sim.fork(software.run(args.frames), "software", owner=software)
-    sim.run_until_event(
-        software.run_complete,
-        timeout=600 * cfg.width * cfg.height * system.bus_clock.period * args.frames,
-    )
-    cov.finalize(software)
+    def prepare(system, software, sim):
+        captured["coverage"] = cov = DprCoverage(system)
+        cov.start(sim)
+
+    result = run_system(_config(args), n_frames=args.frames, prepare=prepare)
+    cov = captured["coverage"]
+    cov.finalize()
     print(cov.report())
-    return 0 if software.finished else 1
+    return 1 if result.hung else 0
 
 
 def _cmd_scenarios(_args) -> int:

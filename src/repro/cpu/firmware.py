@@ -1,20 +1,23 @@
 """The demonstrator's control program in PPC-lite assembly.
 
 This is the ISS counterpart of the HAL software model
-(:mod:`repro.system.software`): the same interrupt-driven single-frame
-flow — configure the engines over DCR, start the CIE, sleep in ``wait``
-until the engine-done ISR fires, reconfigure the region through the
-real IcapCTRL driver (program BADDR/BSIZE in **bytes**, kick the DMA,
-poll STATUS over the daisy chain), reset and start the ME, then
-reconfigure back and report.  Running it demonstrates the paper's
-full-system simulation: embedded software on an instruction-set
-simulator driving cycle-accurate RTL through the reconfiguration
-process.
+(:mod:`repro.system.software`): the same interrupt-driven per-frame
+flow, for any number of frames — ask the camera for the frame, start
+the CIE, sleep in ``wait`` until the engine-done ISR fires, reconfigure
+the region through the real IcapCTRL driver (program BADDR/BSIZE in
+**bytes**, kick the DMA, poll STATUS over the daisy chain), reset and
+start the ME, reconfigure back and report the frame.  Running it
+demonstrates the paper's full-system simulation: embedded software on
+an instruction-set simulator driving cycle-accurate RTL through the
+reconfiguration process.
 
 Register conventions: ``r13`` counts engine-done interrupts (written
 only by the ISR), ``r14`` counts those the main loop has consumed,
 ``r26``/``r27`` are ISR scratch, ``r5`` carries the bitstream address
-into the ``reconfigure`` subroutine.
+into the ``reconfigure`` subroutine.  The frame loop keeps the frames
+remaining in ``r20``, the feature ping-pong in ``r21``/``r22``, the
+vector ping-pong in ``r18``/``r19``, the frame index in ``r24`` and the
+first-frame flag in ``r28``.
 
 The ``wait_engine`` loop uses the disable-check-wait idiom so an
 interrupt landing between the check and the ``wait`` cannot be lost
@@ -37,7 +40,6 @@ from .iss import PpcLiteIss
 
 __all__ = [
     "optical_flow_firmware",
-    "multiframe_firmware",
     "assemble_cached",
     "attach_iss",
     "FIRMWARE_EXIT_OK",
@@ -45,8 +47,8 @@ __all__ = [
     "SVC_FRAME_DONE",
 ]
 
-#: service call the firmware issues to have the camera VIP load the
-#: next input frame (the host testbench installs the handler)
+#: service call the firmware issues to have the camera VIP load input
+#: frame r3 (:func:`build_iss_demo` installs the handler)
 SVC_LOAD_FRAME = 3
 #: service call reporting one frame fully processed (r3 = frame index)
 SVC_FRAME_DONE = 4
@@ -55,12 +57,23 @@ SVC_FRAME_DONE = 4
 FIRMWARE_EXIT_OK = 0
 
 
-def optical_flow_firmware(system: AutoVisionSystem, faults=frozenset()) -> str:
-    """Generate the single-frame control program for ``system``.
+def optical_flow_firmware(
+    system: AutoVisionSystem, n_frames: int = 1, faults=frozenset()
+) -> str:
+    """Generate the control program for ``n_frames`` frames on ``system``.
 
     Constants (register addresses, buffer addresses, the bitstream size
     in bytes) are baked in as ``.equ`` directives from the live system
     object, exactly as a board-support header would provide them.
+
+    Every frame runs the loop of Fig. 2: the camera VIP is asked for
+    the frame via service call ``SVC_LOAD_FRAME`` (r3 = frame index),
+    the CIE and ME run with a reconfiguration between them and one
+    back, and the frame is reported via ``SVC_FRAME_DONE`` so the host
+    can check its buffers before they are recycled.  Feature and vector
+    buffers ping-pong between frames: the ME matches the current
+    frame's features against the previous frame's (against themselves
+    on the first frame).
 
     ``faults`` re-creates the software-side Table III bugs *in the
     assembly driver itself*, so ISS-level simulation detects the same
@@ -72,6 +85,8 @@ def optical_flow_firmware(system: AutoVisionSystem, faults=frozenset()) -> str:
       configuration clock ("adding several dummy loops in the
       software", Table III).
     """
+    if n_frames < 1:
+        raise ValueError("need at least one frame")
     faults = frozenset(faults)
     unknown = faults - {"dpr.5", "dpr.6b"}
     if unknown:
@@ -119,13 +134,16 @@ rc_poll:
 .equ RC_STATUS,  {DCR_ICAPCTRL + 3:#x}
 .equ INPUT0,     {mm.input[0]:#x}
 .equ FEAT0,      {mm.feat[0]:#x}
+.equ FEAT1,      {mm.feat[1]:#x}
 .equ VEC0,       {mm.vec[0]:#x}
+.equ VEC1,       {mm.vec[1]:#x}
 .equ BS_CIE,     {mm.bs_cie:#x}
 .equ BS_ME,      {mm.bs_me:#x}
 .equ BS_BYTES,   {programmed_size:#x}
 .equ WIDTH,      {system.config.width}
 .equ HEIGHT,     {system.config.height}
 .equ RADIUS,     {system.config.radius}
+.equ N_FRAMES,   {n_frames}
 
         b main
 
@@ -155,12 +173,24 @@ main:
         li    r3, RADIUS
         mtdcr r3, ENG_RADIUS
         wrteei1
+        li    r20, N_FRAMES      # frames remaining
+        li    r21, FEAT0         # current feature buffer
+        li    r22, FEAT1         # previous feature buffer
+        li    r18, VEC0          # current vector buffer
+        li    r19, VEC1          # spare vector buffer
+        li    r24, 0             # frame index
+        li    r28, 1             # first-frame flag
+
+frame_loop:
+        # ---- camera: ask the VIP for the next input frame ---------
+        mr    r3, r24
+        li    r0, {SVC_LOAD_FRAME}
+        sc
 
         # ---- CIE phase: input frame -> feature image -------------
         li    r3, INPUT0
         mtdcr r3, ENG_SRC1
-        li    r3, FEAT0
-        mtdcr r3, ENG_DST
+        mtdcr r21, ENG_DST
         li    r3, 2
         mtdcr r3, ENG_CTRL       # reset
         li    r3, 1
@@ -172,11 +202,16 @@ main:
         bl    reconfigure
 
         # ---- ME phase: features -> motion vectors -----------------
-        li    r3, FEAT0
-        mtdcr r3, ENG_SRC1       # current features
-        mtdcr r3, ENG_SRC2       # previous = same (first frame)
-        li    r3, VEC0
-        mtdcr r3, ENG_DST
+        mtdcr r21, ENG_SRC1      # current features
+        cmpwi r28, 0
+        beq   use_prev
+        mtdcr r21, ENG_SRC2      # first frame: previous = current
+        b     me_src_done
+use_prev:
+        mtdcr r22, ENG_SRC2
+me_src_done:
+        li    r28, 0
+        mtdcr r18, ENG_DST
         li    r3, 2
         mtdcr r3, ENG_CTRL       # reset the freshly configured engine
         li    r3, 1
@@ -187,8 +222,23 @@ main:
         li    r5, BS_CIE
         bl    reconfigure
 
+        # ---- report the frame, rotate the ping-pong buffers ---------
+        mr    r3, r24
+        li    r0, {SVC_FRAME_DONE}
+        sc
+        mr    r3, r21            # swap feature buffers
+        mr    r21, r22
+        mr    r22, r3
+        mr    r3, r18            # swap vector buffers
+        mr    r18, r19
+        mr    r19, r3
+        addi  r24, r24, 1
+        addi  r20, r20, -1
+        cmpwi r20, 0
+        bne   frame_loop
+
         # ---- report and exit ---------------------------------------
-        mr    r3, r13            # engine-done interrupts seen (2)
+        mr    r3, r13            # engine-done interrupts (2 per frame)
         li    r0, 2
         sc                       # report
         li    r3, 0
@@ -227,139 +277,6 @@ reconfigure:
 """
 
 
-def multiframe_firmware(system: AutoVisionSystem, n_frames: int) -> str:
-    """The pipelined multi-frame control program.
-
-    Extends the single-frame flow with the per-frame loop of Fig. 2:
-    feature and vector buffers ping-pong between frames (the ME matches
-    the current frame's features against the previous frame's), the
-    camera VIP is asked for each new frame via service call
-    ``SVC_LOAD_FRAME``, and every completed frame is reported via
-    ``SVC_FRAME_DONE`` so the host scoreboard can check its buffers
-    before they are recycled.
-
-    Register allocation: r13/r14 interrupt counts (ISR/main), r26/r27
-    ISR scratch, r20 frames remaining, r21/r22 feature ping-pong,
-    r18/r19 vector ping-pong, r24 frame index, r28 first-frame flag.
-    """
-    if n_frames < 1:
-        raise ValueError("need at least one frame")
-    mm = system.memory_map
-    header = optical_flow_firmware(system)
-    # reuse the constant block + isr + helpers from the single-frame
-    # program, but replace main with the frame loop
-    constants_end = header.index("        b main")
-    constants = header[:constants_end]
-    helpers_start = header.index("# ---- wait for the next engine-done interrupt")
-    helpers = header[helpers_start:]
-    return f"""{constants}
-.equ FEAT1,      {mm.feat[1]:#x}
-.equ VEC1,       {mm.vec[1]:#x}
-.equ N_FRAMES,   {n_frames}
-
-        b main
-
-# ---- engine-done interrupt service routine -----------------------
-.org 0x500
-isr:
-        mfdcr r26, INTC_ISR
-        mtdcr r26, INTC_ISR
-        andi  r27, r26, 1
-        cmpwi r27, 0
-        beq   isr_out
-        addi  r13, r13, 1
-isr_out:
-        rfi
-
-# ---- main program -------------------------------------------------
-.org 0x600
-main:
-        li    r13, 0
-        li    r14, 0
-        li    r3, 1
-        mtdcr r3, INTC_IER
-        li    r3, WIDTH
-        mtdcr r3, ENG_WIDTH
-        li    r3, HEIGHT
-        mtdcr r3, ENG_HEIGHT
-        li    r3, RADIUS
-        mtdcr r3, ENG_RADIUS
-        wrteei1
-        li    r20, N_FRAMES      # frames remaining
-        li    r21, FEAT0         # current feature buffer
-        li    r22, FEAT1         # previous feature buffer
-        li    r18, VEC0          # current vector buffer
-        li    r19, VEC1          # spare vector buffer
-        li    r24, 0             # frame index
-        li    r28, 1             # first-frame flag
-
-frame_loop:
-        # ---- camera: ask the VIP for the next input frame ---------
-        mr    r3, r24
-        li    r0, {SVC_LOAD_FRAME}
-        sc
-
-        # ---- CIE phase ---------------------------------------------
-        li    r3, INPUT0
-        mtdcr r3, ENG_SRC1
-        mtdcr r21, ENG_DST
-        li    r3, 2
-        mtdcr r3, ENG_CTRL
-        li    r3, 1
-        mtdcr r3, ENG_CTRL
-        bl    wait_engine
-
-        # ---- DPR #1: CIE -> ME ----------------------------------------
-        li    r5, BS_ME
-        bl    reconfigure
-
-        # ---- ME phase ----------------------------------------------------
-        mtdcr r21, ENG_SRC1      # current features
-        cmpwi r28, 0
-        beq   use_prev
-        mtdcr r21, ENG_SRC2      # first frame: previous = current
-        b     me_src_done
-use_prev:
-        mtdcr r22, ENG_SRC2
-me_src_done:
-        li    r28, 0
-        mtdcr r18, ENG_DST
-        li    r3, 2
-        mtdcr r3, ENG_CTRL
-        li    r3, 1
-        mtdcr r3, ENG_CTRL
-        bl    wait_engine
-
-        # ---- DPR #2: ME -> CIE -------------------------------------------
-        li    r5, BS_CIE
-        bl    reconfigure
-
-        # ---- report the frame, rotate the ping-pong buffers ---------
-        mr    r3, r24
-        li    r0, {SVC_FRAME_DONE}
-        sc
-        mr    r3, r21            # swap feature buffers
-        mr    r21, r22
-        mr    r22, r3
-        mr    r3, r18            # swap vector buffers
-        mr    r18, r19
-        mr    r19, r3
-        addi  r24, r24, 1
-        addi  r20, r20, -1
-        cmpwi r20, 0
-        bne   frame_loop
-
-        # ---- done -----------------------------------------------------
-        mr    r3, r13            # total engine interrupts (2 per frame)
-        li    r0, 2
-        sc
-        li    r3, 0
-        li    r0, 0
-        sc
-
-{helpers}"""
-
-
 def attach_iss(
     system: AutoVisionSystem, imem_words: int = 16 * 1024
 ) -> PpcLiteIss:
@@ -386,7 +303,11 @@ def build_iss_demo(
     config: Optional[SystemConfig] = None,
     firmware_faults=frozenset(),
 ):
-    """Convenience: system + ISS + assembled firmware, ready to run."""
+    """Convenience: system + ISS + assembled one-frame firmware, ready to run.
+
+    The camera service loads frame r3 into the input buffer by backdoor;
+    the frame-done service is a no-op (callers may replace either).
+    """
     if config is None:
         config = SystemConfig(width=48, height=32, simb_payload_words=128)
     if config.method != "resim":
@@ -395,6 +316,11 @@ def build_iss_demo(
     iss = attach_iss(system)
     program = assemble_cached(optical_flow_firmware(system, faults=firmware_faults))
     iss.load(program)
+    input0 = system.memory_map.input[0]
+    iss.services[SVC_LOAD_FRAME] = lambda cpu: system.video_in.send_frame_backdoor(
+        cpu._get(3), system.memory, input0
+    )
+    iss.services[SVC_FRAME_DONE] = lambda cpu: None
     return system, iss, program
 
 

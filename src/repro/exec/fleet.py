@@ -126,12 +126,6 @@ class FleetReport:
                 return o.value
         raise KeyError(key)
 
-    def cache_totals(self) -> Dict[str, int]:
-        """Aggregate ``{"hits": n, "misses": n}`` across kinds."""
-        hits = sum(c["hits"] for c in self.cache.values())
-        misses = sum(c["misses"] for c in self.cache.values())
-        return {"hits": hits, "misses": misses}
-
 
 # ----------------------------------------------------------------------
 # Worker side

@@ -158,7 +158,6 @@ class CampaignResult:
     #: for any ``jobs`` value
     jobs: int = 1
     worker_crashes: int = 0
-    cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def all_match_paper(self) -> bool:
@@ -312,11 +311,7 @@ def run_bug_campaign(
             return o.value
         return failed_run_result(configs[run_key], n_frames, o.error)
 
-    result = CampaignResult(
-        jobs=fleet.jobs,
-        worker_crashes=fleet.worker_crashes,
-        cache_stats=fleet.cache,
-    )
+    result = CampaignResult(jobs=fleet.jobs, worker_crashes=fleet.worker_crashes)
     if include_baseline:
         result.baseline_vmux = result_of("baseline:vmux")
         result.baseline_resim = result_of("baseline:resim")

@@ -43,13 +43,13 @@ which makes the two methods genuinely disagree — the deterministic
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..exec.fleet import RunSpec, derive_seed, run_many
 from ..system.autovision import SystemConfig
 from ..system.scenarios import FUZZ_CONSTRAINTS
-from .campaign import _run_json, run_system
+from .campaign import run_system
 from .coverage import DprCoverage, point_names
 from .faults import BUGS
 from .transients import TRANSIENTS
@@ -194,24 +194,9 @@ class FuzzScenario:
         return self.n_frames * per_frame
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "n_frames": self.n_frames,
-            "width": self.width,
-            "height": self.height,
-            "n_objects": self.n_objects,
-            "scene_seed": self.scene_seed,
-            "radius": self.radius,
-            "simb_payload_words": self.simb_payload_words,
-            "cfg_mhz": self.cfg_mhz,
-            "fault_tolerance": self.fault_tolerance,
-            "watchdog_cycles": self.watchdog_cycles,
-            "max_reconfig_attempts": self.max_reconfig_attempts,
-            "retry_backoff_cycles": self.retry_backoff_cycles,
-            "transients": [[k, f] for k, f in self.transients],
-            "divergence_fault": self.divergence_fault,
-        }
+        out = asdict(self)
+        out["transients"] = [list(t) for t in self.transients]
+        return out
 
     def validate(self) -> None:
         """Check every randomized field against its declared constraint."""
@@ -246,24 +231,12 @@ class FuzzScenario:
 
 def scenario_from_dict(data: dict) -> FuzzScenario:
     """Rebuild (and validate) a scenario from its JSON form."""
-    scenario = FuzzScenario(
-        index=data["index"],
-        seed=data["seed"],
-        n_frames=data["n_frames"],
-        width=data["width"],
-        height=data["height"],
-        n_objects=data["n_objects"],
-        scene_seed=data["scene_seed"],
-        radius=data["radius"],
-        simb_payload_words=data["simb_payload_words"],
-        cfg_mhz=data["cfg_mhz"],
-        fault_tolerance=data["fault_tolerance"],
-        watchdog_cycles=data["watchdog_cycles"],
-        max_reconfig_attempts=data["max_reconfig_attempts"],
-        retry_backoff_cycles=data["retry_backoff_cycles"],
-        transients=tuple((k, f) for k, f in data.get("transients", [])),
-        divergence_fault=data.get("divergence_fault"),
-    )
+    values = {
+        f.name: data[f.name] if f.default is MISSING else data.get(f.name, f.default)
+        for f in fields(FuzzScenario)
+    }
+    values["transients"] = tuple(tuple(t) for t in values["transients"])
+    scenario = FuzzScenario(**values)
     scenario.validate()
     return scenario
 

@@ -27,7 +27,7 @@ Virtual Multiplexing and ReSim, and classifies every run:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ from ..exec.fleet import RunSpec, run_many
 from ..kernel import Timer
 from ..reconfig.simb import TYPE2_LEN_TAG, simb_header_words
 from ..system.autovision import SystemConfig
-from .campaign import run_system
+from .campaign import failed_run_result, run_system
 from .scoreboard import RunResult
 
 __all__ = [
@@ -236,7 +236,6 @@ class SoakReport:
     #: so report bytes are identical for any ``jobs`` value
     jobs: int = 1
     worker_crashes: int = 0
-    cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -376,27 +375,6 @@ def _soak_one(
     )
 
 
-def _failed_soak_run(
-    config: SystemConfig, frames: int, method: str, key: str, error: str
-) -> SoakRun:
-    """Placeholder for a soak run whose fleet task failed or crashed."""
-    return SoakRun(
-        method=method,
-        transient=key,
-        injected_at_ps=0,
-        detected_at_ps=None,
-        recovered_at_ps=None,
-        outcome="unrecovered",
-        result=RunResult(
-            method=method,
-            faults=(),
-            frames_requested=frames,
-            hung=True,
-            software_anomalies=[f"fleet: run failed ({error})"],
-        ),
-    )
-
-
 def run_soak_campaign(
     methods: Sequence[str] = ("resim", "vmux"),
     frames: int = 2,
@@ -488,8 +466,16 @@ def run_soak_campaign(
         else:
             method, key = outcome.key.split(":", 1)
             runs.append(
-                _failed_soak_run(
-                    configs[method], frames, method, key, outcome.error
+                SoakRun(
+                    method=method,
+                    transient=key,
+                    injected_at_ps=0,
+                    detected_at_ps=None,
+                    recovered_at_ps=None,
+                    outcome="unrecovered",
+                    result=failed_run_result(
+                        configs[method], frames, outcome.error
+                    ),
                 )
             )
     return SoakReport(
@@ -500,5 +486,4 @@ def run_soak_campaign(
         runs=runs,
         jobs=fleet.jobs,
         worker_crashes=cal.worker_crashes + fleet.worker_crashes,
-        cache_stats=fleet.cache,
     )

@@ -77,6 +77,22 @@ def test_firmware_no_monitor_violations(iss_run):
     assert not system.artifacts.icap.framing_errors
 
 
+def test_build_iss_demo_loads_the_frame_itself():
+    """The firmware's camera service call loads frame 0: no caller-side
+    backdoor load is needed."""
+    system, iss, program = build_iss_demo()
+    sim = system.build()
+    iss.start()
+    assert sim.run_until_event(iss.done, timeout=400_000_000_000)
+    assert iss.exit_code == FIRMWARE_EXIT_OK
+    mm = system.memory_map
+    h, w = system.config.height, system.config.width
+    feat = unpack_pixels(system.memory.dump_words(mm.feat[0], h * w // 4))
+    assert np.array_equal(
+        feat.reshape(h, w), census_transform(system.sequence.frame(0))
+    )
+
+
 def test_attach_iss_after_build_rejected():
     system = AutoVisionSystem(SystemConfig(width=48, height=32, simb_payload_words=128))
     system.build()

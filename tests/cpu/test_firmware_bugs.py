@@ -9,7 +9,14 @@ simulation exposes them the same way ReSim+HAL does.
 
 import pytest
 
-from repro.cpu.firmware import build_iss_demo, optical_flow_firmware
+from repro.cpu import assemble
+from repro.cpu.firmware import (
+    SVC_FRAME_DONE,
+    SVC_LOAD_FRAME,
+    attach_iss,
+    build_iss_demo,
+    optical_flow_firmware,
+)
 from repro.system import AutoVisionSystem, SystemConfig
 
 # a clean single-frame run finishes in ~60 us simulated; 2 ms is a
@@ -46,6 +53,24 @@ def test_dpr5_firmware_hangs_with_truncated_transfer():
     assert system.artifacts.injector("video_rr").active
     # and the start/reset pulses for the ME vanished
     assert system.slot.lost_reset_pulses + system.slot.lost_start_pulses >= 1
+
+
+def test_dpr5_firmware_hangs_on_the_first_of_two_frames():
+    """Faults compile into the frame loop too: a two-frame program with
+    BSIZE in words never gets past the first reconfiguration."""
+    system = AutoVisionSystem(
+        SystemConfig(width=48, height=32, simb_payload_words=128)
+    )
+    iss = attach_iss(system)
+    iss.load(assemble(optical_flow_firmware(system, 2, faults={"dpr.5"})))
+    iss.services[SVC_LOAD_FRAME] = lambda cpu: system.video_in.send_frame_backdoor(
+        cpu._get(3), system.memory, system.memory_map.input[0]
+    )
+    iss.services[SVC_FRAME_DONE] = lambda cpu: None
+    sim = system.build()
+    iss.start()
+    assert not sim.run_until_event(iss.done, timeout=TIMEOUT_PS)
+    assert system.artifacts.portal("video_rr").reconfigurations == 0
 
 
 def test_dpr6b_firmware_resets_too_early_on_slow_cfg_clock():

@@ -8,7 +8,7 @@ from repro.cpu.firmware import (
     SVC_FRAME_DONE,
     SVC_LOAD_FRAME,
     attach_iss,
-    multiframe_firmware,
+    optical_flow_firmware,
 )
 from repro.system import AutoVisionSystem, SystemConfig
 from repro.video import census_transform, match_features, unpack_pixels, unpack_vector_bytes
@@ -21,7 +21,7 @@ def multiframe_run():
     config = SystemConfig(width=48, height=32, simb_payload_words=128)
     system = AutoVisionSystem(config)
     iss = attach_iss(system)
-    program = assemble(multiframe_firmware(system, N_FRAMES))
+    program = assemble(optical_flow_firmware(system, N_FRAMES))
     iss.load(program)
     sim = system.build()
     mm = system.memory_map
@@ -109,4 +109,4 @@ def test_firmware_rejects_zero_frames():
         SystemConfig(width=48, height=32, simb_payload_words=128)
     )
     with pytest.raises(ValueError):
-        multiframe_firmware(system, 0)
+        optical_flow_firmware(system, 0)

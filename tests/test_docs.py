@@ -1,4 +1,5 @@
-"""Documentation hygiene as part of tier-1: links resolve, modules documented.
+"""Documentation hygiene as part of tier-1: links resolve, modules
+documented, documented CLI flags and ``repro.…`` names exist.
 
 Thin pytest wrapper over ``tools/check_docs.py`` so doc rot fails the
 normal test run, not only the dedicated CI job.
@@ -72,6 +73,28 @@ def test_prose_is_not_scanned_for_flags(tmp_path):
     md = tmp_path / "x.md"
     md.write_text("the repro campaign --bogus flag is prose, not code\n")
     assert list(checker.iter_code_texts(md)) == []
+
+
+def test_documented_dotted_names_resolve():
+    assert checker.check_dotted_names() == []
+
+
+def test_dotted_name_resolution():
+    assert checker.resolve_dotted("repro.verif")
+    assert checker.resolve_dotted("repro.verif.campaign.run_system")
+    assert checker.resolve_dotted("repro.analysis.profile_one_frame")
+    assert not checker.resolve_dotted("repro.analysis.no_such_name")
+    assert not checker.resolve_dotted("repro.no_such_module.thing")
+
+
+def test_dotted_names_glued_to_paths_are_not_references():
+    found = [
+        m.group(0)
+        for m in checker._DOTTED_NAME_RE.finditer(
+            "fuzz-repro.json src/repro.egg-info ./repro.x repro.cli.main"
+        )
+    ]
+    assert found == ["repro.cli.main"]
 
 
 def test_cli_entrypoint_exit_status(capsys):

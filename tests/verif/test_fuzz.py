@@ -1,5 +1,7 @@
 """Tests for the coverage-closure fuzzer and its differential harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.reporting import canonical_json
@@ -53,6 +55,20 @@ def test_generator_rejects_unknown_divergence_key():
 def test_scenario_json_roundtrip():
     s = ScenarioGenerator(2013, inject_divergence="sw.1").scenario(3)
     assert scenario_from_dict(s.to_json_dict()) == s
+
+
+def test_scenario_json_shape_and_defaults():
+    s = ScenarioGenerator(2013, inject_divergence="sw.1").scenario(3)
+    s = dataclasses.replace(s, transients=(("dma_stall", 0.25),))
+    data = s.to_json_dict()
+    assert data["transients"] == [["dma_stall", 0.25]]
+    assert scenario_from_dict(data).transients == (("dma_stall", 0.25),)
+    del data["transients"], data["divergence_fault"]
+    bare = scenario_from_dict(data)
+    assert bare.transients == () and bare.divergence_fault is None
+    del data["width"]
+    with pytest.raises(KeyError):
+        scenario_from_dict(data)
 
 
 def test_validate_rejects_illegal_values():

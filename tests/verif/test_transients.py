@@ -108,3 +108,20 @@ class TestDeterminism:
         )
         text = json.dumps(report.to_json_dict())
         assert "elapsed" not in text
+
+
+class TestFailedRun:
+    def test_failed_task_becomes_unrecovered_hung_placeholder(self, monkeypatch):
+        def boom(**_kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.verif.transients._soak_one", boom)
+        report = run_soak_campaign(
+            jobs=1, methods=("resim",), transients=["dma_stall"]
+        )
+        (run,) = report.runs
+        assert (run.method, run.transient) == ("resim", "dma_stall")
+        assert run.outcome == "unrecovered"
+        assert run.result.hung
+        assert run.result.anomalies[0].startswith("fleet: run failed (")
+        assert not report.ok

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation hygiene checker.
 
-Three checks, all cheap enough for every CI run:
+Four checks, all cheap enough for every CI run:
 
 1. **Internal links resolve** — every relative markdown link
    (``[text](path)`` or ``[text](path#anchor)``) in the repo's
@@ -21,6 +21,14 @@ Three checks, all cheap enough for every CI run:
    A renamed or deleted flag therefore rots no further than one CI
    run.  Only ``--long`` options are matched; flags on backslash
    continuation lines (no ``repro <sub>`` prefix) are out of scope.
+
+4. **Documented names exist** — every dotted ``repro.…`` name inside a
+   code context must resolve: the longest importable module prefix is
+   imported and the rest is looked up with ``getattr``.  A name glued
+   to a path or file name (``fuzz-repro.json``) is not a reference.
+   Only the reference documents (``docs/``, ``README.md``,
+   ``DESIGN.md``, ``EXPERIMENTS.md``) are scanned: the change log and
+   the planning notes may name code that is gone or not yet written.
 
 Exit status 0 when clean; 1 with a per-problem report otherwise.
 Run directly (``python tools/check_docs.py``) or via the pytest
@@ -181,8 +189,52 @@ def check_cli_flags() -> List[str]:
     return problems
 
 
+_DOTTED_NAME_RE = re.compile(r"(?<![\w./-])repro(\.\w+)+")
+#: top-level documents that describe the code as it is now
+_REFERENCE_DOCS = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+
+def resolve_dotted(name: str) -> bool:
+    """Does ``repro.a.b.c`` name a real module or attribute?"""
+    import importlib
+
+    src = str(REPO / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_names() -> List[str]:
+    problems = []
+    for md in markdown_files():
+        if md.parent == REPO and md.name not in _REFERENCE_DOCS:
+            continue
+        rel = md.relative_to(REPO)
+        for lineno, text in iter_code_texts(md):
+            for match in _DOTTED_NAME_RE.finditer(text):
+                if not resolve_dotted(match.group(0)):
+                    problems.append(
+                        f"{rel}:{lineno}: `{match.group(0)}` does not resolve"
+                    )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_docstrings() + check_cli_flags()
+    problems = (
+        check_links() + check_docstrings() + check_cli_flags()
+        + check_dotted_names()
+    )
     if problems:
         print(f"check_docs: {len(problems)} problem(s)")
         for p in problems:
