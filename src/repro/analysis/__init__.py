@@ -24,11 +24,9 @@ from .tracing import (
     write_chrome_trace,
 )
 from .profiling import (
-    FastPathReport,
     FrameProfile,
     OverheadProfile,
     PhaseStats,
-    fastpath_by_owner,
     measure_artifact_overhead,
     profile_one_frame,
 )
@@ -38,11 +36,9 @@ from .vcdscan import VcdParseError, VcdScan
 
 __all__ = [
     "benchkit",
-    "FastPathReport",
     "FrameProfile",
     "OverheadProfile",
     "PhaseStats",
-    "fastpath_by_owner",
     "measure_artifact_overhead",
     "profile_one_frame",
     "format_ps",

@@ -35,8 +35,6 @@ __all__ = [
     "profile_one_frame",
     "OverheadProfile",
     "measure_artifact_overhead",
-    "FastPathReport",
-    "fastpath_by_owner",
 ]
 
 #: Table II rows, in the paper's order
@@ -119,15 +117,15 @@ def profile_one_frame(
     sim.fork(software.run(1), "software.main", owner=software)
     guard_ps = 400 * config.width * config.height * system.bus_clock.period
     start_ps = sim.time
-    last_stats = sim.stats.snapshot()
+    stats = sim.stats
+    last_events = stats.events
     while not software.finished and sim.time - start_ps < guard_ps:
         phase_name = software.current_phase
         t0 = time.perf_counter()
         sim.run(until=sim.time + quantum_ps)
         elapsed = time.perf_counter() - t0
-        now_stats = sim.stats.snapshot()
-        events = now_stats.events - last_stats.events
-        last_stats = now_stats
+        events = stats.events - last_events
+        last_events += events
         p = profile.phase(phase_name)
         p.simulated_ps += quantum_ps
         p.elapsed_s += elapsed
@@ -137,52 +135,6 @@ def profile_one_frame(
         profile.total_events += events
     profile.clean = software.finished and not software.anomalies
     return profile
-
-
-@dataclass
-class FastPathReport:
-    """2-state fast-path commit counters aggregated over one module.
-
-    Every signal counts, per committed update, whether the scheduler
-    took the 2-state fast path (neither old nor new value carried X/Z
-    bits) or the full four-state path.  A low hit rate on a module that
-    should be fully defined in steady state — an engine datapath, a bus
-    — flags exactly the kind of X-churn that makes wall-clock cost grow
-    faster than signal activity, so this is part of keeping Table II's
-    activity-tracks-cost claim measurable.
-    """
-
-    owner: str
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        t = self.total
-        return self.hits / t if t else 0.0
-
-
-def fastpath_by_owner(root, include_empty: bool = False):
-    """Aggregate per-signal fast-path counters per owning module.
-
-    Walks the module tree under ``root`` and sums each module's own
-    signals' ``fast_hits`` / ``fast_misses``.  Returns a dict mapping
-    module path -> :class:`FastPathReport`; modules whose signals never
-    committed an update are omitted unless ``include_empty``.
-    """
-    out: Dict[str, FastPathReport] = {}
-    for mod in root.iter_tree():
-        report = FastPathReport(mod.path)
-        for sig in mod.signals:
-            report.hits += sig.fast_hits
-            report.misses += sig.fast_misses
-        if report.total or include_empty:
-            out[mod.path] = report
-    return out
 
 
 @dataclass

@@ -28,7 +28,7 @@ observers are only registered when tracing is enabled — so the kernel
 hot path is untouched and ``repro bench --check`` holds with tracing
 off.  Per-delta kernel detail is instead exposed as **counter samples**
 (:meth:`Tracer.sample_kernel`) read from the accounting the scheduler
-already maintains (``SimStats``, per-signal fast-path hit/miss).
+already maintains (``SimStats``).
 
 Exporters
 ---------
@@ -178,8 +178,6 @@ class Tracer:
         # per-track open-span stacks (for active_span and finalize)
         self._open: Dict[int, List[Span]] = {}
         self._wall0 = _time.perf_counter_ns()
-        #: modules whose signals contribute fast-path counter samples
-        self._fastpath_root = None
 
     # ------------------------------------------------------------------
     # Attachment
@@ -189,11 +187,6 @@ class Tracer:
         self.sim = sim
         sim.tracer = self
         return self
-
-    def set_fastpath_root(self, module) -> None:
-        """Aggregate this module tree's 2-state fast-path counters in
-        :meth:`sample_kernel` samples."""
-        self._fastpath_root = module
 
     # ------------------------------------------------------------------
     # Recording
@@ -306,9 +299,8 @@ class Tracer:
     def sample_kernel(self) -> None:
         """Emit counter samples from the scheduler's own accounting.
 
-        Reads :class:`~repro.kernel.simulator.SimStats` (and, when a
-        fast-path root is registered, the per-signal 2-state commit
-        counters) — the kernel pays nothing extra to be sampled.
+        Reads :class:`~repro.kernel.simulator.SimStats` — the kernel
+        pays nothing extra to be sampled.
         """
         if self.sim is None or not self.enabled_for("kernel"):
             return
@@ -319,15 +311,8 @@ class Tracer:
             value_changes=stats.value_changes,
             deltas=stats.deltas,
             timesteps=stats.timesteps,
+            silent_timesteps=stats.silent_timesteps,
         )
-        root = self._fastpath_root
-        if root is not None:
-            hits = misses = 0
-            for mod in root.iter_tree():
-                for sig in mod.signals:
-                    hits += sig.fast_hits
-                    misses += sig.fast_misses
-            self.counter("kernel", "fastpath", hits=hits, misses=misses)
 
     # ------------------------------------------------------------------
     # Export preparation

@@ -62,6 +62,9 @@ def _add_scenario(parser: argparse.ArgumentParser) -> None:
         "--scenario", default="tiny", choices=scenario_names(),
         help="named operating point (default: tiny)",
     )
+
+
+def _add_frames(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--frames", type=_positive_int, default=2)
 
 
@@ -545,10 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate the demonstrator")
     _add_common(p_run)
+    _add_frames(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_bugs = sub.add_parser("bugs", help="list or inject historical bugs")
     _add_scenario(p_bugs)
+    _add_frames(p_bugs)
     p_bugs.add_argument("key", nargs="?", help="bug key to inject")
     p_bugs.set_defaults(func=_cmd_bugs)
 
@@ -558,6 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cov = sub.add_parser("coverage", help="DPR functional coverage")
     _add_common(p_cov)
+    _add_frames(p_cov)
     p_cov.set_defaults(func=_cmd_coverage)
 
     p_sc = sub.add_parser("scenarios", help="list named scenarios")
@@ -602,6 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", help="Table III bug-detection campaign"
     )
     _add_scenario(p_camp)
+    _add_frames(p_camp)
     p_camp.add_argument(
         "--bug", action="append", default=[],
         help="campaign only this bug key (repeatable); default: all",
@@ -628,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_soak = sub.add_parser(
         "soak", help="seeded transient-fault soak campaign"
     )
-    p_soak.add_argument("--frames", type=_positive_int, default=2)
+    _add_frames(p_soak)
     p_soak.add_argument(
         "--seed", type=int, default=7,
         help="campaign seed; same seed -> byte-identical JSON report",
@@ -715,6 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run with tracing on; export Chrome trace JSON"
     )
     _add_common(p_trace)
+    _add_frames(p_trace)
     p_trace.add_argument(
         "-o", "--output", default="trace.json",
         help="Chrome trace_event JSON path (default: trace.json)",

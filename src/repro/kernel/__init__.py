@@ -26,7 +26,7 @@ from .logic import LV, LogicVector, bit, concat, replicate, xbits, zbits
 from .mailbox import Mailbox, MailboxEmpty, MailboxFull
 from .module import ElaborationError, Module
 from .process import Process, ProcessError
-from .signal import Signal, SignalWriteError, set_width_debug
+from .signal import Signal, SignalWriteError
 from .simulator import DeltaOverflowError, SimStats, SimulationError, Simulator
 from .vcd import VcdWriter
 
@@ -62,7 +62,6 @@ __all__ = [
     "ProcessError",
     "Signal",
     "SignalWriteError",
-    "set_width_debug",
     "DeltaOverflowError",
     "SimStats",
     "SimulationError",

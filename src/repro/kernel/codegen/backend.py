@@ -24,7 +24,7 @@ is counted under ``("bail", reason)`` in
 interpreter's one delta loop; a fallback hands the rest of the run to
 its one timestep loop.
 Stats contract: ``resumes``, ``value_changes``, per-owner maps and
-per-signal counters are bit-exact against the interpreter (they feed
+per-signal ``change_count`` are bit-exact against the interpreter (they feed
 byte-compared reports); ``deltas``/``timesteps`` may differ slightly at
 bail-out boundaries (they feed no report).
 """

@@ -53,7 +53,6 @@ ow = proc.owner
 if ow is not None:
     owner_resumes[ow] = owner_resumes.get(ow, 0) + 1
 proc._waiting_on = None
-proc.resume_count += 1
 try:
     y = proc._send(et)
 except StopIteration as stop:
@@ -88,7 +87,6 @@ ow = proc.owner
 if ow is not None:
     owner_resumes[ow] = owner_resumes.get(ow, 0) + 1
 proc._waiting_on = None
-proc.resume_count += 1
 try:
     y = proc._send(trig)
 except StopIteration as stop:
@@ -132,7 +130,6 @@ while updates:
             updates[signal] = new
             sim._step_deltas()
             break
-        signal.fast_hits += 1
         if new.value == old2.value:
             continue
         signal._value = new
@@ -187,7 +184,6 @@ while updates:
         fired = []
         for signal, new in items:
             old2 = signal._value
-            signal.fast_hits += 1
             if new.value == old2.value:
                 continue
             signal._value = new
@@ -274,7 +270,6 @@ _CLOCK_ARM = """\
                 C{i}._outstanding -= 1
                 if not C{i}._outstanding:
                     C{i}._post_batch(sim)
-                out.fast_hits += 1
                 if val.value == old.value:
                     continue  # forced to the edge's phase: no change
                 out._value = val

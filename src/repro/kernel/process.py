@@ -42,8 +42,6 @@ class Process:
         "result",
         "exception",
         "_joiners",
-        "resume_count",
-        "elapsed_ns",
         "_waiting_on",
         "_killed",
         "_send",
@@ -63,8 +61,6 @@ class Process:
         self.result = None
         self.exception: Optional[BaseException] = None
         self._joiners: List[Join] = []
-        self.resume_count = 0
-        self.elapsed_ns = 0
         self._waiting_on: Optional[Trigger] = None
         self._killed = False
         # Every resume path (the interpreter's delta loop and the

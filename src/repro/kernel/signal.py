@@ -8,11 +8,10 @@ processes are scheduled for the next delta.
 
 Value-change counts are accumulated per signal and rolled up per owning
 module by the simulator's activity accounting — that is how the Table II
-"elapsed time tracks signal activity" experiment is measured.  Each
-signal additionally counts how often its updates took the 2-state fast
-path (neither old nor new value carried X/Z bits) versus the full
-four-state path; :mod:`repro.analysis.profiling` rolls those up per
-owning module.
+"elapsed time tracks signal activity" experiment is measured.  A commit
+(:meth:`Signal._apply`, inlined by the scheduler's update phase) has one
+rule for every value: it changes the signal iff ``value``, ``xmask`` or
+``zmask`` differ.
 """
 
 from __future__ import annotations
@@ -28,26 +27,10 @@ from .logic import (
     _small_table,
 )
 
-__all__ = ["Signal", "SignalWriteError", "set_width_debug"]
+__all__ = ["Signal", "SignalWriteError"]
 
 _BIT0 = _intern_table(1)[0]
 _BIT1 = _intern_table(1)[1]
-
-#: When True, a commit whose coerced value does not already have the
-#: signal's declared width raises instead of silently normalizing.
-#: Normal operation keeps this off (the commit path resizes); tests and
-#: debug runs flip it via :func:`set_width_debug` to catch the caller
-#: that produced the mis-sized vector.
-WIDTH_DEBUG = False
-
-
-def set_width_debug(enabled: bool) -> bool:
-    """Toggle the commit width-invariant assertion; returns the old value."""
-    global WIDTH_DEBUG
-    old = WIDTH_DEBUG
-    WIDTH_DEBUG = bool(enabled)
-    return old
-
 
 class SignalWriteError(RuntimeError):
     pass
@@ -94,8 +77,6 @@ class Signal:
         "_w_rise",
         "_w_fall",
         "change_count",
-        "fast_hits",
-        "fast_misses",
         "_vcd_id",
         "_pending",
         "_monitors",
@@ -142,16 +123,9 @@ class Signal:
         self._w_rise = []
         self._w_fall = []
         self.change_count = 0
-        self.fast_hits = 0
-        self.fast_misses = 0
         self._vcd_id: Optional[str] = None
         self._pending = False
         self._monitors = None  # lazily created list of callbacks
-
-    @property
-    def _edge_waiters(self):
-        """Edge-kind -> waiter-list view (kept for introspection/tests)."""
-        return {"any": self._w_any, "rise": self._w_rise, "fall": self._w_fall}
 
     # ------------------------------------------------------------------
     # Reading
@@ -255,16 +229,10 @@ class Signal:
         clients (``sim._updates[sig] = lv``) can hand the update phase a
         vector of a different width; without normalization a same-value
         commit of the wrong width would be stored verbatim, permanently
-        corrupting the signal's declared width (VCD rendering, slicing
-        and the 2-state fast-path comparisons all key off it).  Under
-        :data:`WIDTH_DEBUG` the mis-sized commit raises so the caller
-        can be found.
+        corrupting the signal's declared width (VCD rendering and
+        slicing key off it).  A vector too wide to truncate losslessly
+        raises.
         """
-        if WIDTH_DEBUG:
-            raise SignalWriteError(
-                f"commit of width-{new.width} vector to {self.name!r} "
-                f"(declared width {self.width}); enable path: set_width_debug"
-            )
         if new.width < self.width or not (
             (new.value | new.xmask | new.zmask) >> self.width
         ):
@@ -280,26 +248,17 @@ class Signal:
         The simulator's update phase inlines this logic; this method is
         the canonical (and test-visible) definition of commit semantics.
         Committed vectors always have exactly ``self.width`` bits (see
-        :meth:`_normalize_width`).
+        :meth:`_normalize_width`), so the three fields decide a change.
         """
         if new.width != self.width:
             new = self._normalize_width(new)
         old = self._value
-        if new.xmask | new.zmask | old.xmask | old.zmask:
-            # four-state path: full field comparison
-            self.fast_misses += 1
-            if (
-                new.value == old.value
-                and new.xmask == old.xmask
-                and new.zmask == old.zmask
-                and new.width == old.width
-            ):
-                return False, old
-        else:
-            # 2-state fast path: both values fully defined
-            self.fast_hits += 1
-            if new.value == old.value and new.width == old.width:
-                return False, old
+        if (
+            new.value == old.value
+            and new.xmask == old.xmask
+            and new.zmask == old.zmask
+        ):
+            return False, old
         self._value = new
         self.change_count += 1
         return True, old

@@ -83,43 +83,6 @@ class SimStats:
         self.changes_by_owner: Dict[object, int] = defaultdict(int)
         self.elapsed_ns_by_owner: Dict[object, int] = defaultdict(int)
 
-    def snapshot(self) -> "SimStats":
-        copy = SimStats()
-        copy.resumes = self.resumes
-        copy.value_changes = self.value_changes
-        copy.deltas = self.deltas
-        copy.timesteps = self.timesteps
-        copy.silent_timesteps = self.silent_timesteps
-        copy.resumes_by_owner = defaultdict(int, self.resumes_by_owner)
-        copy.changes_by_owner = defaultdict(int, self.changes_by_owner)
-        copy.elapsed_ns_by_owner = defaultdict(int, self.elapsed_ns_by_owner)
-        return copy
-
-    def delta_from(self, earlier: "SimStats") -> "SimStats":
-        diff = SimStats()
-        diff.resumes = self.resumes - earlier.resumes
-        diff.value_changes = self.value_changes - earlier.value_changes
-        diff.deltas = self.deltas - earlier.deltas
-        diff.timesteps = self.timesteps - earlier.timesteps
-        diff.silent_timesteps = self.silent_timesteps - earlier.silent_timesteps
-        owners = set(self.resumes_by_owner) | set(earlier.resumes_by_owner)
-        for o in owners:
-            diff.resumes_by_owner[o] = (
-                self.resumes_by_owner.get(o, 0) - earlier.resumes_by_owner.get(o, 0)
-            )
-        owners = set(self.changes_by_owner) | set(earlier.changes_by_owner)
-        for o in owners:
-            diff.changes_by_owner[o] = (
-                self.changes_by_owner.get(o, 0) - earlier.changes_by_owner.get(o, 0)
-            )
-        owners = set(self.elapsed_ns_by_owner) | set(earlier.elapsed_ns_by_owner)
-        for o in owners:
-            diff.elapsed_ns_by_owner[o] = (
-                self.elapsed_ns_by_owner.get(o, 0)
-                - earlier.elapsed_ns_by_owner.get(o, 0)
-            )
-        return diff
-
     @property
     def events(self) -> int:
         """Total kernel events — the deterministic proxy for elapsed time."""
@@ -322,17 +285,16 @@ class Simulator:
                         if owner is not None:
                             resumes_by_owner[owner] += 1
                         proc._waiting_on = None
-                        proc.resume_count += 1
                         try:
                             if profile:
                                 t0 = perf_counter_ns()
                                 try:
                                     yielded = proc._send(sent)
                                 finally:
-                                    dt = perf_counter_ns() - t0
-                                    proc.elapsed_ns += dt
                                     if owner is not None:
-                                        elapsed_ns_by_owner[owner] += dt
+                                        elapsed_ns_by_owner[owner] += (
+                                            perf_counter_ns() - t0
+                                        )
                             else:
                                 yielded = proc._send(sent)
                         except StopIteration as stop:
@@ -367,36 +329,22 @@ class Simulator:
                             if new.width != signal.width:
                                 new = signal._normalize_width(new)
                             old = signal._value
-                            if new.xmask | new.zmask | old.xmask | old.zmask:
-                                # four-state path
-                                signal.fast_misses += 1
-                                if (
-                                    new.value == old.value
-                                    and new.xmask == old.xmask
-                                    and new.zmask == old.zmask
-                                    and new.width == old.width
-                                ):
-                                    continue
-                                lsb_new = (
-                                    new.value & 1
-                                    if not (new.xmask | new.zmask) & 1
-                                    else None
-                                )
-                                lsb_old = (
-                                    old.value & 1
-                                    if not (old.xmask | old.zmask) & 1
-                                    else None
-                                )
-                            else:
-                                # 2-state fast path
-                                signal.fast_hits += 1
-                                if (
-                                    new.value == old.value
-                                    and new.width == old.width
-                                ):
-                                    continue
-                                lsb_new = new.value & 1
-                                lsb_old = old.value & 1
+                            if (
+                                new.value == old.value
+                                and new.xmask == old.xmask
+                                and new.zmask == old.zmask
+                            ):
+                                continue
+                            lsb_new = (
+                                new.value & 1
+                                if not (new.xmask | new.zmask) & 1
+                                else None
+                            )
+                            lsb_old = (
+                                old.value & 1
+                                if not (old.xmask | old.zmask) & 1
+                                else None
+                            )
                             signal._value = new
                             signal.change_count += 1
                             changes += 1
@@ -450,8 +398,8 @@ class Simulator:
         edge's direction, a monitor, or a VCD id while a VCD writer is
         attached.  Such a step is one delta that resumes nobody: its
         toggles are committed inline, with the same counter updates
-        (``change_count``, ``fast_hits``, ``value_changes``,
-        ``changes_by_owner``, one ``deltas``) that delta would make, and
+        (``change_count``, ``value_changes``, ``changes_by_owner``,
+        one ``deltas``) that delta would make, and
         counted in ``silent_timesteps``.  Every edge still commits, so a
         read of a clock signal is always exact.  X/Z on either side of a
         toggle takes the delta loop.
@@ -516,7 +464,6 @@ class Simulator:
                     else:
                         # silent step: commit as one delta of step_deltas
                         for sig, new in updates.items():
-                            sig.fast_hits += 1
                             if new.value != sig._value.value:
                                 sig._value = new
                                 sig.change_count += 1

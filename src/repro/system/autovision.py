@@ -405,7 +405,6 @@ class AutoVisionSystem(Module):
 
             tracer = Tracer(categories=self.config.trace_categories)
             tracer.attach(sim)
-            tracer.set_fastpath_root(self)
             install_bus_tracing(tracer, plb=self.bus, dcr=self.dcr)
         sim.add_module(self)
         return sim

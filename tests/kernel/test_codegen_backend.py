@@ -94,7 +94,7 @@ class TestMicroParity:
             sim.run(until=3_000 * MHz(100))
             return _stats_fingerprint(
                 sim, clk.cycles, clk.out.value.value,
-                clk.out.fast_hits, clk.out.change_count,
+                clk.out.change_count,
             )
 
         a, b = _both(run)
@@ -146,7 +146,7 @@ class TestMicroParity:
             sim.fork(watcher())
             sim.run()
             return _stats_fingerprint(
-                sim, seen[0], sig.value.value, sig.fast_hits, sig.change_count
+                sim, seen[0], sig.value.value, sig.change_count
             )
 
         a, b = _both(run)
@@ -175,7 +175,7 @@ class TestMicroParity:
             sim.fork(watcher())
             sim.run()
             return _stats_fingerprint(
-                sim, tuple(log), sig.fast_hits, sig.fast_misses
+                sim, tuple(log), sig.change_count
             )
 
         a, b = _both(run)
@@ -286,7 +286,7 @@ class TestMicroParity:
             assert proc.finished
             return _stats_fingerprint(
                 sim, seen[0], state.value.value, out.value.value,
-                state.change_count, out.change_count, state.fast_hits,
+                state.change_count, out.change_count,
             )
 
         a, b = _both(run)
@@ -349,8 +349,7 @@ class TestMicroParity:
             sim.fork(writer(), "writer")
             sim.fork(watcher(), "watcher")
             sim.run()
-            return _stats_fingerprint(sim, tuple(log), sig.fast_hits,
-                                      sig.fast_misses)
+            return _stats_fingerprint(sim, tuple(log), sig.change_count)
 
         a, b = _both(run)
         assert a == b
@@ -589,7 +588,6 @@ class TestTwoClockSoc:
         signals = {
             f"{mod.path}.{sig.name}": (
                 sig.value.value, sig.change_count,
-                sig.fast_hits, sig.fast_misses,
             )
             for mod in top.iter_tree()
             for sig in mod.signals

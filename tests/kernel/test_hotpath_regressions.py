@@ -1,15 +1,15 @@
 """Regression tests for the kernel hot-path overhaul.
 
 Covers the PR-1 bugfixes (is_high/is_low symmetry, force() visibility
-in VCD) and proves the 2-state fast path commits exactly what the
-four-state path would on X->defined and defined->X transitions.
+in VCD) and proves the one commit rule commits, fires edges and calls
+monitors exactly as a field-by-field four-state compare dictates, on
+X->defined and defined->X transitions too.
 """
 
 import io
 
 import pytest
 
-from repro.analysis.profiling import fastpath_by_owner
 from repro.kernel import (
     LV,
     Clock,
@@ -121,7 +121,7 @@ class TestForceVcd:
 
 
 # ----------------------------------------------------------------------
-# 2-state fast path == four-state path
+# one commit rule == field-by-field four-state compare
 # ----------------------------------------------------------------------
 class TestFastPathEquivalence:
     def _drive(self, width, transitions, watch=RisingEdge):
@@ -153,23 +153,17 @@ class TestFastPathEquivalence:
         assert sig.value == bit(1)
         assert changes == [(xbits(1), bit(1))]
         assert wakes == 1  # X->1 is a rising edge (new lsb defined 1)
-        # the X->defined commit itself is a four-state commit
-        assert sig.fast_misses == 1
-        assert sig.fast_hits == 0
 
     def test_defined_to_x_transition(self):
         sig, changes, wakes = self._drive(1, [1, xbits(1)], watch=FallingEdge)
         assert sig.value == xbits(1)
         assert changes == [(bit(1), xbits(1))]
         assert wakes == 0  # 1->X is not a defined falling edge
-        assert sig.fast_misses == 1
 
     def test_defined_to_defined_uses_fast_path(self):
         sig, changes, wakes = self._drive(1, [0, 1, 0, 1])
         assert [int(n.value) for _, n in changes] == [1, 0, 1]
         assert wakes == 2
-        assert sig.fast_hits == 3
-        assert sig.fast_misses == 0
 
     @pytest.mark.parametrize(
         "old,new",
@@ -194,10 +188,6 @@ class TestFastPathEquivalence:
         assert changed == expected_change
         assert seen_old == old
         assert sig.value == (new if expected_change else old)
-
-    def test_fast_path_counters_sum_to_commits(self):
-        sig, changes, _ = self._drive(4, [0, 3, 3, xbits(4), 7, 7, 2])
-        assert sig.fast_hits + sig.fast_misses == 6  # one per scheduled commit
 
 
 # ----------------------------------------------------------------------
@@ -251,16 +241,3 @@ class TestInterningAndClock:
         assert clk.out.is_high  # started high, 10 full cycles later still high
         sim.run(until=10 * period + period // 2)
         assert clk.out.is_low  # half period later: toggled
-
-    def test_fastpath_by_owner_attribution(self):
-        sim = Simulator()
-        top = Module("top")
-        clk = Clock("clk", MHz(100), parent=top)
-        sim.add_module(top)
-        sim.run(until=100 * MHz(100))
-        reports = fastpath_by_owner(top)
-        assert clk.path in reports
-        rep = reports[clk.path]
-        assert rep.hits >= 200  # defined 1-bit toggles: all fast path
-        assert rep.misses == 0
-        assert rep.hit_rate == 1.0

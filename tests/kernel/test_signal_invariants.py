@@ -9,8 +9,7 @@ Two distinct invariants of :class:`~repro.kernel.signal.Signal`:
   the stimulus);
 * a commit stores a vector of exactly ``signal.width`` bits, even when
   a raw scheduler client bypasses the ``next`` coercion — a mis-sized
-  stored vector permanently corrupts VCD rendering, slicing and the
-  2-state fast-path comparison.
+  stored vector permanently corrupts VCD rendering and slicing.
 """
 
 import io
@@ -27,7 +26,7 @@ from repro.kernel import (
     VcdWriter,
 )
 from repro.kernel.logic import LogicVector
-from repro.kernel.signal import SignalWriteError, set_width_debug
+from repro.kernel.signal import SignalWriteError
 
 
 # ----------------------------------------------------------------------
@@ -173,19 +172,6 @@ class TestCommitWidthInvariant:
     def test_oversized_value_raises(self):
         with pytest.raises(SignalWriteError):
             self._run_raw_commit(4, LV(0x100, 12))
-
-    def test_width_debug_raises_on_mis_sized_commit(self):
-        old = set_width_debug(True)
-        try:
-            with pytest.raises(SignalWriteError, match="declared width"):
-                self._run_raw_commit(8, LV(1, 4))
-        finally:
-            set_width_debug(old)
-
-    def test_width_debug_restores(self):
-        assert set_width_debug(True) is False
-        assert set_width_debug(False) is True
-        assert set_width_debug(False) is False
 
     def test_apply_is_canonical(self):
         """Signal._apply itself normalizes (it is the spec of commit)."""

@@ -63,8 +63,8 @@ def test_profile_command(capsys):
 
 @pytest.mark.parametrize("command", ["profile", "trace"])
 def test_observer_commands_reject_backend(command, capsys):
-    # profile and trace always attach a tracer, which runs the
-    # interpreter whatever backend is named, so they take no --backend
+    # the backend is picked in code (Simulator / SystemConfig) only, so
+    # the commands that report on a run take no --backend either
     with pytest.raises(SystemExit) as exc:
         main([command, "--backend", "codegen"])
     assert exc.value.code == 2
@@ -91,6 +91,15 @@ def test_no_command_accepts_backend():
         "--baseline", "--kernel",
     }
     assert _options("bugs") == {"--scenario", "--frames"}
+    assert _options("profile") == {"--scenario", "--method", "--fault"}
+
+
+def test_profile_takes_no_frames(capsys):
+    # profile always runs exactly one frame
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--frames", "2"])
+    assert exc.value.code == 2
+    assert "--frames" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
