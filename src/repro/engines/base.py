@@ -247,11 +247,12 @@ class VideoEngine(Module):
             yield Timer(total_ps)
             return
         step = max(1, total_ps // toggles)
+        tick = Timer(step)  # fired before each re-yield, so reusable
         consumed = 0
         for _ in range(toggles):
             if consumed + step > total_ps:
                 break
-            yield Timer(step)
+            yield tick
             consumed += step
             # 16-bit Fibonacci LFSR models pseudo-random datapath toggling
             lfsr = self._lfsr

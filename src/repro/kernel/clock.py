@@ -8,13 +8,14 @@ domains are therefore first-class here: each :class:`Clock` has its own
 period, and modules keep an explicit reference to the clock they run on.
 
 A free-running clock is the kernel's single hottest producer of events,
-so it does not run as a generator process at all: it posts its
-transitions straight into the simulator's timed queue, a batch of
-:attr:`Clock.BATCH` cycles at a time, using two reusable edge objects.
-Compared with a ``while True: yield Timer(...)`` process this removes
-the per-half-period generator resume, Timer allocation and trigger
-priming entirely; a clock edge therefore counts as a signal value
-change (not a process resume) in the activity accounting.
+so it does not run as a generator process at all.  It owns two reusable
+edge objects, and exactly one of them is pending in the simulator's
+timed queue: firing an edge posts the other one, half a period later,
+so the heap stays as small as the design's pending events.  Compared
+with a ``while True: yield Timer(...)`` process this removes the
+per-half-period generator resume, Timer allocation and trigger priming
+entirely; a clock edge therefore counts as a signal value change (not a
+process resume) in the activity accounting.
 """
 
 from __future__ import annotations
@@ -35,27 +36,30 @@ def MHz(freq: float) -> int:
 
 
 class _ClockEdge:
-    """A pre-scheduled clock transition, fired straight from the timed queue.
+    """A clock transition, fired straight from the timed queue.
 
-    Stateless across firings: the same two instances per clock are
-    pushed for every scheduled edge, so steady-state clocking allocates
-    nothing but the heap entries themselves.
+    Stateless across firings: a clock's two instances alternate in the
+    queue, each re-posting the other (``next``) ``delay`` picoseconds
+    after it fires, so steady-state clocking allocates nothing but the
+    heap entries themselves.
     """
 
-    __slots__ = ("clock", "value", "bump")
+    __slots__ = ("clock", "value", "bump", "delay", "next")
 
-    def __init__(self, clock: "Clock", value, bump: int):
+    def __init__(self, clock: "Clock", value, bump: int, delay: int):
         self.clock = clock
         self.value = value  # interned 1-bit LogicVector
         self.bump = bump  # 1 on the edge completing a full cycle
+        self.delay = delay  # time from this edge to the clock's next one
+        self.next = None  # the clock's other edge; set by Clock
 
     def _fire(self, sim) -> None:
+        """Commit this (already popped) edge and post the clock's next one."""
         clock = self.clock
         sim._updates[clock.out] = self.value
         clock.cycles += self.bump
-        clock._outstanding -= 1
-        if not clock._outstanding:
-            clock._post_batch(sim)
+        sim._seq += 1
+        heappush(sim._timed, (sim.time + self.delay, sim._seq, self.next))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_ClockEdge({self.clock.path}->{self.value!r})"
@@ -71,9 +75,6 @@ class Clock(Module):
     start_high:
         Phase of the first half-period.
     """
-
-    #: cycles posted to the timed queue per batch (2 edges per cycle)
-    BATCH = 64
 
     def __init__(
         self,
@@ -93,45 +94,29 @@ class Clock(Module):
         self._start_high = start_high
         # Edge A ends the first half-period (leaves the start phase);
         # edge B returns to the start phase and completes the cycle.
+        # Each edge's ``delay`` is the half-period that follows it.
         if start_high:
-            self._first_delay, self._second_delay = self.half, self.other_half
-            self._edge_a = _ClockEdge(self, bit(0), 0)
-            self._edge_b = _ClockEdge(self, bit(1), 1)
+            self._first_delay = self.half
+            self._edge_a = _ClockEdge(self, bit(0), 0, self.other_half)
+            self._edge_b = _ClockEdge(self, bit(1), 1, self.half)
         else:
-            self._first_delay, self._second_delay = self.other_half, self.half
-            self._edge_a = _ClockEdge(self, bit(1), 0)
-            self._edge_b = _ClockEdge(self, bit(0), 1)
-        self._outstanding = 0
-        self._t = 0  # absolute time of the last posted edge
+            self._first_delay = self.other_half
+            self._edge_a = _ClockEdge(self, bit(1), 0, self.half)
+            self._edge_b = _ClockEdge(self, bit(0), 1, self.other_half)
+        self._edge_a.next = self._edge_b
+        self._edge_b.next = self._edge_a
         self._first_rise = None  # absolute time of the first rising edge
 
     def _elaborate(self, sim) -> None:
         already = self.sim is sim
         super()._elaborate(sim)
         if not already:
-            self._t = sim.time
-            self._first_rise = sim.time + (
-                self.period if self._start_high else self._first_delay
+            first = sim.time + self._first_delay
+            self._first_rise = (
+                sim.time + self.period if self._start_high else first
             )
-            self._post_batch(sim)
-
-    def _post_batch(self, sim) -> None:
-        """Post the next :attr:`BATCH` cycles of edges to the timed queue."""
-        t = self._t
-        d1, d2 = self._first_delay, self._second_delay
-        ea, eb = self._edge_a, self._edge_b
-        timed = sim._timed
-        seq = sim._seq
-        for _ in range(self.BATCH):
-            t += d1
-            seq += 1
-            heappush(timed, (t, seq, ea))
-            t += d2
-            seq += 1
-            heappush(timed, (t, seq, eb))
-        sim._seq = seq
-        self._t = t
-        self._outstanding = 2 * self.BATCH
+            sim._seq += 1
+            heappush(sim._timed, (first, sim._seq, self._edge_a))
 
     def rises_at(self, t: int) -> bool:
         """True if this clock has a rising edge at time ``t`` (ps)."""

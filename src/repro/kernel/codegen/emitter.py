@@ -9,8 +9,9 @@ interpreter.  It has three parts:
 
 * **clock arms** — one per clock of the elaborated design, with the
   clock, its two edge objects and its output signal bound as namespace
-  constants: pop the edge, commit the toggle 2-state and resume its
-  single-process edge waiters inline;
+  constants: replace the edge in the heap with the clock's next one,
+  commit the toggle 2-state and resume its single-process edge waiters
+  inline;
 * **timer arm** — pop a ``Timer`` with one plain waiter and resume it;
 * **settle epilogue** — commit the updates the resumes scheduled, one
   round per delta: a single-update round takes a lean inline path, a
@@ -262,14 +263,12 @@ _CLOCK_ARM = """\
                 if not ok:
                     why = 'clock-waiters'
                     break
-                heappop(timed)
+                sim._seq += 1
+                heapreplace(timed, (when + trig.delay, sim._seq, trig.next))
                 sim.time = when
                 steps += 1
                 deltas += 1
                 C{i}.cycles += trig.bump
-                C{i}._outstanding -= 1
-                if not C{i}._outstanding:
-                    C{i}._post_batch(sim)
                 if val.value == old.value:
                     continue  # forced to the edge's phase: no change
                 out._value = val
@@ -444,6 +443,7 @@ def compile_driver(sim) -> Tuple[object, str]:
         _CODE_CACHE[len(clocks)] = (code, src)
     ns = {
         "heappop": heapq.heappop,
+        "heapreplace": heapq.heapreplace,
         "Process": Process,
         "ProcessError": ProcessError,
         "Timer": Timer,

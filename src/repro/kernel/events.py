@@ -90,7 +90,7 @@ class Timer(Trigger):
         self.delay = delay if type(delay) is int else int(delay)
 
     def _prime(self, sim, process: "Process") -> None:
-        # inlined Trigger._prime + Simulator._schedule_timed (hot path)
+        # inlined Trigger._prime + a push onto the timed queue (hot path)
         self._waiters.append(process)
         sim._seq += 1
         heappush(sim._timed, (sim.time + self.delay, sim._seq, self))

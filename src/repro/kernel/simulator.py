@@ -193,10 +193,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduler internals
     # ------------------------------------------------------------------
-    def _schedule_timed(self, when: int, trigger: Trigger) -> None:
-        self._seq += 1
-        heapq.heappush(self._timed, (when, self._seq, trigger))
-
     def _schedule_delta_trigger(self, trigger: Trigger) -> None:
         self._delta_triggers.append(trigger)
 
@@ -390,7 +386,8 @@ class Simulator:
         fallback.  Each step pops every timed event due at the earliest
         pending time, then settles it with :meth:`_step_deltas`.  Clock
         edges, most of the heap traffic, are fired inline (the body of
-        ``_ClockEdge._fire``).
+        ``_ClockEdge._fire``): each clock keeps one edge in the heap, and
+        firing it re-posts the clock's other edge with one ``heapreplace``.
 
         A *silent* step skips the delta loop.  It holds nothing but clock
         edges, with no process ready and no delta trigger pending, and no
@@ -415,6 +412,7 @@ class Simulator:
         stats = self.stats
         changes_by_owner = stats.changes_by_owner
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         step_deltas = self._step_deltas
         clock_edge = _ClockEdge
         start = 0 if event is None else event.fired_count
@@ -437,15 +435,18 @@ class Simulator:
                 timesteps += 1
                 edges_only = True
                 while timed and timed[0][0] == when:
-                    trig = heappop(timed)[2]
+                    trig = timed[0][2]
                     if trig.__class__ is clock_edge:
+                        # re-post the clock's other edge in the popped slot
+                        self._seq += 1
+                        heapreplace(
+                            timed, (when + trig.delay, self._seq, trig.next)
+                        )
                         clock = trig.clock
                         updates[clock.out] = trig.value
                         clock.cycles += trig.bump
-                        clock._outstanding -= 1
-                        if not clock._outstanding:
-                            clock._post_batch(self)
                     else:
+                        heappop(timed)
                         edges_only = False
                         trig._fire(self)
                 if edges_only and not ready and not dts:

@@ -191,7 +191,7 @@ class TestFastPathEquivalence:
 
 
 # ----------------------------------------------------------------------
-# interning and the batched clock
+# interning and the clock
 # ----------------------------------------------------------------------
 class TestInterningAndClock:
     def test_small_defined_vectors_are_interned(self):
@@ -235,7 +235,7 @@ class TestInterningAndClock:
         clk = Clock("clk", MHz(100), start_high=True)
         sim.add_module(clk)
         period = MHz(100)
-        # stop mid-batch, partway through a cycle
+        # stop partway through a cycle
         sim.run(until=10 * period + period // 4)
         assert clk.cycles == 10
         assert clk.out.is_high  # started high, 10 full cycles later still high
