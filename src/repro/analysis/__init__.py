@@ -12,6 +12,10 @@
 * :mod:`~repro.analysis.tracing` — the structured trace substrate
   (spans, instants, counters) every layer emits into, with Chrome
   ``trace_event`` export (``repro trace``).
+
+Waveforms are written by :class:`repro.kernel.VcdWriter` and read in a
+viewer such as GTKWave; ``examples/waveform_debug.py`` shows a scan for
+the first X in a dump.
 """
 
 from . import benchkit
@@ -32,7 +36,6 @@ from .profiling import (
 )
 from .reporting import format_ps, format_table, format_trace_timeline, Series
 from .timeline import DevelopmentTimeline, build_timeline
-from .vcdscan import VcdParseError, VcdScan
 
 __all__ = [
     "benchkit",
@@ -53,6 +56,4 @@ __all__ = [
     "write_chrome_trace",
     "DevelopmentTimeline",
     "build_timeline",
-    "VcdParseError",
-    "VcdScan",
 ]

@@ -14,15 +14,12 @@ from .events import (
     US,
     Edge,
     Event,
-    FallingEdge,
     First,
-    Join,
-    NullTrigger,
     RisingEdge,
     Timer,
     Trigger,
 )
-from .logic import LV, LogicVector, bit, concat, replicate, xbits, zbits
+from .logic import LV, LogicVector, bit, xbits, zbits
 from .mailbox import Mailbox, MailboxEmpty, MailboxFull
 from .module import ElaborationError, Module
 from .process import Process, ProcessError
@@ -39,18 +36,13 @@ __all__ = [
     "US",
     "Edge",
     "Event",
-    "FallingEdge",
     "First",
-    "Join",
-    "NullTrigger",
     "RisingEdge",
     "Timer",
     "Trigger",
     "LV",
     "LogicVector",
     "bit",
-    "concat",
-    "replicate",
     "xbits",
     "zbits",
     "Mailbox",

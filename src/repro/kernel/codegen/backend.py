@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from ..events import FallingEdge, RisingEdge
+from ..events import RisingEdge
 
 __all__ = [
     "CodegenBackend",
@@ -66,14 +66,8 @@ def record_codegen_event(sim, reason: str) -> None:
 def _unprime_edge(et) -> None:
     """Undo an Edge trigger's priming (waiter list + signal slot list)."""
     et._waiters.clear()
-    cls = et.__class__
     sig = et.signal
-    if cls is RisingEdge:
-        lst = sig._w_rise
-    elif cls is FallingEdge:
-        lst = sig._w_fall
-    else:
-        lst = sig._w_any
+    lst = sig._w_rise if et.__class__ is RisingEdge else sig._w_any
     try:
         lst.remove(et)
     except ValueError:

@@ -60,12 +60,10 @@ except StopIteration as stop:
     proc.finished = True
     proc.result = stop.value
     _unprime_edge(et)
-    proc._finish(sim)
 except Exception as exc:
     proc.finished = True
     proc.exception = exc
     _unprime_edge(et)
-    proc._finish(sim)
     errors.append(ProcessError(proc, exc))
 else:
     if y is et:
@@ -93,11 +91,9 @@ try:
 except StopIteration as stop:
     proc.finished = True
     proc.result = stop.value
-    proc._finish(sim)
 except Exception as exc:
     proc.finished = True
     proc.exception = exc
-    proc._finish(sim)
     errors.append(ProcessError(proc, exc))
 else:
     if isinstance(y, Trigger):
@@ -140,19 +136,9 @@ while updates:
         if ow is not None:
             owner_changes[ow] = owner_changes.get(ow, 0) + 1
         w_any2 = signal._w_any
-        w_r2 = signal._w_rise
-        w_f2 = signal._w_fall
-        if not (w_any2 or w_r2 or w_f2):
-            # nobody watches this signal: skip the edge-kind math
-            if ready or dts:
-                sim._step_deltas()
-                break
-            continue
-        nv = new.value & 1
-        ov = old2.value & 1
-        rise2 = w_r2 and nv == 1 and ov != 1
-        fall2 = w_f2 and nv == 0 and ov != 0
-        if not w_any2 and not rise2 and not fall2:
+        rise2 = new.value & 1 and not old2.value & 1 and signal._w_rise
+        if not w_any2 and not rise2:
+            # nothing watches this change
             if ready or dts:
                 sim._step_deltas()
                 break
@@ -161,9 +147,7 @@ while updates:
         if w_any2:
             fired.extend(w_any2)
         if rise2:
-            fired.extend(w_r2)
-        if fall2:
-            fired.extend(w_f2)
+            fired.extend(rise2)
     else:
         items = list(updates.items())
         updates.clear()
@@ -196,13 +180,8 @@ while updates:
             w = signal._w_any
             if w:
                 fired.extend(w)
-            nv = new.value & 1
-            ov = old2.value & 1
             w = signal._w_rise
-            if w and nv == 1 and ov != 1:
-                fired.extend(w)
-            w = signal._w_fall
-            if w and nv == 0 and ov != 0:
+            if w and new.value & 1 and not old2.value & 1:
                 fired.extend(w)
         if not fired:
             if ready or dts:
@@ -253,7 +232,7 @@ _CLOCK_ARM = """\
                     why = 'clock-xz-monitor-any'
                     break
                 val = trig.value
-                wl = out._w_rise if val.value == 1 else out._w_fall
+                wl = out._w_rise if val.value == 1 else ()
                 ok = True
                 for et in wl:
                     ws = et._waiters

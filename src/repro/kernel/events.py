@@ -2,8 +2,10 @@
 
 Processes are Python generators that ``yield`` *triggers*; the scheduler
 resumes a process when the trigger it is waiting on fires.  The trigger
-vocabulary follows established RTL-simulation practice (ModelSim /
-cocotb): timers, signal edges, named events, and combinators.
+vocabulary is what the modelled SoC waits on: a :class:`Timer`, any
+change of a signal (:class:`Edge`), a rising edge (:class:`RisingEdge`),
+a named :class:`Event`, and :class:`First` of several of these (a wait
+with a timeout).
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ __all__ = [
     "Timer",
     "Edge",
     "RisingEdge",
-    "FallingEdge",
     "Event",
     "EventTrigger",
     "First",
-    "Join",
-    "NullTrigger",
     "PS",
     "NS",
     "US",
@@ -110,17 +109,15 @@ def _list_discard(lst: list, item) -> None:
 class Edge(Trigger):
     """Fires on any value change of a signal.
 
-    The three edge kinds keep their primed-trigger lists in dedicated
-    :class:`~repro.kernel.signal.Signal` slots (``_w_any`` / ``_w_rise``
-    / ``_w_fall``); each subclass addresses its slot directly so the
+    The two edge kinds keep their primed-trigger lists in dedicated
+    :class:`~repro.kernel.signal.Signal` slots (``_w_any`` /
+    ``_w_rise``); each class addresses its slot directly so the
     prime/fire hot path does no kind dispatch.  Plain lists beat sets
     here: they hold zero or one entry in virtually every design, so an
     append/remove pair is cheaper than hashing.
     """
 
     __slots__ = ("signal",)
-
-    _kind = "any"
 
     def __init__(self, signal: "Signal"):
         self._waiters = []
@@ -162,7 +159,6 @@ class RisingEdge(Edge):
     """Fires on a transition to 1 (posedge)."""
 
     __slots__ = ()
-    _kind = "rise"
 
     def _prime(self, sim, process: "Process") -> None:
         self._waiters.append(process)
@@ -175,41 +171,6 @@ class RisingEdge(Edge):
 
     def _fire(self, sim) -> None:
         _list_discard(self.signal._w_rise, self)
-        waiters = self._waiters
-        if len(waiters) == 1:
-            proc = waiters[0]
-            waiters.clear()
-            if proc.__class__ is _FirstWaiter:
-                sim._wake(proc, self)
-            else:
-                sim._ready.append((proc, self))
-            return
-        self._waiters = []
-        append = sim._ready.append
-        for proc in waiters:
-            if proc.__class__ is _FirstWaiter:
-                sim._wake(proc, self)
-            else:
-                append((proc, self))
-
-
-class FallingEdge(Edge):
-    """Fires on a transition to 0 (negedge)."""
-
-    __slots__ = ()
-    _kind = "fall"
-
-    def _prime(self, sim, process: "Process") -> None:
-        self._waiters.append(process)
-        self.signal._w_fall.append(self)
-
-    def _unprime(self, process: "Process") -> None:
-        Trigger._unprime(self, process)
-        if not self._waiters:
-            _list_discard(self.signal._w_fall, self)
-
-    def _fire(self, sim) -> None:
-        _list_discard(self.signal._w_fall, self)
         waiters = self._waiters
         if len(waiters) == 1:
             proc = waiters[0]
@@ -297,9 +258,6 @@ class First(Trigger):
         for trig in self.triggers:
             trig._prime(sim, _FirstWaiter(self, trig, process))
 
-    def _unprime(self, process: "Process") -> None:
-        super()._unprime(process)
-
 
 class _FirstWaiter:
     """Pseudo-process used by :class:`First` to observe sub-triggers."""
@@ -310,37 +268,3 @@ class _FirstWaiter:
         self.first = first
         self.trigger = trigger
         self.process = process
-
-
-class Join(Trigger):
-    """Fires when a forked process terminates."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process"):
-        super().__init__()
-        self.process = process
-
-    def _prime(self, sim, waiter: "Process") -> None:
-        if self.process.finished:
-            super()._prime(sim, waiter)
-            sim._schedule_delta_trigger(self)
-        else:
-            super()._prime(sim, waiter)
-            self.process._joiners.append(self)
-
-    def __repr__(self) -> str:
-        return f"Join({self.process.name})"
-
-
-class NullTrigger(Trigger):
-    """Fires in the next delta cycle — a 'yield control' primitive."""
-
-    __slots__ = ()
-
-    def _prime(self, sim, process: "Process") -> None:
-        super()._prime(sim, process)
-        sim._schedule_delta_trigger(self)
-
-    def __repr__(self) -> str:
-        return "NullTrigger()"

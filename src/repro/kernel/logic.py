@@ -19,11 +19,10 @@ The representation is three parallel integers:
 ``zmask``
     bit set where the corresponding bit is ``Z``.
 
-``xmask & zmask == 0`` always holds.  Arithmetic and comparison
-operators contaminate their result with ``X`` whenever any operand bit
-is unknown, matching conventional HDL semantics.  Bitwise operators use
-the standard pessimistic truth tables (``0 & X == 0``, ``1 | X == 1``,
-otherwise ``X``).
+``xmask & zmask == 0`` always holds.  A vector is a value to store,
+compare and render: ``==`` is case equality (``===``, so X equals X),
+and models compute on plain integers (``value`` once the vector
+:attr:`~LogicVector.is_defined`, or :meth:`~LogicVector.to_int_or`).
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ __all__ = [
     "bit",
     "xbits",
     "zbits",
-    "concat",
-    "replicate",
 ]
 
 
@@ -250,7 +247,7 @@ class LogicVector:
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         """Exact (case-equality, ``===``) comparison; X==X, Z==Z."""
-        other = _coerce(other, self.width, strict=False)
+        other = _coerce(other, self.width)
         if other is NotImplemented:
             return NotImplemented
         return (
@@ -264,162 +261,14 @@ class LogicVector:
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def logic_eq(self, other: "LogicValue") -> "LogicVector":
-        """HDL ``==``: 1-bit result, X if either side has unknowns."""
-        other = _coerce(other, self.width)
-        if not (self.is_defined and other.is_defined):
-            return LogicVector.unknown(1)
-        return LogicVector(1, int(self.value == other.value and self.width == other.width))
-
     # ------------------------------------------------------------------
-    # Slicing / concatenation
+    # Width
     # ------------------------------------------------------------------
-    def __getitem__(self, key: Union[int, slice]) -> "LogicVector":
-        if isinstance(key, int):
-            if key < 0:
-                key += self.width
-            if not 0 <= key < self.width:
-                raise IndexError(f"bit {key} out of range for width {self.width}")
-            return LogicVector(
-                1,
-                (self.value >> key) & 1,
-                (self.xmask >> key) & 1,
-                (self.zmask >> key) & 1,
-            )
-        if isinstance(key, slice):
-            if key.step not in (None, 1):
-                raise ValueError("LogicVector slices must be contiguous")
-            start, stop, _ = key.indices(self.width)
-            width = stop - start
-            if width <= 0:
-                raise ValueError(f"empty slice [{key.start}:{key.stop}]")
-            return LogicVector(
-                width,
-                self.value >> start,
-                self.xmask >> start,
-                self.zmask >> start,
-            )
-        raise TypeError(f"invalid index {key!r}")
-
-    def replace_bits(self, lo: int, part: "LogicVector") -> "LogicVector":
-        """Return a copy with ``part`` written at bit offset ``lo``."""
-        if lo < 0 or lo + part.width > self.width:
-            raise ValueError(
-                f"slice [{lo}+:{part.width}] out of range for width {self.width}"
-            )
-        hole = ~(_mask(part.width) << lo)
-        return LogicVector(
-            self.width,
-            (self.value & hole) | (part.value << lo),
-            (self.xmask & hole) | (part.xmask << lo),
-            (self.zmask & hole) | (part.zmask << lo),
-        )
-
     def resize(self, width: int) -> "LogicVector":
         """Zero-extend or truncate to ``width`` bits."""
         if width == self.width:
             return self
         return LogicVector(width, self.value, self.xmask, self.zmask)
-
-    # ------------------------------------------------------------------
-    # Bitwise operators (pessimistic X semantics; Z treated as X)
-    # ------------------------------------------------------------------
-    def _unknown_bits(self) -> int:
-        return self.xmask | self.zmask
-
-    def __and__(self, other: "LogicValue") -> "LogicVector":
-        other = _coerce(other, self.width)
-        w = max(self.width, other.width)
-        a_unk, b_unk = self._unknown_bits(), other._unknown_bits()
-        # result bit is 0 where either operand is a definite 0
-        def0 = (~self.value & ~a_unk) | (~other.value & ~b_unk)
-        x = (a_unk | b_unk) & ~def0
-        return LogicVector(w, self.value & other.value, x & _mask(w))
-
-    def __or__(self, other: "LogicValue") -> "LogicVector":
-        other = _coerce(other, self.width)
-        w = max(self.width, other.width)
-        a_unk, b_unk = self._unknown_bits(), other._unknown_bits()
-        def1 = self.value | other.value  # definite 1s (value bits are never X/Z)
-        x = (a_unk | b_unk) & ~def1
-        return LogicVector(w, def1, x & _mask(w))
-
-    def __xor__(self, other: "LogicValue") -> "LogicVector":
-        other = _coerce(other, self.width)
-        w = max(self.width, other.width)
-        x = self._unknown_bits() | other._unknown_bits()
-        return LogicVector(w, (self.value ^ other.value) & ~x, x & _mask(w))
-
-    def __invert__(self) -> "LogicVector":
-        x = self._unknown_bits()
-        return LogicVector(self.width, ~self.value & ~x, x)
-
-    __rand__ = __and__
-    __ror__ = __or__
-    __rxor__ = __xor__
-
-    def __lshift__(self, n: int) -> "LogicVector":
-        return LogicVector(self.width, self.value << n, self.xmask << n, self.zmask << n)
-
-    def __rshift__(self, n: int) -> "LogicVector":
-        return LogicVector(self.width, self.value >> n, self.xmask >> n, self.zmask >> n)
-
-    # ------------------------------------------------------------------
-    # Arithmetic (X-contaminating)
-    # ------------------------------------------------------------------
-    def _arith(self, other: "LogicValue", op) -> "LogicVector":
-        other = _coerce(other, self.width)
-        w = max(self.width, other.width)
-        if not (self.is_defined and other.is_defined):
-            return LogicVector.unknown(w)
-        return LogicVector(w, op(self.value, other.value) & _mask(w))
-
-    def __add__(self, other: "LogicValue") -> "LogicVector":
-        return self._arith(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "LogicValue") -> "LogicVector":
-        return self._arith(other, lambda a, b: a - b)
-
-    __radd__ = __add__
-
-    def reduce_or(self) -> "LogicVector":
-        if self.value:
-            return LogicVector(1, 1)
-        if self._unknown_bits():
-            return LogicVector.unknown(1)
-        return LogicVector(1, 0)
-
-    def reduce_and(self) -> "LogicVector":
-        m = _mask(self.width)
-        if self.value == m:
-            return LogicVector(1, 1)
-        # any definite 0 bit forces 0
-        if (~self.value & ~self._unknown_bits()) & m:
-            return LogicVector(1, 0)
-        return LogicVector.unknown(1)
-
-    def reduce_xor(self) -> "LogicVector":
-        if self._unknown_bits():
-            return LogicVector.unknown(1)
-        return LogicVector(1, bin(self.value).count("1") & 1)
-
-    # ------------------------------------------------------------------
-    # Tri-state resolution (multiple drivers onto one net)
-    # ------------------------------------------------------------------
-    def resolve(self, other: "LogicVector") -> "LogicVector":
-        """Resolve two drivers bit-by-bit: Z yields to the other driver;
-        conflicting defined bits and any X produce X."""
-        if self.width != other.width:
-            raise ValueError("cannot resolve drivers of different widths")
-        a_z, b_z = self.zmask, other.zmask
-        both = ~(a_z | b_z) & _mask(self.width)
-        conflict = both & (
-            (self.value ^ other.value) | self.xmask | other.xmask
-        )
-        value = (self.value & ~a_z) | (other.value & ~b_z)
-        zmask = a_z & b_z
-        xmask = (conflict | (self.xmask & b_z) | (other.xmask & a_z)) & ~zmask
-        return LogicVector(self.width, value & ~xmask, xmask, zmask)
 
 
 # Prefetched slot descriptors: the fastest pure-Python way to write the
@@ -431,10 +280,8 @@ _set_xmask = LogicVector.__dict__["xmask"].__set__
 _set_zmask = LogicVector.__dict__["zmask"].__set__
 
 
-LogicValue = Union[LogicVector, int]
-
-
-def _coerce(value: object, width: int, strict: bool = True):
+def _coerce(value: object, width: int):
+    """``value`` as a vector to compare with one of ``width`` bits."""
     if isinstance(value, LogicVector):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -442,8 +289,6 @@ def _coerce(value: object, width: int, strict: bool = True):
         return LogicVector(w, value & _mask(w))
     if isinstance(value, bool):
         return LogicVector(1, int(value))
-    if strict:
-        raise TypeError(f"cannot interpret {value!r} as a logic value")
     return NotImplemented
 
 
@@ -469,23 +314,3 @@ def xbits(width: int) -> LogicVector:
 
 def zbits(width: int) -> LogicVector:
     return LogicVector.high_z(width)
-
-
-def concat(*parts: LogicVector) -> LogicVector:
-    """Concatenate MSB-first (Verilog ``{a, b, c}`` order)."""
-    if not parts:
-        raise ValueError("concat of no parts")
-    value = xmask = zmask = 0
-    width = 0
-    for p in parts:
-        value = (value << p.width) | p.value
-        xmask = (xmask << p.width) | p.xmask
-        zmask = (zmask << p.width) | p.zmask
-        width += p.width
-    return LogicVector(width, value, xmask, zmask)
-
-
-def replicate(part: LogicVector, count: int) -> LogicVector:
-    if count <= 0:
-        raise ValueError("replicate count must be positive")
-    return concat(*([part] * count))

@@ -14,9 +14,9 @@ overhead measurements.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
-from .events import Join, Trigger
+from .events import Trigger
 
 __all__ = ["Process", "ProcessError"]
 
@@ -37,13 +37,10 @@ class Process:
         "name",
         "owner",
         "_gen",
-        "_sim",
         "finished",
         "result",
         "exception",
-        "_joiners",
         "_waiting_on",
-        "_killed",
         "_send",
     )
 
@@ -56,13 +53,10 @@ class Process:
         self.name = name
         self.owner = owner
         self._gen = gen
-        self._sim = None  # set by Simulator.fork
         self.finished = False
         self.result = None
         self.exception: Optional[BaseException] = None
-        self._joiners: List[Join] = []
         self._waiting_on: Optional[Trigger] = None
-        self._killed = False
         # Every resume path (the interpreter's delta loop and the
         # compiled driver) calls this cached bound method, saving the
         # ``_gen.send`` hop.
@@ -71,37 +65,26 @@ class Process:
     def kill(self) -> None:
         """Terminate the process without resuming it again.
 
-        Joiners are released (the process *is* finished), so a parent
-        waiting on a killed child does not hang.
+        The generator is closed, so its ``finally`` blocks run now.
         """
         if self.finished:
             return
-        self._killed = True
         self.finished = True
         self._gen.close()
-        if self._sim is not None:
-            self._finish(self._sim)
 
     def _handle_nontrigger_yield(self, sim, yielded) -> None:
-        """Slow path of a resume: a joined process or an invalid yield."""
-        if isinstance(yielded, Process):
-            join = Join(yielded)
-            self._waiting_on = join
-            join._prime(sim, self)
-            return
+        """Slow path of a resume: the process yielded a non-trigger.
+
+        That ends the process with a :class:`TypeError`, reported as a
+        :class:`ProcessError` from the run.
+        """
         self.finished = True
         exc = TypeError(
             f"process {self.name!r} yielded {yielded!r}; processes must "
             f"yield Trigger instances (Timer, RisingEdge, ...)"
         )
         self.exception = exc
-        self._finish(sim)
         sim._report_process_error(ProcessError(self, exc))
-
-    def _finish(self, sim) -> None:
-        joiners, self._joiners = self._joiners, []
-        for join in joiners:
-            sim._schedule_delta_trigger(join)
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else f"waiting on {self._waiting_on!r}"

@@ -29,8 +29,6 @@ from .logic import (
 
 __all__ = ["Signal", "SignalWriteError"]
 
-_BIT0 = _intern_table(1)[0]
-_BIT1 = _intern_table(1)[1]
 
 class SignalWriteError(RuntimeError):
     pass
@@ -75,7 +73,6 @@ class Signal:
         "owner",
         "_w_any",
         "_w_rise",
-        "_w_fall",
         "change_count",
         "_vcd_id",
         "_pending",
@@ -121,7 +118,6 @@ class Signal:
         # slots so the update hot path never goes through a dict
         self._w_any = []
         self._w_rise = []
-        self._w_fall = []
         self.change_count = 0
         self._vcd_id: Optional[str] = None
         self._pending = False
@@ -181,10 +177,6 @@ class Signal:
             self._value = new
             return
         sim._updates[self] = new
-
-    def drive(self, value: Union[LogicVector, int, bool]) -> None:
-        """Alias for ``sig.next = value`` usable in expressions."""
-        self.next = value
 
     def force(self, value: Union[LogicVector, int, bool]) -> None:
         """Immediately overwrite the value *without* firing triggers.

@@ -174,14 +174,9 @@ class Simulator:
         else:
             self.warnings.append((self.time, message))
 
-    def attach_tracer(self, tracer) -> None:
-        """Install a structured tracer (see repro.analysis.tracing)."""
-        tracer.attach(self)
-
     def fork(self, gen: Generator, name: str = "proc", owner=None) -> Process:
         """Start a new process; it first runs in the next delta cycle."""
         proc = Process(gen, name=name, owner=owner)
-        proc._sim = self
         self._processes.append(proc)
         self._ready.append((proc, None))
         return proc
@@ -296,11 +291,9 @@ class Simulator:
                         except StopIteration as stop:
                             proc.finished = True
                             proc.result = stop.value
-                            proc._finish(self)
                         except Exception as exc:  # noqa: BLE001
                             proc.finished = True
                             proc.exception = exc
-                            proc._finish(self)
                             errors.append(ProcessError(proc, exc))
                         else:
                             if isinstance(yielded, Trigger):
@@ -331,16 +324,6 @@ class Simulator:
                                 and new.zmask == old.zmask
                             ):
                                 continue
-                            lsb_new = (
-                                new.value & 1
-                                if not (new.xmask | new.zmask) & 1
-                                else None
-                            )
-                            lsb_old = (
-                                old.value & 1
-                                if not (old.xmask | old.zmask) & 1
-                                else None
-                            )
                             signal._value = new
                             signal.change_count += 1
                             changes += 1
@@ -355,11 +338,10 @@ class Simulator:
                             w = signal._w_any
                             if w:
                                 fired.extend(w)
+                            # X/Z bits read 0 in ``value``, so bit 0 of
+                            # ``value`` is set iff the LSB is a defined 1
                             w = signal._w_rise
-                            if w and lsb_new == 1 and lsb_old != 1:
-                                fired.extend(w)
-                            w = signal._w_fall
-                            if w and lsb_new == 0 and lsb_old != 0:
+                            if w and new.value & 1 and not old.value & 1:
                                 fired.extend(w)
                     if fired:
                         try:
@@ -391,8 +373,8 @@ class Simulator:
 
         A *silent* step skips the delta loop.  It holds nothing but clock
         edges, with no process ready and no delta trigger pending, and no
-        toggled clock signal has an any-edge waiter, a waiter for the
-        edge's direction, a monitor, or a VCD id while a VCD writer is
+        toggled clock signal has an any-edge waiter, a rising-edge waiter
+        on a rise, a monitor, or a VCD id while a VCD writer is
         attached.  Such a step is one delta that resumes nobody: its
         toggles are committed inline, with the same counter updates
         (``change_count``, ``value_changes``, ``changes_by_owner``,
@@ -455,7 +437,7 @@ class Simulator:
                         old = sig._value
                         if (
                             sig._w_any
-                            or (sig._w_rise if new.value & 1 else sig._w_fall)
+                            or (new.value & 1 and sig._w_rise)
                             or sig._monitors
                             or new.xmask | new.zmask | old.xmask | old.zmask
                             or new.width != sig.width
@@ -561,10 +543,6 @@ class Simulator:
     def finish(self) -> None:
         """Request the simulation stop at the end of the current step."""
         self._finished = True
-
-    def notify(self, event: Event, data=None) -> None:
-        """Fire a named event from non-process context."""
-        event.set(self, data)
 
     def close(self) -> None:
         if self._vcd is not None:

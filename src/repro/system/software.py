@@ -57,11 +57,6 @@ RC_STATUS_ERROR = 0b100
 #: EngineRegs STATUS bits
 ENG_STATUS_DONE = 0b001
 
-#: modeled instruction cost (bus cycles) per vector word drawn, on top
-#: of the word's bus transfers (the PPC440-class core sustains roughly
-#: one drawing-loop iteration per bus cycle once the data is loaded)
-DEFAULT_CPU_CYCLES_PER_WORD = 1
-
 
 def render_motion_overlay(
     dx: np.ndarray, dy: np.ndarray, valid: np.ndarray
@@ -189,21 +184,16 @@ class AutoVisionSoftware(Module):
     def __init__(
         self,
         system: AutoVisionSystem,
-        strategy: Optional[ReconfigStrategy] = None,
-        cpu_cycles_per_word: int = DEFAULT_CPU_CYCLES_PER_WORD,
         parent=None,
     ):
         super().__init__("software", parent or system)
         self.system = system
         self.faults = system.config.faults
-        if strategy is None:
-            strategy = {
-                "resim": ResimReconfigStrategy,
-                "vmux": VmuxReconfigStrategy,
-                "dcs": DcsReconfigStrategy,
-            }[system.config.method]()
-        self.strategy = strategy
-        self.cpu_cycles_per_word = cpu_cycles_per_word
+        self.strategy: ReconfigStrategy = {
+            "resim": ResimReconfigStrategy,
+            "vmux": VmuxReconfigStrategy,
+            "dcs": DcsReconfigStrategy,
+        }[system.config.method]()
         self.anomalies: List[str] = []
         self.frames_processed = 0
         self.frames_drawn = 0
@@ -553,7 +543,10 @@ class AutoVisionSoftware(Module):
             f, vec_base, out_base = yield from self._draw_queue.get()
             t0 = self._enter_phase("isr_draw")
             # read the byte-packed vectors in bursts, modelling the
-            # instruction cost of unpacking and drawing each word
+            # instruction cost of unpacking and drawing each word: one
+            # bus cycle per word on top of its bus transfer (the
+            # PPC440-class core sustains about one drawing-loop
+            # iteration per bus cycle once the data is loaded)
             chunk = 64
             raw: List[int] = []
             addr = vec_base
@@ -562,8 +555,7 @@ class AutoVisionSoftware(Module):
                 n = min(chunk, remaining)
                 data = yield from port.read_block(addr, n)
                 raw.extend(w if isinstance(w, int) else 0 for w in data)
-                if self.cpu_cycles_per_word:
-                    yield Timer(n * self.cpu_cycles_per_word * period)
+                yield Timer(n * period)
                 addr += n * 4
                 remaining -= n
             dx, dy, valid = unpack_vector_bytes(
@@ -580,9 +572,6 @@ class AutoVisionSoftware(Module):
                 yield from port.write_block(
                     addr, out_words[offset : offset + n].tolist()
                 )
-                pacing = self.cpu_cycles_per_word // 2
-                if pacing:
-                    yield Timer(n * pacing * period)
                 addr += n * 4
                 offset += n
             self.frames_drawn += 1

@@ -9,7 +9,12 @@ This package is the experimental engine behind the paper's evaluation:
   the system produces,
 * :mod:`~repro.verif.campaign` — runs the system with a bug injected
   under Virtual Multiplexing and under ReSim and classifies the outcome
-  (detected / missed / false alarm / not applicable),
+  (detected / missed / false alarm / not applicable); a run's detection
+  machinery is the scoreboard plus the hardware-side checkers that
+  ``_collect_monitors`` reads (INTC X, DCR chain, PLB protocol, ICAP
+  framing and CRC, ...),
+* :mod:`~repro.verif.coverage` — cover points over the reconfiguration
+  machinery: which aspects of DPR a run exercised (``repro coverage``),
 * :mod:`~repro.verif.transients` — seeded transient-fault injection and
   the soak campaign exercising the detect/abort/retry recovery stack,
 * :mod:`~repro.verif.fuzz` — coverage-closure fuzzing: constrained-
@@ -27,12 +32,6 @@ from .transients import (
     TransientSpec,
     run_soak_campaign,
 )
-from .monitor import (
-    PlbTrafficMonitor,
-    PlbTransactionRecord,
-    ReconfigWindowChecker,
-    SignalTraceMonitor,
-)
 from .scoreboard import FrameCheck, RunResult, SystemScoreboard
 from .campaign import CampaignResult, run_bug_campaign, run_system
 from .fuzz import (
@@ -47,10 +46,6 @@ from .shrink import ShrinkResult, shrink_scenario
 
 __all__ = [
     "DprCoverage",
-    "PlbTrafficMonitor",
-    "PlbTransactionRecord",
-    "ReconfigWindowChecker",
-    "SignalTraceMonitor",
     "BUGS",
     "BugSpec",
     "validate_fault_keys",

@@ -33,6 +33,10 @@ run_many_laned = run_many
 
 __all__ = ["run_system", "run_bug_campaign", "CampaignResult", "BugOutcome"]
 
+#: a run's timeout, in nominal frame times (16 bus cycles per pixel)
+#: per requested frame, before the SimB transfer allowance
+TIMEOUT_FRAMES_FACTOR = 6
+
 
 def _collect_monitors(system) -> Dict[str, int]:
     monitors = {
@@ -58,7 +62,6 @@ def _collect_monitors(system) -> Dict[str, int]:
 def run_system(
     config: SystemConfig,
     n_frames: int = 2,
-    timeout_frames_factor: float = 6.0,
     prepare=None,
 ) -> RunResult:
     """Build, run and check one complete system simulation.
@@ -78,9 +81,10 @@ def run_system(
         prepare(system, software, sim)
 
     frame_cycles = 16 * config.width * config.height
-    timeout_ps = int(
-        timeout_frames_factor * n_frames * frame_cycles * system.bus_clock.period
-    ) + 8 * (config.simb_payload_words + 64) * system.cfg_clock.period * n_frames
+    timeout_ps = n_frames * (
+        TIMEOUT_FRAMES_FACTOR * frame_cycles * system.bus_clock.period
+        + 8 * (config.simb_payload_words + 64) * system.cfg_clock.period
+    )
 
     wall0 = time.perf_counter()
     sim.fork(software.run(n_frames), "software.main", owner=software)

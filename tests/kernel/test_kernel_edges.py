@@ -10,7 +10,6 @@ from repro.kernel import (
     First,
     MHz,
     Module,
-    NullTrigger,
     RisingEdge,
     Signal,
     SignalWriteError,
@@ -197,19 +196,6 @@ class TestEventsAndTriggers:
         with pytest.raises(ValueError):
             First()
 
-    def test_null_trigger_same_time(self):
-        sim = Simulator()
-        ticks = []
-
-        def proc():
-            for _ in range(3):
-                yield NullTrigger()
-                ticks.append(sim.time)
-
-        sim.fork(proc())
-        sim.run_for(10)
-        assert ticks == [0, 0, 0]
-
     def test_timer_zero_fires_in_next_step(self):
         sim = Simulator()
         out = []
@@ -273,30 +259,6 @@ class TestSimulatorMisc:
 
 
 class TestKillSemantics:
-    def test_join_on_killed_process_releases_waiter(self):
-        from repro.kernel import Join, Simulator, Timer
-
-        sim = Simulator()
-        released = []
-
-        def victim():
-            yield Timer(1_000_000)
-
-        def parent(child):
-            yield Join(child)
-            released.append(sim.time)
-
-        child = sim.fork(victim(), "victim")
-        sim.fork(parent(child), "parent")
-
-        def killer():
-            yield Timer(50)
-            child.kill()
-
-        sim.fork(killer())
-        sim.run(until=2_000_000)
-        assert released == [50]
-
     def test_kill_is_idempotent(self):
         from repro.kernel import Simulator, Timer
 

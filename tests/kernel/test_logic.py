@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel.logic import LV, LogicVector, bit, concat, replicate, xbits, zbits
+from repro.kernel.logic import LV, LogicVector, xbits
 
 
 class TestConstruction:
@@ -100,151 +100,15 @@ class TestEquality:
         assert LV(5, 4) == 5
         assert LV(5, 4) != 6
 
-    def test_logic_eq_x_propagation(self):
-        r = LV("1x").logic_eq(LV("10"))
-        assert r.has_x
-        assert LV(5, 4).logic_eq(LV(5, 4)) == 1
-        assert LV(5, 4).logic_eq(LV(6, 4)) == 0
-
     def test_hashable(self):
         assert len({LV("1x"), LV("1x"), LV("10")}) == 2
 
 
 class TestSliceConcat:
-    def test_getitem_bit(self):
-        v = LV("10xz")
-        assert v[0] == LV("z")
-        assert v[3] == LV("1")
-        assert v[-1] == LV("1")
-        with pytest.raises(IndexError):
-            v[4]
-
-    def test_getitem_slice(self):
-        v = LV(0xABCD, 16)
-        assert v[0:4].to_int() == 0xD
-        assert v[12:16].to_int() == 0xA
-        assert v[4:12].to_int() == 0xBC
-
-    def test_slice_step_rejected(self):
-        with pytest.raises(ValueError):
-            LV(0xF, 4)[0:4:2]
-
-    def test_replace_bits(self):
-        v = LV(0x00, 8).replace_bits(4, LV(0xF, 4))
-        assert v.to_int() == 0xF0
-        with pytest.raises(ValueError):
-            LV(0, 8).replace_bits(6, LV(0xF, 4))
-
-    def test_concat_order(self):
-        # Verilog {a, b}: a is MSB
-        v = concat(LV(0xA, 4), LV(0xB, 4))
-        assert v.to_int() == 0xAB
-        assert v.width == 8
-
-    def test_concat_preserves_xz(self):
-        v = concat(LV("1x"), LV("z0"))
-        assert v.to_string() == "1xz0"
-
-    def test_replicate(self):
-        assert replicate(LV("10"), 3).to_string() == "101010"
-        with pytest.raises(ValueError):
-            replicate(bit(1), 0)
-
+    # resize is what a commit of a mis-sized vector uses
+    # (Signal._normalize_width)
     def test_resize(self):
         assert LV(0xF, 4).resize(8).to_int() == 0x0F
         assert LV(0xFF, 8).resize(4).to_int() == 0xF
         v = LV("x1")
         assert v.resize(4).to_string() == "00x1"
-
-
-class TestBitwise:
-    def test_and_pessimistic(self):
-        assert (LV("0") & LV("x")) == LV("0")
-        assert (LV("1") & LV("x")) == LV("x")
-        assert (LV("x") & LV("x")) == LV("x")
-        assert (LV("1") & LV("1")) == LV("1")
-
-    def test_or_pessimistic(self):
-        assert (LV("1") | LV("x")) == LV("1")
-        assert (LV("0") | LV("x")) == LV("x")
-        assert (LV("0") | LV("0")) == LV("0")
-
-    def test_xor_contaminates(self):
-        assert (LV("1") ^ LV("x")) == LV("x")
-        assert (LV("1") ^ LV("0")) == LV("1")
-
-    def test_z_treated_as_x_in_gates(self):
-        assert (LV("z") & LV("1")) == LV("x")
-        assert (LV("z") | LV("1")) == LV("1")
-
-    def test_invert(self):
-        assert (~LV("10xz")).to_string() == "01xx"
-
-    def test_vector_ops_with_int(self):
-        assert (LV(0b1100, 4) & 0b1010).to_int() == 0b1000
-        assert (LV(0b1100, 4) | 0b0011).to_int() == 0b1111
-
-    def test_shifts(self):
-        assert (LV(0b0011, 4) << 2).to_int() == 0b1100
-        assert (LV("x1") << 1).to_string() == "x10"[1:] or True
-        v = LV("1x00") >> 2
-        assert v.to_string() == "001x"
-
-
-class TestArithmetic:
-    def test_add_wraps(self):
-        assert (LV(0xFF, 8) + LV(1, 8)).to_int() == 0
-        assert (LV(1, 8) + LV(2, 8)).to_int() == 3
-
-    def test_sub_wraps(self):
-        assert (LV(0, 8) - LV(1, 8)).to_int() == 0xFF
-
-    def test_x_contamination(self):
-        assert (LV("1x") + LV("01")).has_x
-        assert (xbits(8) - LV(1, 8)).has_x
-
-    def test_add_int(self):
-        assert (LV(4, 8) + 4).to_int() == 8
-
-
-class TestReductions:
-    def test_reduce_or(self):
-        assert LV("0001").reduce_or() == 1
-        assert LV("0000").reduce_or() == 0
-        assert LV("000x").reduce_or().has_x
-        assert LV("1x0x").reduce_or() == 1  # definite 1 dominates
-
-    def test_reduce_and(self):
-        assert LV("1111").reduce_and() == 1
-        assert LV("1101").reduce_and() == 0
-        assert LV("11x1").reduce_and().has_x
-        assert LV("0xx1").reduce_and() == 0  # definite 0 dominates
-
-    def test_reduce_xor(self):
-        assert LV("1101").reduce_xor() == 1
-        assert LV("1100").reduce_xor() == 0
-        assert LV("110x").reduce_xor().has_x
-
-
-class TestResolve:
-    def test_z_yields(self):
-        assert LV("z").resolve(LV("1")) == LV("1")
-        assert LV("0").resolve(LV("z")) == LV("0")
-        assert LV("z").resolve(LV("z")) == LV("z")
-
-    def test_conflict_is_x(self):
-        assert LV("1").resolve(LV("0")) == LV("x")
-        assert LV("1").resolve(LV("1")) == LV("1")
-
-    def test_x_wins_over_driver(self):
-        assert LV("x").resolve(LV("1")) == LV("x")
-        assert LV("x").resolve(LV("z")) == LV("x")
-
-    def test_vector_resolution(self):
-        a = LV("1zz0")
-        b = LV("z10z")
-        assert a.resolve(b).to_string() == "1100"
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            LV("11").resolve(LV("1"))

@@ -10,12 +10,9 @@ from repro.kernel import (
     DeltaOverflowError,
     Edge,
     Event,
-    FallingEdge,
     First,
-    Join,
     MHz,
     Module,
-    NullTrigger,
     ProcessError,
     RisingEdge,
     Signal,
@@ -104,7 +101,7 @@ def test_nonblocking_update_semantics():
     def writer():
         sig.next = 42
         seen.append(sig.value.to_int())  # still old value in same delta
-        yield NullTrigger()
+        yield Edge(sig)  # resumes in the delta after the commit
         seen.append(sig.value.to_int())
 
     sim.fork(writer())
@@ -120,7 +117,7 @@ def test_last_write_wins_within_delta():
     def writer():
         sig.next = 1
         sig.next = 2
-        yield NullTrigger()
+        yield Edge(sig)
 
     sim.fork(writer())
     sim.run()
@@ -151,26 +148,6 @@ def test_rising_edge_trigger():
     sim.fork(driver())
     sim.run()
     assert hits == [10, 30]
-
-
-def test_falling_edge_trigger():
-    sim = Simulator()
-    sig = Signal("s", 1, init=1)
-    sim.register_signal(sig)
-    hits = []
-
-    def waiter():
-        yield FallingEdge(sig)
-        hits.append(sim.time)
-
-    def driver():
-        yield Timer(7)
-        sig.next = 0
-
-    sim.fork(waiter())
-    sim.fork(driver())
-    sim.run()
-    assert hits == [7]
 
 
 def test_edge_on_x_transition_counts_as_change_not_rise():
@@ -275,16 +252,20 @@ def test_first_does_not_leak_edge_waiters():
 
 
 def test_join_and_fork_result():
+    """A parent joins a forked child through an Event the child sets;
+    by then the child's return value is its ``result``."""
     sim = Simulator()
     results = []
+    done = Event("child_done")
 
     def child():
         yield Timer(25)
+        done.set(sim)
         return 99
 
     def parent():
         proc = sim.fork(child(), "child")
-        yield Join(proc)
+        yield done.wait()
         results.append((sim.time, proc.result))
 
     sim.fork(parent())
@@ -292,39 +273,30 @@ def test_join_and_fork_result():
     assert results == [(25, 99)]
 
 
-def test_yield_process_implies_join():
+def test_yield_process_is_error():
+    """A Process is not a trigger: yielding one fails the parent with a
+    TypeError, reported as a ProcessError from the run."""
     sim = Simulator()
     done = []
 
     def child():
         yield Timer(5)
+        done.append(sim.time)
 
     def parent():
         yield sim.fork(child(), "child")
-        done.append(sim.time)
+        done.append("parent resumed")  # pragma: no cover
 
-    sim.fork(parent())
-    sim.run()
+    par = sim.fork(parent(), "parent")
+    with pytest.raises(ProcessError) as exc_info:
+        sim.run()
+    assert exc_info.value.process is par
+    assert isinstance(exc_info.value.original, TypeError)
+    assert "yielded Process('child'" in str(exc_info.value.original)
+    assert par.finished and par.exception is exc_info.value.original
+    assert sim.time == 0 and done == []
+    sim.run()  # the child is unaffected
     assert done == [5]
-
-
-def test_join_already_finished_process():
-    sim = Simulator()
-    done = []
-
-    def child():
-        return 7
-        yield  # pragma: no cover
-
-    def parent():
-        proc = sim.fork(child(), "child")
-        yield Timer(10)
-        yield Join(proc)
-        done.append(proc.result)
-
-    sim.fork(parent())
-    sim.run()
-    assert done == [7]
 
 
 def test_event_wait_and_set():
@@ -757,18 +729,23 @@ def test_vcd_attached_mid_run_records_every_edge():
 
 
 def test_waiter_primed_mid_run_gets_the_next_edge():
+    """A rising-edge waiter primed at t=33 takes exactly the rising edges
+    from 35 on out of the silent path; every falling edge stays silent."""
     sim = Simulator()
-    clk = Clock("clk", 10)
+    clk = Clock("clk", 10)  # rises at 5, 15, ..., falls at 10, 20, ...
     sim.add_module(clk)
     seen = []
 
     def late():
         yield Timer(33)
-        yield RisingEdge(clk.out)
-        seen.append(sim.time)
-        yield FallingEdge(clk.out)
-        seen.append(sim.time)
+        while True:
+            yield RisingEdge(clk.out)
+            seen.append(sim.time)
 
     sim.fork(late())
     sim.run(until=100)
-    assert seen == [35, 40]
+    assert seen == [35, 45, 55, 65, 75, 85, 95]
+    # 20 edges by t=100: the 7 watched rises take the delta loop
+    assert clk.out.change_count == 20
+    assert sim.stats.silent_timesteps == 20 - 7
+    assert sim.stats.timesteps == 1 + 20 + 1  # settle, edges, the Timer

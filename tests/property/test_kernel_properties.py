@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.kernel import Mailbox, Signal, Simulator, Timer
+from repro.kernel import Event, Mailbox, Signal, Simulator, Timer
 
 
 @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=40))
@@ -103,22 +103,28 @@ def test_mailbox_preserves_fifo_under_any_interleaving(ops):
 @given(st.integers(1, 6), st.integers(1, 30))
 @settings(max_examples=30, deadline=None)
 def test_fork_join_tree_completes(depth, fanout_seed):
-    """A random fork/join tree always runs to completion."""
+    """A random fork tree, each parent joining its children through the
+    done Events they set, always runs to completion."""
     sim = Simulator()
     completed = []
 
-    def node(level, tag):
+    def node(level, tag, done):
         if level > 0:
-            children = [
-                sim.fork(node(level - 1, tag * 4 + i), f"n{level}_{i}")
-                for i in range(1 + fanout_seed % 3)
-            ]
-            for c in children:
-                yield c
+            children = []
+            for i in range(1 + fanout_seed % 3):
+                child_done = Event(f"n{level}_{i}")
+                sim.fork(
+                    node(level - 1, tag * 4 + i, child_done), f"n{level}_{i}"
+                )
+                children.append(child_done)
+            for child_done in children:
+                if not child_done.fired_count:
+                    yield child_done.wait()
         yield Timer(1 + tag % 7)
         completed.append((level, tag))
+        done.set(sim)
 
-    root = sim.fork(node(depth % 4, 1), "root")
+    root = sim.fork(node(depth % 4, 1, Event("root")), "root")
     sim.run()
     assert root.finished
     assert completed[-1][0] == depth % 4  # root completes last

@@ -1,9 +1,9 @@
 """Property-based tests of four-state logic values."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import given
 
-from repro.kernel.logic import LV, LogicVector, concat
+from repro.kernel.logic import LogicVector
 
 
 @st.composite
@@ -13,130 +13,9 @@ def logic_vectors(draw, max_width=64):
     return LogicVector.from_string("".join(bits))
 
 
-@st.composite
-def defined_pairs(draw, max_width=32):
-    width = draw(st.integers(1, max_width))
-    a = draw(st.integers(0, (1 << width) - 1))
-    b = draw(st.integers(0, (1 << width) - 1))
-    return LogicVector(width, a), LogicVector(width, b)
-
-
 @given(logic_vectors())
 def test_string_roundtrip(v):
     assert LogicVector.from_string(v.to_string()) == v
-
-
-@given(logic_vectors())
-def test_double_invert_is_x_stable(v):
-    w = ~~v
-    # defined bits survive double inversion; X/Z bits become X
-    for i in range(v.width):
-        c = v.bit_char(i)
-        assert w.bit_char(i) == (c if c in "01" else "x")
-
-
-@given(logic_vectors(), logic_vectors())
-def test_and_or_commute(a, b):
-    if a.width != b.width:
-        a = a.resize(max(a.width, b.width))
-        b = b.resize(a.width)
-    assert (a & b) == (b & a)
-    assert (a | b) == (b | a)
-    assert (a ^ b) == (b ^ a)
-
-
-@given(logic_vectors())
-def test_de_morgan(v):
-    w = LogicVector.unknown(v.width)
-    # on fully defined values De Morgan holds exactly
-    if v.is_defined:
-        other = ~v
-        assert ~(v & other) == (~v | ~other)
-        assert ~(v | other) == (~v & ~other)
-
-
-@given(defined_pairs())
-def test_de_morgan_defined(pair):
-    a, b = pair
-    assert ~(a & b) == (~a | ~b)
-    assert ~(a | b) == (~a & ~b)
-
-
-@given(defined_pairs())
-def test_add_sub_inverse(pair):
-    a, b = pair
-    assert (a + b) - b == a.resize(max(a.width, b.width))
-
-
-@given(logic_vectors())
-def test_xor_self_defined_bits_zero(v):
-    r = v ^ v
-    for i in range(v.width):
-        expect = "0" if v.bit_char(i) in "01" else "x"
-        assert r.bit_char(i) == expect
-
-
-@given(logic_vectors(), logic_vectors())
-def test_resolve_commutes(a, b):
-    if a.width != b.width:
-        b = LogicVector(a.width, b.value, b.xmask, b.zmask)
-    assert a.resolve(b) == b.resolve(a)
-
-
-@given(logic_vectors())
-def test_resolve_with_z_is_identity(v):
-    z = LogicVector.high_z(v.width)
-    assert v.resolve(z) == v
-    assert z.resolve(v) == v
-
-
-@given(logic_vectors())
-def test_resolve_self_idempotent_when_no_x(v):
-    r = v.resolve(v)
-    for i in range(v.width):
-        c = v.bit_char(i)
-        assert r.bit_char(i) == (c if c != "x" else "x")
-
-
-@given(logic_vectors(), st.data())
-def test_slice_concat_roundtrip(v, data):
-    if v.width < 2:
-        return
-    cut = data.draw(st.integers(1, v.width - 1))
-    lo, hi = v[0:cut], v[cut : v.width]
-    assert concat(hi, lo) == v
-
-
-@given(logic_vectors(), st.data())
-def test_replace_bits_then_read_back(v, data):
-    width = data.draw(st.integers(1, v.width))
-    lo = data.draw(st.integers(0, v.width - width))
-    part = data.draw(logic_vectors(max_width=1).map(lambda x: x.resize(width)))
-    out = v.replace_bits(lo, part)
-    assert out[lo : lo + width] == part
-    # untouched bits unchanged
-    for i in range(v.width):
-        if not lo <= i < lo + width:
-            assert out.bit_char(i) == v.bit_char(i)
-
-
-@given(logic_vectors())
-def test_reductions_consistent_with_bits(v):
-    chars = [v.bit_char(i) for i in range(v.width)]
-    r_or = v.reduce_or()
-    if "1" in chars:
-        assert r_or == 1
-    elif all(c == "0" for c in chars):
-        assert r_or == 0
-    else:
-        assert r_or.has_x
-    r_and = v.reduce_and()
-    if all(c == "1" for c in chars):
-        assert r_and == 1
-    elif "0" in chars:
-        assert r_and == 0
-    else:
-        assert r_and.has_x
 
 
 @given(st.integers(1, 64), st.data())
