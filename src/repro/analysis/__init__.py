@@ -4,8 +4,8 @@
   BENCH_kernel.json regression baseline (``repro bench``),
 * :mod:`~repro.analysis.profiling` — per-phase simulated/elapsed-time
   accounting (Table II) and simulation-overhead attribution (§V),
-* :mod:`~repro.analysis.reporting` — dependency-free table/series
-  rendering for the benchmark harness,
+* :mod:`~repro.analysis.reporting` — dependency-free table and
+  trace-timeline rendering for the benchmark harness,
 * :mod:`~repro.analysis.timeline` — the development-workload model that
   regenerates Figure 5 from this repository's own component inventory
   and the live bug campaign,
@@ -34,7 +34,7 @@ from .profiling import (
     measure_artifact_overhead,
     profile_one_frame,
 )
-from .reporting import format_ps, format_table, format_trace_timeline, Series
+from .reporting import format_ps, format_table, format_trace_timeline
 from .timeline import DevelopmentTimeline, build_timeline
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "format_ps",
     "format_table",
     "format_trace_timeline",
-    "Series",
     "Tracer",
     "TraceEvent",
     "counter_summary",

@@ -1,4 +1,4 @@
-"""Plain-text table, series and trace-timeline rendering.
+"""Plain-text table and trace-timeline rendering.
 
 Dependency-free renderers shared by the benchmark harness and the
 tracing CLI; :func:`format_trace_timeline` draws any object exposing
@@ -10,14 +10,12 @@ importing the tracing module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Union
 
 __all__ = [
     "format_table",
     "format_ps",
     "canonical_json",
-    "Series",
     "format_trace_timeline",
 ]
 
@@ -144,20 +142,3 @@ def format_trace_timeline(
     if truncated:
         table += f"\n... {truncated} more events (raise the limit to see them)"
     return table
-
-
-@dataclass
-class Series:
-    """A named data series (one line of a figure)."""
-
-    name: str
-    x: List[float] = field(default_factory=list)
-    y: List[float] = field(default_factory=list)
-
-    def add(self, x: float, y: float) -> None:
-        self.x.append(x)
-        self.y.append(y)
-
-    def render(self, x_label: str = "x", y_label: str = "y") -> str:
-        rows = list(zip(self.x, self.y))
-        return format_table([x_label, y_label], rows, title=self.name)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import repro
 from ..verif.faults import BUGS
@@ -137,22 +137,6 @@ class DevelopmentTimeline:
     @property
     def total_bugs(self) -> int:
         return sum(len(w.bugs_found) for w in self.weeks)
-
-    def loc_series(self) -> List[Tuple[int, int]]:
-        return [(w.week, w.loc_changed) for w in self.weeks]
-
-    def cumulative_loc_series(self) -> List[Tuple[int, int]]:
-        out, run = [], 0
-        for w in self.weeks:
-            run += w.loc_changed
-            out.append((w.week, run))
-        return out
-
-    def bugs_series(self) -> List[Tuple[int, int]]:
-        return [(w.week, len(w.bugs_found)) for w in self.weeks]
-
-    def phase_of(self, week: int) -> str:
-        return self.week(week).phase
 
     # -- paper LOC anchors (for the bench's commentary) -----------------
     PAPER_VMUX_HACK_LOC = 350  # 250 HDL + 100 SW (§V-A)

@@ -175,7 +175,7 @@ class Tracer:
         self._track_names: List[Tuple[int, str]] = []
         for cat in BUILTIN_CATEGORIES:
             self._tid_for(cat, "")
-        # per-track open-span stacks (for active_span and finalize)
+        # per-track open-span stacks (closed by finalize)
         self._open: Dict[int, List[Span]] = {}
         self._wall0 = _time.perf_counter_ns()
 
@@ -248,11 +248,6 @@ class Tracer:
                 wall_ns=span.wall_ns,
             )
         )
-
-    def active_span(self, category: str, track: str = "") -> Optional[Span]:
-        """The innermost open span on a category's track, if any."""
-        stack = self._open.get(self._tids.get((category, track)))
-        return stack[-1] if stack else None
 
     def instant(self, category: str, name: str, track: str = "", **args) -> None:
         if not self.enabled_for(category):

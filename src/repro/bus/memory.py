@@ -76,6 +76,3 @@ class PlbMemory(Module, PlbSlave):
         if idx + count > len(self.words):
             raise IndexError("block dump beyond end of memory")
         return self.words[idx : idx + count].copy()
-
-    def fill(self, value: int = 0) -> None:
-        self.words[:] = value & WORD_MASK

@@ -27,7 +27,7 @@ return X) and counts a :class:`BusProtocolError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..kernel import Event, Module, RisingEdge, xbits
 
@@ -121,15 +121,6 @@ class PlbMasterPort:
         self.arbitrated = arbitrated
         self.transactions = 0
         self.beats = 0
-
-    # -- word transfers -------------------------------------------------
-    def read(self, addr: int):
-        """``data = yield from port.read(addr)`` — one word."""
-        words = yield from self.read_burst(addr, 1)
-        return words[0]
-
-    def write(self, addr: int, data: int):
-        yield from self.write_burst(addr, [data])
 
     def read_burst(self, addr: int, count: int):
         txn = PlbTransaction(self, True, addr, count, arbitrated=self.arbitrated)
@@ -350,10 +341,3 @@ class PlbBus(Module):
             txn.completed_at = self.sim.time if self.sim else None
             for cb in self._observers:
                 cb(txn)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def utilization_beats(self) -> Dict[str, int]:
-        """Beats transferred per master — a bus-traffic profile."""
-        return {m.name: m.beats for m in self.masters}

@@ -195,14 +195,14 @@ class PpcLiteIss(Module):
             s(inst.rd, g(inst.ra) ^ inst.imm)
         elif m == "lwz":
             addr = (g(inst.ra) + inst.imm) & WORD_MASK
-            value = yield from self.port.read(addr)
+            value = (yield from self.port.read_burst(addr, 1))[0]
             if isinstance(value, LogicVector):
                 self.x_reads += 1
                 value = X_CANARY
             s(inst.rd, value)
         elif m == "stw":
             addr = (g(inst.ra) + inst.imm) & WORD_MASK
-            yield from self.port.write(addr, g(inst.rd))
+            yield from self.port.write_burst(addr, [g(inst.rd)])
         elif m == "mfdcr":
             value = yield from self.dcr.read(inst.imm)
             if isinstance(value, LogicVector):

@@ -20,7 +20,7 @@ from .events import (
     Trigger,
 )
 from .logic import LV, LogicVector, bit, xbits, zbits
-from .mailbox import Mailbox, MailboxEmpty, MailboxFull
+from .mailbox import Mailbox, MailboxEmpty
 from .module import ElaborationError, Module
 from .process import Process, ProcessError
 from .signal import Signal, SignalWriteError
@@ -47,7 +47,6 @@ __all__ = [
     "zbits",
     "Mailbox",
     "MailboxEmpty",
-    "MailboxFull",
     "ElaborationError",
     "Module",
     "Process",

@@ -122,11 +122,3 @@ class Clock(Module):
         """True if this clock has a rising edge at time ``t`` (ps)."""
         first = self._first_rise
         return first is not None and t >= first and not (t - first) % self.period
-
-    @property
-    def frequency_mhz(self) -> float:
-        return 1_000_000 / self.period
-
-    def cycles_to_time(self, cycles: int) -> int:
-        """Simulated picoseconds covered by ``cycles`` clock cycles."""
-        return cycles * self.period

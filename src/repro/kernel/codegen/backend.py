@@ -43,7 +43,7 @@ __all__ = [
 
 #: driver return codes
 _BAIL = 0  # let the interpreter settle pending work / take one timestep
-_DONE = 1  # reached until/deadline, quiescence, finish() or the event
+_DONE = 1  # reached until/deadline, quiescence or the event
 _FALLBACK = 2  # VCD/tracer attached: whole run goes to the interpreter
 
 
@@ -90,7 +90,7 @@ def _interp_step(sim, until: Optional[int]) -> bool:
     returns False when there is nothing left to run before ``until``.
     """
     timed = sim._timed
-    if sim._finished or not timed:
+    if not timed:
         return False
     when = timed[0][0]
     if until is not None and when > until:
@@ -172,11 +172,6 @@ class CodegenBackend:
                 continue
             if not _interp_step(sim, until):
                 break
-        if (
-            event is None
-            and until is not None
-            and sim.time < until
-            and not sim._finished
-        ):
+        if event is None and until is not None and sim.time < until:
             sim.time = until
             sim.delta = 0

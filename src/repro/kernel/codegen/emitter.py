@@ -293,9 +293,6 @@ def driver(sim, until, event, event_start):
         while True:
             if errors or ready or updates or dts:
                 break  # pending work: the backend settles it generically
-            if sim._finished:
-                status = 1
-                break
             if event is not None and event.fired_count > event_start:
                 status = 1
                 break

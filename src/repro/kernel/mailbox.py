@@ -1,92 +1,56 @@
-"""Transaction-level mailboxes for verification components.
+"""Transaction-level mailboxes between processes.
 
-Verification IPs (the video stream VIPs, scoreboards, monitors) exchange
-whole transactions — frames, bus bursts, reconfiguration records — not
-individual wires.  A :class:`Mailbox` is an unbounded (or bounded) FIFO
-with blocking generator-style ``put``/``get``, mirroring the SystemC/
-SystemVerilog TLM channels the paper's testbench uses for its Video VIPs.
+Processes can exchange whole transactions rather than individual
+wires: the firmware's compute thread hands each finished frame to its
+drawing thread through one.  A :class:`Mailbox` is an unbounded FIFO,
+so a put never blocks; ``get`` is a generator that blocks while the
+mailbox is empty, mirroring the SystemC/SystemVerilog TLM channels the
+paper's testbench uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Optional, TypeVar
+from typing import Deque, Generic, TypeVar
 
 from .events import Event
 
 T = TypeVar("T")
 
-__all__ = ["Mailbox", "MailboxEmpty", "MailboxFull"]
+__all__ = ["Mailbox", "MailboxEmpty"]
 
 
 class MailboxEmpty(RuntimeError):
     pass
 
 
-class MailboxFull(RuntimeError):
-    pass
-
-
 class Mailbox(Generic[T]):
-    """A FIFO channel between processes.
+    """An unbounded FIFO channel between processes.
 
-    ``get()``/``put()`` return generators to be ``yield from``-ed inside
-    a process; ``try_get()``/``try_put()`` are non-blocking.
+    ``get()`` returns a generator to be ``yield from``-ed inside a
+    process; ``try_get()``/``try_put()`` are non-blocking.
     """
 
-    def __init__(self, sim, name: str = "mailbox", capacity: Optional[int] = None):
+    def __init__(self, sim, name: str = "mailbox"):
         self._sim = sim
         self.name = name
-        self.capacity = capacity
         self._items: Deque[T] = deque()
         self._put_event = Event(f"{name}.put")
-        self._get_event = Event(f"{name}.get")
         self.total_put = 0
         self.total_got = 0
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    # ------------------------------------------------------------------
-    # Non-blocking
-    # ------------------------------------------------------------------
-    def try_put(self, item: T) -> bool:
-        if self.is_full:
-            return False
+    def try_put(self, item: T) -> None:
+        """Append ``item``; never blocks, as the mailbox is unbounded."""
         self._items.append(item)
         self.total_put += 1
         self._put_event.set(self._sim, item)
-        return True
 
     def try_get(self) -> T:
         if not self._items:
             raise MailboxEmpty(f"mailbox {self.name!r} is empty")
         item = self._items.popleft()
         self.total_got += 1
-        self._get_event.set(self._sim)
         return item
-
-    def peek(self) -> T:
-        if not self._items:
-            raise MailboxEmpty(f"mailbox {self.name!r} is empty")
-        return self._items[0]
-
-    # ------------------------------------------------------------------
-    # Blocking (generator helpers)
-    # ------------------------------------------------------------------
-    def put(self, item: T):
-        """``yield from mbox.put(item)`` — blocks while full."""
-        while self.is_full:
-            yield self._get_event.wait()
-        self.try_put(item)
 
     def get(self):
         """``item = yield from mbox.get()`` — blocks while empty."""
@@ -95,5 +59,4 @@ class Mailbox(Generic[T]):
         return self.try_get()
 
     def __repr__(self) -> str:
-        cap = "inf" if self.capacity is None else self.capacity
-        return f"Mailbox({self.name!r}, {len(self._items)}/{cap})"
+        return f"Mailbox({self.name!r}, {len(self._items)} queued)"

@@ -5,9 +5,10 @@ behavioural processes and child modules, and has a hierarchical path
 name used by waveform tracing and by the activity-accounting reports
 (Table II attributes simulation cost to the module that caused it).
 
-Subclasses declare structure in ``__init__`` using :meth:`signal`,
-:meth:`child` and :meth:`process`; the simulator then *elaborates* the
-hierarchy once, binding signals and starting processes.
+Subclasses declare structure in ``__init__`` using :meth:`signal` and
+:meth:`process`, and create child instances with ``parent=self``; the
+simulator then *elaborates* the hierarchy once, binding signals and
+starting processes.
 """
 
 from __future__ import annotations
@@ -60,19 +61,6 @@ class Module:
         if self.sim is not None:
             self.sim.register_signal(sig)
         return sig
-
-    def child(self, module: "Module") -> "Module":
-        """Adopt ``module`` as a child instance (if not already)."""
-        if module.parent is None:
-            module.parent = self
-            self.children.append(module)
-        elif module.parent is not self:
-            raise ElaborationError(
-                f"{module.path} already has parent {module.parent.path}"
-            )
-        if self.sim is not None:
-            module._elaborate(self.sim)
-        return module
 
     def process(self, factory: Callable[[], Generator], name: Optional[str] = None):
         """Register a behavioural process (a generator *function*).
@@ -131,18 +119,6 @@ class Module:
         yield self
         for ch in self.children:
             yield from ch.iter_tree()
-
-    def find(self, path: str) -> "Module":
-        """Look up a descendant by dotted relative path."""
-        node = self
-        for part in path.split("."):
-            for ch in node.children:
-                if ch.name == part:
-                    node = ch
-                    break
-            else:
-                raise KeyError(f"no child {part!r} under {node.path}")
-        return node
 
     def activity(self) -> Dict[str, int]:
         """Kernel events attributed to this subtree (resumes + changes)."""

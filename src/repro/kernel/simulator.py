@@ -140,7 +140,6 @@ class Simulator:
         #: on the per-delta hot path.
         self.tracer = None
         self._vcd = None
-        self._finished = False
         self._modules: List[object] = []
         #: the kernel's only delta loop (see :meth:`_delta_loop`)
         self._step_deltas: Callable[[], None] = self._delta_loop()
@@ -402,7 +401,7 @@ class Simulator:
         silent = 0
         try:
             step_deltas()
-            while timed and not self._finished:
+            while timed:
                 if event is not None and event.fired_count > start:
                     return
                 when = timed[0][0]
@@ -463,12 +462,7 @@ class Simulator:
         finally:
             stats.timesteps += timesteps
             stats.silent_timesteps += silent
-        if (
-            event is None
-            and until is not None
-            and self.time < until
-            and not self._finished
-        ):
+        if event is None and until is not None and self.time < until:
             self.time = until
             self.delta = 0
 
@@ -539,10 +533,6 @@ class Simulator:
         else:
             self._interpret(deadline, event)
         return event.fired_count > start
-
-    def finish(self) -> None:
-        """Request the simulation stop at the end of the current step."""
-        self._finished = True
 
     def close(self) -> None:
         if self._vcd is not None:

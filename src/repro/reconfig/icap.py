@@ -163,10 +163,6 @@ class IcapArtifact(Module):
             return self.READBACK_PAD
         return self._readback.pop(0)
 
-    @property
-    def readback_available(self) -> int:
-        return len(self._readback)
-
     def _abort_current(self) -> None:
         """A framing error mid-load: stop injecting, leave region empty."""
         portal = self._current_portal

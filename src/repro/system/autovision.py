@@ -387,17 +387,14 @@ class AutoVisionSystem(Module):
         header = simb_header_words(crc=self.config.fault_tolerance)
         return (header + self.config.simb_payload_words + 2) * 4
 
-    def build(self, profile: Optional[bool] = None) -> Simulator:
+    def build(self) -> Simulator:
         """Create a simulator and elaborate the system into it.
 
         With ``config.tracing`` a :class:`~repro.analysis.tracing.Tracer`
         is attached (reachable as ``sim.tracer``) and bus observers are
         installed before elaboration, so the trace covers the whole run.
         """
-        sim = Simulator(
-            profile=self.config.profile if profile is None else profile,
-            backend=self.config.backend,
-        )
+        sim = Simulator(profile=self.config.profile, backend=self.config.backend)
         if self.config.tracing:
             # deferred import: repro.analysis pulls in profiling, which
             # imports this module back

@@ -181,9 +181,6 @@ class DprCoverage:
     def score(self) -> float:
         return self.covered / self.total if self.total else 0.0
 
-    def missing(self) -> List[str]:
-        return [name for name, p in self.points.items() if not p.covered]
-
     def missing_points(self) -> List[CoverPoint]:
         """The never-hit points themselves (name + description)."""
         return [p for _, p in sorted(self.points.items()) if not p.covered]

@@ -90,10 +90,6 @@ class ShrinkResult:
     #: the minimized scenario's differential record (the repro evidence)
     record: Optional[FuzzRecord] = None
 
-    @property
-    def reduced(self) -> bool:
-        return bool(self.steps)
-
     def to_json_dict(self) -> dict:
         return {
             "original": self.original.to_json_dict(),

@@ -24,7 +24,7 @@ from .formats import (
     unpack_vectors,
     words_per_row,
 )
-from .frames import FrameSequence, SceneConfig, synthetic_frame_pair
+from .frames import FrameSequence, SceneConfig
 from .matching import match_features, motion_field_error
 from .vip import VideoInVIP, VideoOutVIP
 
@@ -40,7 +40,6 @@ __all__ = [
     "words_per_row",
     "FrameSequence",
     "SceneConfig",
-    "synthetic_frame_pair",
     "match_features",
     "motion_field_error",
     "VideoInVIP",

@@ -14,13 +14,13 @@ Determinism: every sequence is seeded, so failures reproduce exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..exec.cache import ARTIFACT_CACHE
 
-__all__ = ["SceneConfig", "FrameSequence", "synthetic_frame_pair"]
+__all__ = ["SceneConfig", "FrameSequence"]
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,6 @@ class FrameSequence:
                 img[yy, xs] = tex[dy]
         return img
 
-    def frames(self, count: int, start: int = 0) -> Iterator[np.ndarray]:
-        for t in range(start, start + count):
-            yield self.frame(t)
-
     def true_motion(self, t: int) -> List[Tuple[int, int]]:
         """Ground-truth (dx, dy) of each object between frames t and t+1."""
         return [(obj.vx, obj.vy) for obj in self.objects]
@@ -155,11 +151,3 @@ class FrameSequence:
                 xs = (x + np.arange(margin, obj.w - margin)) % cfg.width
                 mask[yy, xs] = True
         return mask
-
-
-def synthetic_frame_pair(
-    width: int = 160, height: int = 120, seed: int = 2013
-) -> Tuple[np.ndarray, np.ndarray, FrameSequence]:
-    """Two consecutive frames plus the generating sequence (test helper)."""
-    seq = FrameSequence(SceneConfig(width=width, height=height, seed=seed))
-    return seq.frame(0), seq.frame(1), seq

@@ -1,8 +1,8 @@
-"""Tests for table/series rendering."""
+"""Tests for table rendering."""
 
 import pytest
 
-from repro.analysis import Series, format_ps, format_table
+from repro.analysis import format_ps, format_table
 
 
 def test_format_table_alignment():
@@ -41,12 +41,3 @@ def test_format_ps_units():
     assert format_ps(1500) == "1.5 ns"
     assert format_ps(2_500_000) == "2.50 us"
     assert format_ps(3_000_000_000) == "3.000 ms"
-
-
-def test_series():
-    s = Series("loc")
-    s.add(1, 100)
-    s.add(2, 250)
-    text = s.render("week", "loc")
-    assert "loc" in text and "250" in text
-    assert s.x == [1, 2] and s.y == [100, 250]

@@ -38,21 +38,11 @@ def test_build_timeline_with_detection_filter():
     assert "dpr.4" in tl.week(BUGS["dpr.4"].week_found).bugs_found
 
 
-def test_series_shapes():
-    tl = build_timeline()
-    loc = tl.loc_series()
-    cum = tl.cumulative_loc_series()
-    assert len(loc) == len(cum) == 11
-    assert cum[-1][1] == tl.total_loc
-    # cumulative is monotonic
-    assert all(b[1] >= a[1] for a, b in zip(cum, cum[1:]))
-
-
 def test_phase_labels():
     tl = build_timeline()
-    assert tl.phase_of(1) == "integration"
-    assert tl.phase_of(5) == "vmux"
-    assert tl.phase_of(11) == "resim"
+    assert tl.week(1).phase == "integration"
+    assert tl.week(5).phase == "vmux"
+    assert tl.week(11).phase == "resim"
 
 
 def test_phase_loc_accessors():

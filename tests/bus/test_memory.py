@@ -54,14 +54,6 @@ def test_block_load_bounds_checked():
         mem.dump_words(0, 17)
 
 
-def test_fill():
-    mem = PlbMemory("mem", 64)
-    mem.fill(0xABCD)
-    assert int(mem.words[3]) == 0xABCD
-    mem.fill(0)
-    assert int(mem.words.sum()) == 0
-
-
 def test_dump_returns_copy():
     mem = PlbMemory("mem", 64)
     out = mem.dump_words(0, 4)

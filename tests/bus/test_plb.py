@@ -26,8 +26,8 @@ def test_single_word_write_read():
     result = []
 
     def master():
-        yield from port.write(0x1000_0000, 0xDEADBEEF)
-        data = yield from port.read(0x1000_0000)
+        yield from port.write_burst(0x1000_0000, [0xDEADBEEF])
+        (data,) = yield from port.read_burst(0x1000_0000, 1)
         result.append(data)
 
     sim.fork(master())
@@ -71,7 +71,7 @@ def test_unaligned_address_rejected():
 
     def master():
         try:
-            yield from port.read(0x1000_0002)
+            yield from port.read_burst(0x1000_0002, 1)
         except BusProtocolError:
             errors.append("unaligned")
 
@@ -85,7 +85,7 @@ def test_decode_failure_counts_protocol_error_and_returns_x():
     result = []
 
     def master():
-        data = yield from port.read(0x9000_0000)
+        (data,) = yield from port.read_burst(0x9000_0000, 1)
         result.append(data)
 
     sim.fork(master())
@@ -122,7 +122,7 @@ def test_burst_is_faster_per_word_than_singles():
         durations["burst"] = sim.time - t0
         t0 = sim.time
         for i in range(16):
-            yield from port.read(0x1000_0000 + 4 * i)
+            yield from port.read_burst(0x1000_0000 + 4 * i, 1)
         durations["singles"] = sim.time - t0
 
     sim.fork(master())
@@ -136,7 +136,8 @@ def test_two_masters_share_bandwidth_fairly():
 
     def master(i, port):
         for k in range(10):
-            yield from port.write(0x1000_0000 + 0x100 * i + 4 * k, i * 100 + k)
+            addr = 0x1000_0000 + 0x100 * i + 4 * k
+            yield from port.write_burst(addr, [i * 100 + k])
         done[i] = sim.time
 
     for i, port in enumerate(ports):
@@ -164,7 +165,7 @@ def test_priority_master_wins():
 
     def flood(name, port):
         for k in range(20):
-            yield from port.write(4 * k, k)
+            yield from port.write_burst(4 * k, [k])
         finished.append(name)
 
     sim.fork(flood("lo", lo))
@@ -179,8 +180,8 @@ def test_unarbitrated_sole_master_works():
     result = []
 
     def master():
-        yield from port.write(0x1000_0000, 0x1234)
-        data = yield from port.read(0x1000_0000)
+        yield from port.write_burst(0x1000_0000, [0x1234])
+        (data,) = yield from port.read_burst(0x1000_0000, 1)
         result.append(data)
 
     sim.fork(master())
@@ -195,8 +196,8 @@ def test_unarbitrated_on_shared_bus_corrupts():
     result = []
 
     def master():
-        yield from ports[0].write(0x1000_0000, 0x1234)
-        data = yield from ports[0].read(0x1000_0000)
+        yield from ports[0].write_burst(0x1000_0000, [0x1234])
+        (data,) = yield from ports[0].read_burst(0x1000_0000, 1)
         result.append(data)
 
     sim.fork(master())
@@ -231,10 +232,10 @@ def test_utilization_counters():
 
     def master():
         yield from port.write_burst(0x1000_0000, [0] * 8)
-        yield from port.read(0x1000_0000)
+        yield from port.read_burst(0x1000_0000, 1)
 
     sim.fork(master())
     sim.run(until=10_000_000)
-    assert bus.utilization_beats() == {"m0": 9}
+    assert port.beats == 9
     assert bus.total_transactions == 2
     assert bus.total_beats == 9

@@ -210,24 +210,6 @@ class TestMicroParity:
         assert a == b
         assert a[-1] == (7,)
 
-    def test_finish_stops_both_backends_identically(self):
-        def run(backend):
-            sim = Simulator(backend=backend)
-            clk = Clock("clk", MHz(100))
-            sim.add_module(clk)
-
-            def stopper():
-                for _ in range(25):
-                    yield RisingEdge(clk.out)
-                sim.finish()
-
-            sim.fork(stopper())
-            sim.run(until=10_000 * MHz(100))
-            return _stats_fingerprint(sim, clk.cycles)
-
-        a, b = _both(run)
-        assert a == b
-
     def test_run_until_event_parity(self):
         def run(backend):
             sim = Simulator(backend=backend)

@@ -50,10 +50,6 @@ class TestClock:
         sim.run(until=105_000)
         assert clk.cycles == 10
 
-    def test_cycles_to_time(self):
-        clk = Clock("clk", MHz(100))
-        assert clk.cycles_to_time(100) == 1_000_000
-
     def test_tiny_period_rejected(self):
         with pytest.raises(ValueError):
             Clock("clk", 1)
@@ -73,18 +69,13 @@ class TestModule:
         with pytest.raises(ElaborationError):
             sim2.add_module(top)
 
-    def test_adopting_child_with_other_parent_rejected(self):
-        a, b = Module("a"), Module("b")
-        child = Module("c", parent=a)
-        with pytest.raises(ElaborationError):
-            b.child(child)
-
     def test_late_child_and_signal_after_elaboration(self):
         sim = Simulator()
         top = Module("top")
         sim.add_module(top)
-        late = Module("late")
-        top.child(late)
+        late = Module("late", parent=top)
+        sim.add_module(late)
+        assert late.path == "top.late"
         sig = late.signal("s", 4)
         assert sig._sim is sim  # bound on creation
 
@@ -235,19 +226,6 @@ class TestEventsAndTriggers:
 
 
 class TestSimulatorMisc:
-    def test_finish_stops_run(self):
-        sim = Simulator()
-
-        def proc():
-            while True:
-                yield Timer(10)
-                if sim.time >= 50:
-                    sim.finish()
-
-        sim.fork(proc())
-        sim.run(until=10_000)
-        assert sim.time <= 60
-
     def test_repr(self):
         sim = Simulator()
         assert "Simulator" in repr(sim)

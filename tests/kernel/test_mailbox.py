@@ -8,22 +8,11 @@ from repro.kernel import Mailbox, MailboxEmpty, Simulator, Timer
 def test_try_put_try_get_fifo_order():
     sim = Simulator()
     mbox = Mailbox(sim, "m")
-    assert mbox.is_empty
     for i in range(3):
-        assert mbox.try_put(i)
+        mbox.try_put(i)
     assert [mbox.try_get() for _ in range(3)] == [0, 1, 2]
     with pytest.raises(MailboxEmpty):
         mbox.try_get()
-
-
-def test_capacity_limit():
-    sim = Simulator()
-    mbox = Mailbox(sim, "m", capacity=2)
-    assert mbox.try_put(1)
-    assert mbox.try_put(2)
-    assert mbox.is_full
-    assert not mbox.try_put(3)
-    assert len(mbox) == 2
 
 
 def test_blocking_get_waits_for_put():
@@ -43,39 +32,6 @@ def test_blocking_get_waits_for_put():
     sim.fork(producer())
     sim.run()
     assert got == [(100, "frame")]
-
-
-def test_blocking_put_waits_for_space():
-    sim = Simulator()
-    mbox = Mailbox(sim, "m", capacity=1)
-    events = []
-
-    def producer():
-        yield from mbox.put("a")
-        events.append(("put-a", sim.time))
-        yield from mbox.put("b")
-        events.append(("put-b", sim.time))
-
-    def consumer():
-        yield Timer(50)
-        events.append(("got", mbox.try_get(), sim.time))
-        yield Timer(1)
-
-    sim.fork(producer())
-    sim.fork(consumer())
-    sim.run()
-    assert ("put-a", 0) in events
-    assert ("got", "a", 50) in events
-    put_b = [e for e in events if e[0] == "put-b"]
-    assert put_b and put_b[0][1] >= 50
-
-
-def test_peek_does_not_consume():
-    sim = Simulator()
-    mbox = Mailbox(sim, "m")
-    mbox.try_put(7)
-    assert mbox.peek() == 7
-    assert len(mbox) == 1
 
 
 def test_counters():
@@ -111,30 +67,15 @@ def test_multiple_consumers_each_get_distinct_items():
     assert sorted(item for _, item in got) == [1, 2]
 
 
-def test_peek_empty_raises():
-    sim = Simulator()
-    mbox = Mailbox(sim, "m")
-    with pytest.raises(MailboxEmpty):
-        mbox.peek()
-
-
-def test_zero_capacity_rejects_everything():
-    sim = Simulator()
-    mbox = Mailbox(sim, "m", capacity=0)
-    assert mbox.is_full
-    assert not mbox.try_put("x")
-    assert mbox.is_empty
-    assert mbox.total_put == 0
-
-
 def test_contending_producers_lose_no_items():
     sim = Simulator()
-    mbox = Mailbox(sim, "m", capacity=1)
+    mbox = Mailbox(sim, "m")
     got = []
 
     def producer(base):
         for i in range(3):
-            yield from mbox.put(base + i)
+            mbox.try_put(base + i)
+            yield Timer(3)
 
     def consumer():
         for _ in range(6):
@@ -153,9 +94,8 @@ def test_contending_producers_lose_no_items():
     assert mbox.total_put == mbox.total_got == 6
 
 
-def test_repr_shows_occupancy_and_capacity():
+def test_repr_shows_occupancy():
     sim = Simulator()
-    bounded = Mailbox(sim, "b", capacity=4)
-    bounded.try_put(1)
-    assert repr(bounded) == "Mailbox('b', 1/4)"
-    assert "inf" in repr(Mailbox(sim, "u"))
+    mbox = Mailbox(sim, "b")
+    mbox.try_put(1)
+    assert repr(mbox) == "Mailbox('b', 1 queued)"

@@ -99,10 +99,10 @@ def test_plb_memory_is_last_write_wins(ops):
 
     def master():
         for idx, value in ops:
-            yield from port.write(4 * idx, value)
+            yield from port.write_burst(4 * idx, [value])
             model[idx] = value & 0xFFFF_FFFF
         for idx in sorted(model):
-            got = yield from port.read(4 * idx)
+            (got,) = yield from port.read_burst(4 * idx, 1)
             assert got == model[idx]
 
     proc = sim.fork(master())

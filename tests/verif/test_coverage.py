@@ -34,7 +34,7 @@ def vmux_cov():
 def test_resim_covers_all_dpr_aspects(resim_cov):
     cov, system, software = resim_cov
     assert software.finished
-    assert cov.missing() == [], cov.report()
+    assert cov.missing_points() == [], cov.report()
     assert cov.score == 1.0
 
 
@@ -43,7 +43,7 @@ def test_vmux_coverage_holes(vmux_cov):
     bitstream transfer, injection windows, or the isolation logic."""
     cov, system, software = vmux_cov
     assert software.finished
-    missing = set(cov.missing())
+    missing = {p.name for p in cov.missing_points()}
     assert "bitstream_transfer" in missing
     assert "injection_window" in missing
     assert "isolation_armed" in missing
@@ -86,7 +86,7 @@ def test_report_lists_never_hit_points_with_descriptions(vmux_cov):
         for line in text.splitlines()
         if line.strip().startswith("- ")
     }
-    assert listed == set(cov.missing())
+    assert listed == {p.name for p in cov.missing_points()}
 
 
 def test_fully_covered_report_has_no_never_hit_section(resim_cov):
@@ -99,7 +99,7 @@ def test_coverage_json_dict(vmux_cov):
     data = cov.to_json_dict()
     assert data["total"] == cov.total
     assert data["covered"] == cov.covered
-    assert set(data["never_hit"]) == set(cov.missing())
+    assert set(data["never_hit"]) == {p.name for p in cov.missing_points()}
     assert data["hits"]["swap_to_cie"] >= 1
     assert data["hits"]["bitstream_transfer"] == 0
 

@@ -80,10 +80,3 @@ def test_config_validation():
         SceneConfig(width=8, height=8)
     with pytest.raises(ValueError):
         SceneConfig(max_speed=-1)
-
-
-def test_frames_iterator():
-    seq = FrameSequence()
-    frames = list(seq.frames(3, start=2))
-    assert len(frames) == 3
-    assert np.array_equal(frames[0], seq.frame(2))

@@ -8,13 +8,21 @@ function defined under ``src/repro`` that was never called, grouped by
 module.  It reports rather than gates: the exit status is 0 whatever it
 finds.
 
-The entry-point set, all run with ``--jobs 1`` where a command takes it,
-so every task runs in this process:
+The entry-point set, run with ``--jobs 1`` where a command takes it (but
+for the one ``--jobs 2`` campaign below), so every task runs in this
+process:
 
 * every CLI subcommand: ``run`` under resim, vmux, dcs and ``tiny-ft``;
   ``bugs`` (list and one injection); ``scenarios``; ``timeline``;
   ``profile``; ``coverage``; ``campaign``; ``soak``; ``fuzz`` with a
-  shrunk divergence and its ``--replay``; ``trace``; ``bench``;
+  shrunk divergence and its ``--replay``; ``trace``;
+* the CI gates' own paths: ``bench --check`` against the committed
+  baseline, and a two-bug ``campaign --jobs 2``, which reaches the
+  worker-fleet dispatcher (the calls its worker processes make are not
+  recorded; the ``--jobs 1`` runs cover the same task code).  The
+  profile hook slows the kernel several-fold, so the bench check runs
+  with ``--tolerance 1`` and only reaches the comparison; it never
+  rewrites the baseline;
 * one ``run_system`` on the codegen backend;
 * every script under ``examples/``;
 * the ``benchmarks/`` harness (on a copy, so its result files in the
@@ -23,6 +31,9 @@ so every task runs in this process:
 Commands run in a temporary directory.  A function reached only through
 another path (a test, a worker process) is listed: read the list as
 "nothing a user runs calls this", then check the tests before deleting.
+Names that ``perfbench/`` uses (``ArtifactCache``, ``run_many_laned``,
+``CampaignResult.run_failures``) stay listed, as the tool does not run
+that harness; they are not deletion candidates while it pins them.
 
 Run from anywhere inside the repository (takes a few minutes)::
 
@@ -61,13 +72,17 @@ CLI_RUNS: List[Tuple[str, List[str]]] = [
     ("coverage", ["coverage", "--scenario", "tiny", "--frames", "1"]),
     ("campaign", ["campaign", "--scenario", "tiny", "--frames", "1",
                   "--jobs", "1", "--json"]),
+    ("campaign --jobs 2", ["campaign", "--bug", "dpr.1", "--bug", "dpr.4",
+                           "--frames", "1", "--jobs", "2", "--json"]),
     ("soak", ["soak", "--frames", "2", "--seed", "7", "--jobs", "1", "--json"]),
     ("fuzz shrink", ["fuzz", "--budget", "4", "--wave", "4", "--jobs", "1",
                      "--inject-divergence", "dpr.1", "--repro", "repro.json"]),
     ("fuzz replay", ["fuzz", "--replay", "repro.json"]),
     ("trace", ["trace", "--scenario", "tiny", "--frames", "1",
                "-o", "trace.json", "--timeline", "--summary"]),
-    ("bench", ["bench", "--repeats", "1"]),
+    ("bench --check", ["bench", "--repeats", "1", "--check", "--tolerance",
+                       "1", "--baseline",
+                       str(REPO / "benchmarks" / "BENCH_kernel.json")]),
 ]
 
 
