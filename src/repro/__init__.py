@@ -3,7 +3,7 @@ Reconfiguration: A Video Processing Case Study" (IPPS/RAW 2013).
 
 The package implements, in pure Python:
 
-* :mod:`repro.kernel` — a four-state, delta-cycle RTL simulation kernel,
+* :mod:`repro.kernel` — a three-valued, delta-cycle RTL simulation kernel,
 * :mod:`repro.bus` — PLB system bus, DCR daisy chain, interrupt controller,
 * :mod:`repro.cpu` — a PowerPC-lite instruction-set simulator + assembler,
 * :mod:`repro.video` — synthetic video, golden optical-flow models, VIPs,

@@ -142,7 +142,7 @@ class InterruptController(DcrRegisterFile):
         """One scan: latch the request lines into pending, drive irq.
 
         Runs at most once per bus-clock rising edge, so the body is kept
-        lean: ``pending`` in a local, raw X/Z mask tests, and the ISR
+        lean: ``pending`` in a local, raw X mask tests, and the ISR
         word written straight to its register slot (what :meth:`poke`
         does, minus the name lookup).
         """
@@ -153,7 +153,7 @@ class InterruptController(DcrRegisterFile):
         pending = self._pending
         for i, sig in enumerate(self._sources):
             v = sig._value
-            if v.xmask | v.zmask:
+            if v.xmask:
                 quiet = False
                 self.x_violations += 1
                 if self.first_x_violation_at is None:
@@ -169,7 +169,7 @@ class InterruptController(DcrRegisterFile):
         want = 1 if pending & self._enabled else 0
         irq = self.irq
         v = irq._value
-        if v.xmask | v.zmask or v.value != want:
+        if v.xmask or v.value != want:
             irq.next = want
             quiet = False
         self._quiet = quiet

@@ -1,4 +1,4 @@
-"""Four-state, delta-cycle, event-driven RTL simulation kernel.
+"""Three-valued (0/1/X), delta-cycle, event-driven RTL simulation kernel.
 
 The ModelSim substitute underlying the whole reproduction: everything
 else in :mod:`repro` — buses, engines, the reconfiguration machinery,
@@ -19,7 +19,7 @@ from .events import (
     Timer,
     Trigger,
 )
-from .logic import LV, LogicVector, bit, xbits, zbits
+from .logic import LV, LogicVector, bit, xbits
 from .mailbox import Mailbox, MailboxEmpty
 from .module import ElaborationError, Module
 from .process import Process, ProcessError
@@ -44,7 +44,6 @@ __all__ = [
     "LogicVector",
     "bit",
     "xbits",
-    "zbits",
     "Mailbox",
     "MailboxEmpty",
     "ElaborationError",

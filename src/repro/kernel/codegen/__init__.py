@@ -7,7 +7,7 @@
     the :class:`~repro.kernel.codegen.backend.CodegenBackend` execution
     seam that runs the compiled driver and falls back to the
     event-driven interpreter whenever generated code cannot represent
-    the current simulation state (X/Z, VCD, tracing, exotic waits).
+    the current simulation state (X, VCD, tracing, exotic waits).
 
 Nothing in this package is imported on the interpreter-only path; the
 simulator pulls it in lazily when ``backend="codegen"`` is requested.

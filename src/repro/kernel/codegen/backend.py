@@ -15,17 +15,17 @@ one loop around it, behind both :meth:`Simulator.run` and
 
 The codegen driver *bails out* to the interpreter for anything it
 cannot prove cheap and exact: simultaneous timed events (on the paper
-SoC every ``cfg_clk`` edge lands on a ``bus_clk`` edge), X/Z values on
-a committing signal, monitors, ``First``/multi-waiter wakeups, unknown
-trigger types — and falls back entirely when a VCD writer or tracer is
+SoC every ``cfg_clk`` edge lands on a ``bus_clk`` edge), X values on
+a committing signal, ``First``/multi-waiter wakeups, unknown trigger
+types — and falls back entirely when a VCD writer or tracer is
 attached (those need the interpreter's per-commit hooks).  Every bail
 is counted under ``("bail", reason)`` in
 :attr:`CodegenBackend.event_counts` and settles through the
 interpreter's one delta loop; a fallback hands the rest of the run to
 its one timestep loop.
-Stats contract: ``resumes``, ``value_changes``, per-owner maps and
-per-signal ``change_count`` are bit-exact against the interpreter (they feed
-byte-compared reports); ``deltas``/``timesteps`` may differ slightly at
+Stats contract: ``resumes``, ``value_changes``, the per-owner maps and
+every signal's final value are bit-exact against the interpreter (they
+feed byte-compared reports); ``deltas``/``timesteps`` may differ slightly at
 bail-out boundaries (they feed no report).
 """
 

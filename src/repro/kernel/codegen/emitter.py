@@ -16,8 +16,8 @@ interpreter.  It has three parts:
 * **settle epilogue** — commit the updates the resumes scheduled, one
   round per delta: a single-update round takes a lean inline path, a
   multi-update round the generic one, and either replays through the
-  interpreter on anything it cannot represent exactly (X/Z, monitors,
-  mis-sized commits, multi-process or ``First`` waiters).
+  interpreter on anything it cannot represent exactly (X, multi-process
+  or ``First`` waiters).
 
 The driver's stats accounting is bit-exact against the interpreter
 for resumes / value changes / per-owner maps (see the backend
@@ -106,9 +106,11 @@ else:
 # Settle the pending signal updates of the current timestep inline.
 # One round per delta: commit scheduled updates 2-state, collect fired
 # edge triggers, resume their waiters directly.  Anything the inline
-# form cannot represent exactly (X/Z, monitors, mis-sized commits,
+# form cannot represent exactly (X on either side of a commit,
 # First/multi-process waiters) is replayed through the interpreter at
-# the exact phase boundary the interpreter itself would be at.
+# the exact phase boundary the interpreter itself would be at.  Every
+# scheduled vector already has its signal's width (``Signal.next``
+# coerces it), so the 2-state compare of ``value`` decides a change.
 _EPILOGUE = """\
 rounds = 0
 while updates:
@@ -121,16 +123,13 @@ while updates:
     if len(updates) == 1:
         signal, new = updates.popitem()
         old2 = signal._value
-        if (new.xmask | new.zmask | old2.xmask | old2.zmask
-                or signal._monitors is not None
-                or new.width != signal.width):
+        if new.xmask | old2.xmask:
             updates[signal] = new
             sim._step_deltas()
             break
         if new.value == old2.value:
             continue
         signal._value = new
-        signal.change_count += 1
         changes += 1
         ow = signal.owner
         if ow is not None:
@@ -153,15 +152,12 @@ while updates:
         updates.clear()
         simple = True
         for signal, new in items:
-            old2 = signal._value
-            if (new.xmask | new.zmask | old2.xmask | old2.zmask
-                    or signal._monitors is not None
-                    or new.width != signal.width):
+            if new.xmask | signal._value.xmask:
                 simple = False
                 break
         if not simple:
-            # X/Z, monitor or mis-sized commit: replay the whole
-            # round through the interpreter, untouched
+            # an X commit: replay the whole round through the
+            # interpreter, untouched
             for signal, new in items:
                 updates[signal] = new
             sim._step_deltas()
@@ -172,7 +168,6 @@ while updates:
             if new.value == old2.value:
                 continue
             signal._value = new
-            signal.change_count += 1
             changes += 1
             ow = signal.owner
             if ow is not None:
@@ -228,8 +223,8 @@ _CLOCK_ARM = """\
                     break  # simultaneous events: generic timestep
                 out = C{i}O
                 old = out._value
-                if (old.xmask | old.zmask) or out._monitors is not None or out._w_any:
-                    why = 'clock-xz-monitor-any'
+                if old.xmask or out._w_any:
+                    why = 'clock-x-any'
                     break
                 val = trig.value
                 wl = out._w_rise if val.value == 1 else ()
@@ -249,9 +244,8 @@ _CLOCK_ARM = """\
                 deltas += 1
                 C{i}.cycles += trig.bump
                 if val.value == old.value:
-                    continue  # forced to the edge's phase: no change
+                    continue  # already at the edge's value: no change
                 out._value = val
-                out.change_count += 1
                 changes += 1
                 cch{i} += 1
                 if not wl:

@@ -1,40 +1,34 @@
-"""Four-state logic values for RTL simulation.
+"""Three-valued logic values for RTL simulation.
 
-RTL simulation of dynamic partial reconfiguration requires four-state
-logic: during reconfiguration, the ReSim-style error injector drives
-``X`` (unknown) onto every output of the reconfigurable region, and the
-testbench must observe whether those ``X`` values corrupt the static
-region (e.g. break the DCR daisy chain).  Two-state simulation cannot
-express that experiment at all, which is why the kernel is four-state
-from the ground up.
+RTL simulation of dynamic partial reconfiguration needs an unknown
+value: during reconfiguration, the ReSim-style error injector drives
+``X`` onto every output of the reconfigurable region, and the testbench
+must observe whether those ``X`` values corrupt the static region (e.g.
+break the DCR daisy chain).  Two-state simulation cannot express that
+experiment at all, so each bit is ``0``, ``1`` or ``X``.  Nothing in
+the modelled SoC is tri-stated, so there is no high-impedance value.
 
-A :class:`LogicVector` is an immutable fixed-width bundle of bits, each
-of which is ``0``, ``1``, ``X`` (unknown) or ``Z`` (high impedance).
-The representation is three parallel integers:
+A :class:`LogicVector` is an immutable fixed-width bundle of bits.  The
+representation is two parallel integers:
 
 ``value``
-    the defined bit pattern (bits that are X or Z read as 0 here),
+    the defined bit pattern (bits that are X read as 0 here),
 ``xmask``
-    bit set where the corresponding bit is ``X``,
-``zmask``
-    bit set where the corresponding bit is ``Z``.
+    bit set where the corresponding bit is ``X``.
 
-``xmask & zmask == 0`` always holds.  A vector is a value to store,
-compare and render: ``==`` is case equality (``===``, so X equals X),
-and models compute on plain integers (``value`` once the vector
-:attr:`~LogicVector.is_defined`, or :meth:`~LogicVector.to_int_or`).
+A vector is a value to store, compare and render: ``==`` is case
+equality (``===``, so X equals X), and models compute on plain integers
+(``value`` once the vector :attr:`~LogicVector.is_defined`, or
+:meth:`~LogicVector.to_int_or`).
 """
 
 from __future__ import annotations
-
-from typing import Union
 
 __all__ = [
     "LogicVector",
     "LV",
     "bit",
     "xbits",
-    "zbits",
 ]
 
 
@@ -66,7 +60,6 @@ def _new_defined(width: int, value: int) -> "LogicVector":
     _set_width(lv, width)
     _set_value(lv, value)
     _set_xmask(lv, 0)
-    _set_zmask(lv, 0)
     return lv
 
 
@@ -115,24 +108,19 @@ def _small_table(width: int) -> list:
 
 
 class LogicVector:
-    """An immutable ``width``-bit four-state logic value."""
+    """An immutable ``width``-bit three-valued logic value."""
 
-    __slots__ = ("width", "value", "xmask", "zmask")
+    __slots__ = ("width", "value", "xmask")
 
-    def __init__(self, width: int, value: int = 0, xmask: int = 0, zmask: int = 0):
+    def __init__(self, width: int, value: int = 0, xmask: int = 0):
         if width <= 0:
             raise ValueError(f"LogicVector width must be positive, got {width}")
         m = _mask(width)
-        value &= m
         xmask &= m
-        zmask &= m
-        if xmask & zmask:
-            raise ValueError("a bit cannot be both X and Z")
-        # Undefined bits read as 0 in `value` so equality is canonical.
+        # X bits read as 0 in `value` so equality is canonical.
         _set_width(self, width)
-        _set_value(self, value & ~(xmask | zmask) & m)
+        _set_value(self, value & ~xmask & m)
         _set_xmask(self, xmask)
-        _set_zmask(self, zmask)
 
     def __setattr__(self, name, _value):  # pragma: no cover - defensive
         raise AttributeError("LogicVector is immutable")
@@ -156,54 +144,24 @@ class LogicVector:
     @classmethod
     def unknown(cls, width: int) -> "LogicVector":
         """All bits ``X`` — the reset/error-injection value."""
-        return cls(width, 0, _mask(width), 0)
-
-    @classmethod
-    def high_z(cls, width: int) -> "LogicVector":
-        """All bits ``Z`` — an undriven bus."""
-        return cls(width, 0, 0, _mask(width))
-
-    @classmethod
-    def from_string(cls, text: str) -> "LogicVector":
-        """Parse a Verilog-style bit string, MSB first (``"1x0z"``)."""
-        text = text.replace("_", "")
-        if not text:
-            raise ValueError("empty logic string")
-        value = xmask = zmask = 0
-        for ch in text:
-            value <<= 1
-            xmask <<= 1
-            zmask <<= 1
-            if ch in "01":
-                value |= int(ch)
-            elif ch in "xX":
-                xmask |= 1
-            elif ch in "zZ":
-                zmask |= 1
-            else:
-                raise ValueError(f"invalid logic character {ch!r}")
-        return cls(len(text), value, xmask, zmask)
+        return cls(width, 0, _mask(width))
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
     @property
     def is_defined(self) -> bool:
-        """True when no bit is ``X`` or ``Z``."""
-        return not (self.xmask | self.zmask)
+        """True when no bit is ``X``."""
+        return not self.xmask
 
     @property
     def has_x(self) -> bool:
         return bool(self.xmask)
 
-    @property
-    def has_z(self) -> bool:
-        return bool(self.zmask)
-
     def to_int(self) -> int:
         """The integer value; raises if any bit is undefined."""
         if not self.is_defined:
-            raise ValueError(f"cannot convert {self!r} with X/Z bits to int")
+            raise ValueError(f"cannot convert {self!r} with X bits to int")
         return self.value
 
     def to_int_or(self, default: int) -> int:
@@ -215,12 +173,10 @@ class LogicVector:
         b = 1 << i
         if self.xmask & b:
             return "x"
-        if self.zmask & b:
-            return "z"
         return "1" if self.value & b else "0"
 
     def to_string(self) -> str:
-        """MSB-first bit string, e.g. ``"10xz"``."""
+        """MSB-first bit string, e.g. ``"10x1"``."""
         return "".join(self.bit_char(i) for i in range(self.width - 1, -1, -1))
 
     def __repr__(self) -> str:
@@ -229,7 +185,7 @@ class LogicVector:
         return f"LV({self.width}'b{self.to_string()})"
 
     def __hash__(self) -> int:
-        return hash((self.width, self.value, self.xmask, self.zmask))
+        return hash((self.width, self.value, self.xmask))
 
     def __len__(self) -> int:
         return self.width
@@ -246,7 +202,7 @@ class LogicVector:
     # Equality
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        """Exact (case-equality, ``===``) comparison; X==X, Z==Z."""
+        """Exact (case-equality, ``===``) comparison; X==X."""
         other = _coerce(other, self.width)
         if other is NotImplemented:
             return NotImplemented
@@ -254,7 +210,6 @@ class LogicVector:
             self.width == other.width
             and self.value == other.value
             and self.xmask == other.xmask
-            and self.zmask == other.zmask
         )
 
     def __ne__(self, other: object) -> bool:
@@ -268,7 +223,7 @@ class LogicVector:
         """Zero-extend or truncate to ``width`` bits."""
         if width == self.width:
             return self
-        return LogicVector(width, self.value, self.xmask, self.zmask)
+        return LogicVector(width, self.value, self.xmask)
 
 
 # Prefetched slot descriptors: the fastest pure-Python way to write the
@@ -277,7 +232,6 @@ class LogicVector:
 _set_width = LogicVector.__dict__["width"].__set__
 _set_value = LogicVector.__dict__["value"].__set__
 _set_xmask = LogicVector.__dict__["xmask"].__set__
-_set_zmask = LogicVector.__dict__["zmask"].__set__
 
 
 def _coerce(value: object, width: int):
@@ -292,12 +246,8 @@ def _coerce(value: object, width: int):
     return NotImplemented
 
 
-def LV(value: Union[int, str], width: int | None = None) -> LogicVector:
-    """Convenience constructor: ``LV(5, 8)`` or ``LV("1x0z")``."""
-    if isinstance(value, str):
-        if width is not None:
-            raise ValueError("width is implied by the string length")
-        return LogicVector.from_string(value)
+def LV(value: int, width: int | None = None) -> LogicVector:
+    """Convenience constructor: ``LV(5, 8)``; ``LV(5)`` takes the fewest bits."""
     if width is None:
         width = max(value.bit_length(), 1)
     return LogicVector.from_int(value, width)
@@ -310,7 +260,3 @@ def bit(value: int) -> LogicVector:
 
 def xbits(width: int) -> LogicVector:
     return LogicVector.unknown(width)
-
-
-def zbits(width: int) -> LogicVector:
-    return LogicVector.high_z(width)

@@ -36,21 +36,16 @@ class Mailbox(Generic[T]):
         self.name = name
         self._items: Deque[T] = deque()
         self._put_event = Event(f"{name}.put")
-        self.total_put = 0
-        self.total_got = 0
 
     def try_put(self, item: T) -> None:
         """Append ``item``; never blocks, as the mailbox is unbounded."""
         self._items.append(item)
-        self.total_put += 1
         self._put_event.set(self._sim, item)
 
     def try_get(self) -> T:
         if not self._items:
             raise MailboxEmpty(f"mailbox {self.name!r} is empty")
-        item = self._items.popleft()
-        self.total_got += 1
-        return item
+        return self._items.popleft()
 
     def get(self):
         """``item = yield from mbox.get()`` — blocks while empty."""

@@ -1,17 +1,19 @@
 """Signals — the state elements of the simulated design.
 
-A :class:`Signal` holds a four-state :class:`~repro.kernel.logic.LogicVector`
-and follows HDL non-blocking-assignment semantics: writes performed during
-the evaluation phase of a delta cycle (``sig.next = v``) take effect in the
+A :class:`Signal` holds a three-valued
+:class:`~repro.kernel.logic.LogicVector` and follows HDL
+non-blocking-assignment semantics: writes performed during the
+evaluation phase of a delta cycle (``sig.next = v``) take effect in the
 following update phase, at which point edge triggers fire and sensitive
 processes are scheduled for the next delta.
 
-Value-change counts are accumulated per signal and rolled up per owning
-module by the simulator's activity accounting — that is how the Table II
-"elapsed time tracks signal activity" experiment is measured.  A commit
-(:meth:`Signal._apply`, inlined by the scheduler's update phase) has one
-rule for every value: it changes the signal iff ``value``, ``xmask`` or
-``zmask`` differ.
+``next`` owns the width rule: every value it schedules has exactly the
+signal's width (a narrower one is zero-extended, a wider one raises
+:class:`SignalWriteError` unless its extra bits are zero).  The
+simulator's update phase owns the commit rule: a commit changes the
+signal iff ``value`` or ``xmask`` differ, and each change is counted
+per owning module — that is how the Table II "elapsed time tracks
+signal activity" experiment is measured.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _coerce_value(value: Union[LogicVector, int, bool], width: int) -> LogicVect
     if isinstance(value, LogicVector):
         if value.width != width:
             if value.width < width or not (
-                (value.value | value.xmask | value.zmask) >> width
+                (value.value | value.xmask) >> width
             ):
                 return value.resize(width)
             raise SignalWriteError(
@@ -63,7 +65,7 @@ def _coerce_value(value: Union[LogicVector, int, bool], width: int) -> LogicVect
 
 
 class Signal:
-    """A named, traced, four-state signal with non-blocking updates."""
+    """A named, traced, three-valued signal with non-blocking updates."""
 
     __slots__ = (
         "name",
@@ -73,10 +75,7 @@ class Signal:
         "owner",
         "_w_any",
         "_w_rise",
-        "change_count",
         "_vcd_id",
-        "_pending",
-        "_monitors",
         "_limit",
         "_small",
         "_make",
@@ -118,10 +117,7 @@ class Signal:
         # slots so the update hot path never goes through a dict
         self._w_any = []
         self._w_rise = []
-        self.change_count = 0
         self._vcd_id: Optional[str] = None
-        self._pending = False
-        self._monitors = None  # lazily created list of callbacks
 
     # ------------------------------------------------------------------
     # Reading
@@ -178,82 +174,11 @@ class Signal:
             return
         sim._updates[self] = new
 
-    def force(self, value: Union[LogicVector, int, bool]) -> None:
-        """Immediately overwrite the value *without* firing triggers.
-
-        Reserved for testbench initialization and error injection setup;
-        normal design code must use :attr:`next`.  The forced value *is*
-        recorded to an attached VCD writer (so injected values are
-        visible in waveforms), but edge triggers and ``add_monitor``
-        callbacks are intentionally bypassed: a force is an
-        out-of-band testbench action, not a design event.
-
-        A force also *cancels* any update already queued for this signal
-        in the current delta cycle: ``s.next = 5; s.force(0xAA)`` leaves
-        the signal at ``0xAA``.  Without the cancellation the queued ``5``
-        would silently overwrite the forced value at the next update
-        phase, losing the injected stimulus.
-        """
-        self._value = _coerce_value(value, self.width)
-        sim = self._sim
-        if sim is not None:
-            sim._updates.pop(self, None)
-            if sim._vcd is not None and self._vcd_id is not None:
-                sim._vcd._record(sim.time, self)
-
     # ------------------------------------------------------------------
     # Kernel interface
     # ------------------------------------------------------------------
     def _bind(self, sim) -> None:
         self._sim = sim
-
-    def add_monitor(self, callback) -> None:
-        """Register ``callback(signal, old, new)`` on every value change."""
-        if self._monitors is None:
-            self._monitors = []
-        self._monitors.append(callback)
-
-    def _normalize_width(self, new: LogicVector) -> LogicVector:
-        """Enforce the commit width invariant: stored vectors have
-        exactly ``self.width`` bits.
-
-        ``next``/``force`` coerce before scheduling, but raw scheduler
-        clients (``sim._updates[sig] = lv``) can hand the update phase a
-        vector of a different width; without normalization a same-value
-        commit of the wrong width would be stored verbatim, permanently
-        corrupting the signal's declared width (VCD rendering and
-        slicing key off it).  A vector too wide to truncate losslessly
-        raises.
-        """
-        if new.width < self.width or not (
-            (new.value | new.xmask | new.zmask) >> self.width
-        ):
-            return new.resize(self.width)
-        raise SignalWriteError(
-            f"value of width {new.width} does not fit signal "
-            f"{self.name!r} of width {self.width}"
-        )
-
-    def _apply(self, new: LogicVector):
-        """Commit a scheduled update; returns (changed, old_value).
-
-        The simulator's update phase inlines this logic; this method is
-        the canonical (and test-visible) definition of commit semantics.
-        Committed vectors always have exactly ``self.width`` bits (see
-        :meth:`_normalize_width`), so the three fields decide a change.
-        """
-        if new.width != self.width:
-            new = self._normalize_width(new)
-        old = self._value
-        if (
-            new.value == old.value
-            and new.xmask == old.xmask
-            and new.zmask == old.zmask
-        ):
-            return False, old
-        self._value = new
-        self.change_count += 1
-        return True, old
 
     def __repr__(self) -> str:
         return f"Signal({self.name}={self._value!r})"

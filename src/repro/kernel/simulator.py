@@ -1,8 +1,8 @@
 """The discrete-event simulation scheduler.
 
-This is the kernel's ModelSim substitute: a delta-cycle, four-state,
-event-driven scheduler.  One *time step* consists of one or more *delta
-cycles*; each delta cycle has an **evaluation phase** (runnable
+This is the kernel's ModelSim substitute: a delta-cycle, three-valued
+(0/1/X), event-driven scheduler.  One *time step* consists of one or
+more *delta cycles*; each delta cycle has an **evaluation phase** (runnable
 processes execute and schedule signal updates non-blockingly) followed
 by an **update phase** (scheduled updates are committed, edge triggers
 fire, and newly sensitive processes become runnable in the next delta).
@@ -14,9 +14,9 @@ loop (:meth:`Simulator._step_deltas`).  :meth:`~Simulator.run`,
 :meth:`~Simulator.run_until_event` and profile mode all run on them,
 and the codegen backend settles every bail through the same delta loop,
 so every entry point executes one schedule.  Idle hardware costs next
-to nothing: a timestep holding nothing but clock edges that no process,
-monitor or VCD writer observes is *silent*, and the timestep loop
-commits its toggles inline, with the counters one delta of the delta
+to nothing: a timestep holding nothing but clock edges that no process
+or VCD writer observes is *silent*, and the timestep loop commits its
+toggles inline, with the counters one delta of the delta
 loop would record, instead of entering the delta loop at all.
 
 Activity accounting
@@ -225,12 +225,16 @@ class Simulator:
         cycles at the current time until quiescent.  Each delta resumes
         the ready processes (evaluation), then commits the scheduled
         updates and fires the triggers they and the pending delta
-        triggers raise (update).  The resume and commit are inlined;
-        :meth:`Signal._apply` stays the test-visible definition of the
-        commit.  The scheduler queues are drained in place and never
-        rebound, so they are bound here once, with ``profile``; ``_vcd``
-        and ``time`` are read once per call.  Counters accumulate in
-        locals and are flushed on exit, including on an error.
+        triggers raise (update).  The update phase is the one definition
+        of a commit: a signal changes iff the new vector's ``value`` or
+        ``xmask`` differs from the stored one.  Every scheduled vector
+        already has the signal's width (:attr:`Signal.next` coerces it,
+        and a clock edge writes a 1-bit value to its 1-bit output), so
+        those two fields decide.  The scheduler queues are drained in
+        place and never rebound, so they are bound here once, with
+        ``profile``; ``_vcd`` and ``time`` are read once per call.
+        Counters accumulate in locals and are flushed on exit, including
+        on an error.
         """
         ready = self._ready
         popleft = ready.popleft
@@ -314,30 +318,23 @@ class Simulator:
                             items = list(updates.items())
                             updates.clear()
                         for signal, new in items:
-                            if new.width != signal.width:
-                                new = signal._normalize_width(new)
                             old = signal._value
                             if (
                                 new.value == old.value
                                 and new.xmask == old.xmask
-                                and new.zmask == old.zmask
                             ):
                                 continue
                             signal._value = new
-                            signal.change_count += 1
                             changes += 1
                             owner = signal.owner
                             if owner is not None:
                                 changes_by_owner[owner] += 1
                             if vcd is not None and signal._vcd_id is not None:
                                 vcd._record(time_now, signal)
-                            if signal._monitors:
-                                for cb in signal._monitors:
-                                    cb(signal, old, new)
                             w = signal._w_any
                             if w:
                                 fired.extend(w)
-                            # X/Z bits read 0 in ``value``, so bit 0 of
+                            # X bits read 0 in ``value``, so bit 0 of
                             # ``value`` is set iff the LSB is a defined 1
                             w = signal._w_rise
                             if w and new.value & 1 and not old.value & 1:
@@ -373,13 +370,12 @@ class Simulator:
         A *silent* step skips the delta loop.  It holds nothing but clock
         edges, with no process ready and no delta trigger pending, and no
         toggled clock signal has an any-edge waiter, a rising-edge waiter
-        on a rise, a monitor, or a VCD id while a VCD writer is
-        attached.  Such a step is one delta that resumes nobody: its
-        toggles are committed inline, with the same counter updates
-        (``change_count``, ``value_changes``, ``changes_by_owner``,
-        one ``deltas``) that delta would make, and
+        on a rise, or a VCD id while a VCD writer is attached.  Such a
+        step is one delta that resumes nobody: its toggles are committed
+        inline, with the same counter updates (``value_changes``,
+        ``changes_by_owner``, one ``deltas``) that delta would make, and
         counted in ``silent_timesteps``.  Every edge still commits, so a
-        read of a clock signal is always exact.  X/Z on either side of a
+        read of a clock signal is always exact.  X on either side of a
         toggle takes the delta loop.
 
         With ``event`` the loop stops as soon as its ``fired_count``
@@ -437,9 +433,7 @@ class Simulator:
                         if (
                             sig._w_any
                             or (new.value & 1 and sig._w_rise)
-                            or sig._monitors
-                            or new.xmask | new.zmask | old.xmask | old.zmask
-                            or new.width != sig.width
+                            or new.xmask | old.xmask
                             or (vcd is not None and sig._vcd_id is not None)
                         ):
                             break
@@ -448,7 +442,6 @@ class Simulator:
                         for sig, new in updates.items():
                             if new.value != sig._value.value:
                                 sig._value = new
-                                sig.change_count += 1
                                 stats.value_changes += 1
                                 owner = sig.owner
                                 if owner is not None:

@@ -3,9 +3,9 @@
 Simulation-based debugging of the reconfiguration process relies on
 inspecting waveforms around the reconfiguration window (the paper's
 "before, during and after" requirement).  The kernel can dump any subset
-of signals to an IEEE-1364 VCD file viewable in GTKWave; four-state
-values are emitted faithfully (``x``/``z`` bits included), so the
-error-injection window is visible in the trace.
+of signals to an IEEE-1364 VCD file viewable in GTKWave; ``x`` bits
+are emitted faithfully, so the error-injection window is visible in the
+trace.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ This package is the experimental engine behind the paper's evaluation:
   under Virtual Multiplexing and under ReSim and classifies the outcome
   (detected / missed / false alarm / not applicable); a run's detection
   machinery is the scoreboard plus the hardware-side checkers that
-  ``_collect_monitors`` reads (INTC X, DCR chain, PLB protocol, ICAP
+  ``_monitor_counts`` reads (INTC X, DCR chain, PLB protocol, ICAP
   framing and CRC, ...),
 * :mod:`~repro.verif.coverage` — cover points over the reconfiguration
   machinery: which aspects of DPR a run exercised (``repro coverage``),

@@ -38,7 +38,7 @@ __all__ = ["run_system", "run_bug_campaign", "CampaignResult", "BugOutcome"]
 TIMEOUT_FRAMES_FACTOR = 6
 
 
-def _collect_monitors(system) -> Dict[str, int]:
+def _monitor_counts(system) -> Dict[str, int]:
     monitors = {
         "isolation_x_leaks": system.isolation.x_leaks,
         "intc_x_violations": system.intc.x_violations,
@@ -110,7 +110,7 @@ def run_system(
         hung=not software.finished,
         checks=list(scoreboard.checks),
         software_anomalies=list(software.anomalies),
-        monitors=_collect_monitors(system),
+        monitors=_monitor_counts(system),
         recovery_log=list(software.recovery_log),
         warnings=list(sim.warnings),
         sim_time_ps=sim.time,

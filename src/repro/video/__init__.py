@@ -18,10 +18,8 @@ from .census import census_transform, hamming_distance
 from .formats import (
     pack_pixels,
     pack_vector_bytes,
-    pack_vectors,
     unpack_pixels,
     unpack_vector_bytes,
-    unpack_vectors,
     words_per_row,
 )
 from .frames import FrameSequence, SceneConfig
@@ -33,10 +31,8 @@ __all__ = [
     "hamming_distance",
     "pack_pixels",
     "pack_vector_bytes",
-    "pack_vectors",
     "unpack_pixels",
     "unpack_vector_bytes",
-    "unpack_vectors",
     "words_per_row",
     "FrameSequence",
     "SceneConfig",

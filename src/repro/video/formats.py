@@ -4,9 +4,9 @@ Everything on the PLB moves as 32-bit words:
 
 * **pixels / census signatures** — 4 per word, little-endian byte order
   (pixel ``x`` of a group of four occupies bits ``8*x .. 8*x+7``),
-* **motion vectors** — one per word:
-  ``bit 16 = valid``, ``bits 15..8 = dy + 128``, ``bits 7..0 = dx + 128``
-  (excess-128 so negative displacements survive unsigned words).
+* **motion vectors** — one byte per pixel, four per word (see
+  :func:`pack_vector_bytes`): the index of the displacement within the
+  search window, or ``0xFF`` where no vector is valid.
 
 These layouts are part of the hardware/software contract: the drawing
 software decodes exactly what the Matching Engine wrote.  (Table III's
@@ -23,16 +23,12 @@ import numpy as np
 __all__ = [
     "pack_pixels",
     "unpack_pixels",
-    "pack_vectors",
-    "unpack_vectors",
     "pack_vector_bytes",
     "unpack_vector_bytes",
     "words_per_row",
-    "VECTOR_VALID_BIT",
     "VECTOR_BYTE_INVALID",
 ]
 
-VECTOR_VALID_BIT = 1 << 16
 VECTOR_BYTE_INVALID = 0xFF
 
 
@@ -59,23 +55,6 @@ def unpack_pixels(words: np.ndarray, count: int | None = None) -> np.ndarray:
             raise ValueError("requested more pixels than packed words hold")
         pixels = pixels[:count]
     return pixels
-
-
-def pack_vectors(dx: np.ndarray, dy: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Pack motion vectors, one per 32-bit word."""
-    dx = np.asarray(dx, dtype=np.int16)
-    dy = np.asarray(dy, dtype=np.int16)
-    valid = np.asarray(valid, dtype=bool)
-    if not (dx.shape == dy.shape == valid.shape):
-        raise ValueError("dx/dy/valid shapes differ")
-    if (np.abs(dx) > 127).any() or (np.abs(dy) > 127).any():
-        raise ValueError("displacement out of excess-128 range")
-    words = (
-        (valid.astype(np.uint32) << 16)
-        | ((dy.astype(np.int32) + 128).astype(np.uint32) << 8)
-        | (dx.astype(np.int32) + 128).astype(np.uint32)
-    )
-    return words.ravel().astype(np.uint32)
 
 
 def pack_vector_bytes(
@@ -120,17 +99,3 @@ def unpack_vector_bytes(
     dy[~valid] = 0
     return dx.astype(np.int8), dy.astype(np.int8), valid
 
-
-def unpack_vectors(
-    words: np.ndarray, shape: Tuple[int, int] | None = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_vectors`; returns (dx, dy, valid)."""
-    words = np.asarray(words, dtype=np.uint32)
-    dx = (words & 0xFF).astype(np.int16) - 128
-    dy = ((words >> 8) & 0xFF).astype(np.int16) - 128
-    valid = (words & VECTOR_VALID_BIT) != 0
-    if shape is not None:
-        dx = dx.reshape(shape)
-        dy = dy.reshape(shape)
-        valid = valid.reshape(shape)
-    return dx.astype(np.int8), dy.astype(np.int8), valid

@@ -42,7 +42,6 @@ class VideoInVIP(Module):
         super().__init__(name, parent)
         self.port = port
         self.sequence = sequence
-        self.frames_sent = 0
 
     @property
     def frame_words(self) -> int:
@@ -62,13 +61,11 @@ class VideoInVIP(Module):
         """``yield from vip.send_frame(t, base)`` — full-frame DMA."""
         words = self._packed_frame(t)
         yield from self.port.write_block(base_addr, words.tolist())
-        self.frames_sent += 1
         return self.sequence.frame(t)
 
     def send_frame_backdoor(self, t: int, memory, offset: int) -> np.ndarray:
         """Zero-time load used by fast-functional test modes."""
         memory.load_words(offset, self._packed_frame(t))
-        self.frames_sent += 1
         return self.sequence.frame(t)
 
 

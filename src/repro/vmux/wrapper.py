@@ -56,12 +56,12 @@ class VirtualMuxWrapper(Module):
         if initial_signature is not None:
             # the bug.hw.2 *fix*: reset engine_signature at start up
             self.signature.poke("SIG", initial_signature)
-            self._apply(initial_signature)
+            self._select(initial_signature)
 
     def _on_signature(self, value: int) -> None:
-        self._apply(value)
+        self._select(value)
 
-    def _apply(self, value: int) -> None:
+    def _select(self, value: int) -> None:
         if value == SIG_NONE or value not in self.slot.engines:
             if value != SIG_NONE:
                 self.bad_signature_writes += 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engines import CensusImageEngine
+from repro.kernel import Edge
 from repro.video import census_transform, unpack_pixels
 
 from .conftest import FEAT_BASE, FRAME_BASE, EngineBench, load_frame
@@ -95,9 +96,23 @@ def test_cie_swap_in_clears_reset_state(scene):
 
 
 def test_cie_generates_io_and_datapath_activity(scene):
-    bench, frame, feat, done = run_cie(scene)
-    assert bench.engine.io_activity.change_count > 2 * bench.height - 4
-    assert bench.engine.dp_activity.change_count > bench.width * (bench.height - 2)
+    bench = EngineBench(CensusImageEngine)
+    changes = {}
+
+    def count(sig):
+        changes[sig] = 0
+        while True:
+            yield Edge(sig)
+            changes[sig] += 1
+
+    io_act, dp_act = bench.engine.io_activity, bench.engine.dp_activity
+    bench.sim.fork(count(io_act))
+    bench.sim.fork(count(dp_act))
+    load_frame(bench.mem, FRAME_BASE, scene.frame(0))
+    bench.program(FRAME_BASE, 0, FEAT_BASE)
+    assert bench.run_frame()
+    assert changes[io_act] > 2 * bench.height - 4
+    assert changes[dp_act] > bench.width * (bench.height - 2)
 
 
 def test_cie_back_to_back_frames(scene):

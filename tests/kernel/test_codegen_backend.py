@@ -2,10 +2,11 @@
 
 The interpreter is the specification; the compiled driver must be
 *observationally identical* on everything that feeds a report:
-``resumes``, ``value_changes``, the per-owner maps, per-signal
-counters, final values and simulated time.  These tests exercise each
-driver arm (clock edge, timer, single- and multi-update epilogue) plus
-every bail-out reason (X/Z, monitors, multi-waiter wakeups,
+``resumes``, ``value_changes``, the per-owner maps, final values and
+simulated time.  Every signal in these designs has its own owner, so
+the per-owner change map counts each signal's commits.  These tests
+exercise each driver arm (clock edge, timer, single- and multi-update
+epilogue) plus every bail-out reason (X, multi-waiter wakeups,
 simultaneous clock edges) and the process lifecycle (kill with
 ``finally``, raise, return, trigger echo) on designs small enough that
 a divergence pinpoints the arm.
@@ -32,6 +33,13 @@ from repro.kernel.codegen.emitter import _CODE_CACHE
 
 # resumes per process in the longer-running parity scenarios
 N_CYCLES = 1024
+
+
+def _signal(sim, name, width):
+    """A registered signal, initially 0, that is its owner's only one."""
+    sig = Signal(name, width, init=0, owner=Module(name))
+    sim.register_signal(sig)
+    return sig
 
 
 def _stats_fingerprint(sim, *extra):
@@ -91,10 +99,7 @@ class TestMicroParity:
             clk = Clock("clk", MHz(100))
             sim.add_module(clk)
             sim.run(until=3_000 * MHz(100))
-            return _stats_fingerprint(
-                sim, clk.cycles, clk.out.value.value,
-                clk.out.change_count,
-            )
+            return _stats_fingerprint(sim, clk.cycles, clk.out.value.value)
 
         a, b = _both(run)
         assert a == b
@@ -123,8 +128,7 @@ class TestMicroParity:
     def test_timer_paced_writer_with_watcher(self):
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 32, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 32)
             seen = [0]
 
             def writer():
@@ -140,20 +144,17 @@ class TestMicroParity:
             sim.fork(writer())
             sim.fork(watcher())
             sim.run()
-            return _stats_fingerprint(
-                sim, seen[0], sig.value.value, sig.change_count
-            )
+            return _stats_fingerprint(sim, seen[0], sig.value.value)
 
         a, b = _both(run)
         assert a == b
 
     def test_xz_commit_bails_to_interpreter_exactly(self):
-        """X-carrying commits take the four-state path on both backends."""
+        """X-carrying commits take the interpreter on both backends."""
 
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 4, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 4)
             log = []
 
             def writer():
@@ -169,46 +170,10 @@ class TestMicroParity:
             sim.fork(writer())
             sim.fork(watcher())
             sim.run()
-            return _stats_fingerprint(
-                sim, tuple(log), sig.change_count
-            )
+            return _stats_fingerprint(sim, tuple(log), sig.value)
 
         a, b = _both(run)
         assert a == b
-
-    def test_monitored_signal_bails_exactly(self):
-        def run(backend):
-            sim = Simulator(backend=backend)
-            clk = Clock("clk", MHz(100))
-            sim.add_module(clk)
-            ticks = []
-            clk.out.add_monitor(lambda s, old, new: ticks.append(new.value))
-            sim.run(until=50 * MHz(100))
-            return _stats_fingerprint(sim, tuple(ticks), clk.cycles)
-
-        a, b = _both(run)
-        assert a == b
-
-    def test_force_mid_run(self):
-        def run(backend):
-            sim = Simulator(backend=backend)
-            sig = Signal("s", 8, init=0)
-            sim.register_signal(sig)
-
-            def proc():
-                sig.next = 5
-                sig.force(0xAA)
-                yield Timer(100)
-                sig.next = 7
-                yield Timer(100)
-
-            sim.fork(proc())
-            sim.run()
-            return _stats_fingerprint(sim, sig.value.value)
-
-        a, b = _both(run)
-        assert a == b
-        assert a[-1] == (7,)
 
     def test_run_until_event_parity(self):
         def run(backend):
@@ -236,10 +201,8 @@ class TestMicroParity:
         # rounds settle through the generic multi-update path
         def run(backend):
             sim = Simulator(backend=backend)
-            state = Signal("state", 8, init=0)
-            out = Signal("out", 8, init=0)
-            sim.register_signal(state)
-            sim.register_signal(out)
+            state = _signal(sim, "state", 8)
+            out = _signal(sim, "out", 8)
             seen = [0]
 
             def fsm():
@@ -262,8 +225,7 @@ class TestMicroParity:
             sim.run()
             assert proc.finished
             return _stats_fingerprint(
-                sim, seen[0], state.value.value, out.value.value,
-                state.change_count, out.change_count,
+                sim, seen[0], state.value.value, out.value.value
             )
 
         a, b = _both(run)
@@ -274,8 +236,7 @@ class TestMicroParity:
         # counters must not drift by even one resume or commit
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 16, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 16)
             hits = [0]
 
             def writer():
@@ -291,19 +252,17 @@ class TestMicroParity:
 
             sim.fork(writer(), "writer")
             sim.run()
-            return _stats_fingerprint(sim, sig.value.value, hits[0],
-                                      sig.change_count)
+            return _stats_fingerprint(sim, sig.value.value, hits[0])
 
         a, b = _both(run)
         assert a == b
 
     def test_mid_run_x_injection_parity(self):
         # X-carrying commits can't take any compiled fast path; they
-        # must flow through the four-state interpreter on both backends
+        # must flow through the interpreter on both backends
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 8, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 8)
             log = []
 
             def writer():
@@ -326,7 +285,7 @@ class TestMicroParity:
             sim.fork(writer(), "writer")
             sim.fork(watcher(), "watcher")
             sim.run()
-            return _stats_fingerprint(sim, tuple(log), sig.change_count)
+            return _stats_fingerprint(sim, tuple(log), sig.value)
 
         a, b = _both(run)
         assert a == b
@@ -338,8 +297,7 @@ class TestMicroParity:
 
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 16, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 16)
 
             def counter():
                 i = 0
@@ -368,8 +326,7 @@ class TestMicroParity:
     def test_body_raise_propagates_identically(self):
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 16, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 16)
 
             def bomb():
                 i = 0
@@ -393,8 +350,7 @@ class TestMicroParity:
         # return value exactly like the interpreter
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 16, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 16)
 
             def finite():
                 i = 0
@@ -418,8 +374,7 @@ class TestMicroParity:
         # scheduler, re-arming an already-consumed trigger
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 16, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 16)
 
             def echo():
                 i = 0
@@ -434,7 +389,7 @@ class TestMicroParity:
 
             sim.fork(echo(), "echo")
             sim.run()
-            return _stats_fingerprint(sim, sig.value.value, sig.change_count)
+            return _stats_fingerprint(sim, sig.value.value)
 
         a, b = _both(run)
         assert a == b
@@ -442,8 +397,7 @@ class TestMicroParity:
     def test_zero_delay_timer_parity(self):
         def run(backend):
             sim = Simulator(backend=backend)
-            sig = Signal("s", 16, init=0)
-            sim.register_signal(sig)
+            sig = _signal(sim, "s", 16)
 
             def spinner():
                 i = 0
@@ -454,7 +408,7 @@ class TestMicroParity:
 
             sim.fork(spinner(), "spinner")
             sim.run()
-            return _stats_fingerprint(sim, sig.value.value, sig.change_count)
+            return _stats_fingerprint(sim, sig.value.value)
 
         a, b = _both(run)
         assert a == b
@@ -563,9 +517,7 @@ class TestTwoClockSoc:
             return sorted((k.path, v) for k, v in by_owner.items())
 
         signals = {
-            f"{mod.path}.{sig.name}": (
-                sig.value.value, sig.change_count,
-            )
+            f"{mod.path}.{sig.name}": sig.value
             for mod in top.iter_tree()
             for sig in mod.signals
         }

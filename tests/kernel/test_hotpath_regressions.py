@@ -1,12 +1,9 @@
 """Regression tests for the kernel hot-path overhaul.
 
-Covers the PR-1 bugfixes (is_high/is_low symmetry, force() visibility
-in VCD) and proves the one commit rule commits, fires edges and calls
-monitors exactly as a field-by-field four-state compare dictates, on
-X->defined and defined->X transitions too.
+Covers the is_high/is_low symmetry fix and proves the one commit rule
+commits and fires edges exactly as a field-by-field three-valued
+compare dictates, on X->defined and defined->X transitions too.
 """
-
-import io
 
 import pytest
 
@@ -15,14 +12,11 @@ from repro.kernel import (
     Clock,
     Edge,
     MHz,
-    Module,
     RisingEdge,
     Signal,
     Simulator,
     Timer,
-    VcdWriter,
     xbits,
-    zbits,
 )
 from repro.kernel.logic import LogicVector, bit, intern_defined
 
@@ -34,7 +28,7 @@ class TestHighLowSymmetry:
     def test_one_bit_defined(self):
         sig = Signal("s", 1, init=1)
         assert sig.is_high and not sig.is_low
-        sig.force(0)
+        sig.next = 0  # unbound: applies at once
         assert sig.is_low and not sig.is_high
 
     @pytest.mark.parametrize("width", [2, 8, 32])
@@ -46,81 +40,21 @@ class TestHighLowSymmetry:
         assert not ones.is_high
         assert not ones.is_low
 
-    @pytest.mark.parametrize("value", [xbits(1), zbits(1)])
+    @pytest.mark.parametrize("value", [xbits(1)])
     def test_undefined_bit_is_neither(self, value):
         sig = Signal("s", 1, init=value)
         assert not sig.is_high
         assert not sig.is_low
 
     def test_multibit_with_xz_is_neither(self):
-        sig = Signal("s", 4, init=LV("00x0"))
+        sig = Signal("s", 4, init=LogicVector(4, 0, xmask=0b0010))
         assert not sig.is_low and not sig.is_high
-        sig.force(LV("zzzz"))
+        sig.next = xbits(4)
         assert not sig.is_low and not sig.is_high
 
 
 # ----------------------------------------------------------------------
-# force() records to the VCD
-# ----------------------------------------------------------------------
-class TestForceVcd:
-    def _build(self):
-        sim = Simulator()
-        top = Module("top")
-        sig = top.signal("data", 8, init=0)
-        stream = io.StringIO()
-        writer = VcdWriter(stream, timescale="1ps")
-        writer.trace(sig, scope="top")
-        sim.add_module(top)
-        sim.attach_vcd(writer)
-        return sim, sig, stream, writer
-
-    def test_forced_value_appears_in_vcd(self):
-        sim, sig, stream, writer = self._build()
-
-        def proc():
-            yield Timer(10_000)
-            sig.force(0xA5)
-            yield Timer(10_000)
-
-        sim.fork(proc())
-        sim.run()
-        sim.close()
-        text = stream.getvalue()
-        assert "b10100101 " in text  # 0xa5, recorded at force time
-        assert "#10000" in text
-
-    def test_force_still_bypasses_monitors_and_triggers(self):
-        sim, sig, stream, writer = self._build()
-        seen = []
-        sig.add_monitor(lambda s, old, new: seen.append(new))
-        woke = [0]
-
-        def watcher():
-            while True:
-                yield Edge(sig)
-                woke[0] += 1
-
-        def forcer():
-            yield Timer(10_000)
-            sig.force(0x5A)
-            yield Timer(10_000)
-
-        sim.fork(watcher())
-        sim.fork(forcer())
-        sim.run()
-        sim.close()
-        assert seen == []  # monitors intentionally bypassed
-        assert woke[0] == 0  # edge triggers intentionally bypassed
-        assert "b01011010 " in stream.getvalue()  # ... but the waveform shows it
-
-    def test_force_without_vcd_or_sim_is_fine(self):
-        sig = Signal("s", 8, init=0)
-        sig.force(3)  # unbound: no simulator, no VCD
-        assert sig.value == 3
-
-
-# ----------------------------------------------------------------------
-# one commit rule == field-by-field four-state compare
+# one commit rule == field-by-field three-valued compare
 # ----------------------------------------------------------------------
 class TestFastPathEquivalence:
     def _drive(self, width, transitions, watch=RisingEdge):
@@ -129,8 +63,14 @@ class TestFastPathEquivalence:
         sig = Signal("s", width, init=transitions[0])
         sim.register_signal(sig)
         changes = []
-        sig.add_monitor(lambda s, old, new: changes.append((old, new)))
         wakes = [0]
+
+        def recorder():
+            old = sig.value
+            while True:
+                yield Edge(sig)
+                changes.append((old, sig.value))
+                old = sig.value
 
         def watcher():
             while True:
@@ -142,6 +82,7 @@ class TestFastPathEquivalence:
                 sig.next = value
                 yield Timer(10)
 
+        sim.fork(recorder())
         sim.fork(watcher())
         sim.fork(writer())
         sim.run()
@@ -167,25 +108,25 @@ class TestFastPathEquivalence:
     @pytest.mark.parametrize(
         "old,new",
         [
-            (LV("xxxx"), LV(5, 4)),
-            (LV(5, 4), LV("xxxx")),
-            (LV("zz00"), LV("1100")),
+            (xbits(4), LV(5, 4)),
+            (LV(5, 4), xbits(4)),
+            (LogicVector(4, 0, xmask=0b0011), LV(0b1100, 4)),
             (LV(9, 4), LV(9, 4)),  # no change
-            (LV("x001"), LV("z001")),
+            (LogicVector(4, 1, xmask=0b1000), LogicVector(4, 1, xmask=0b0100)),
         ],
     )
     def test_apply_matches_manual_four_state_compare(self, old, new):
-        """Signal._apply agrees with an exact field-by-field comparison."""
+        """One delta's commit agrees with a field-by-field comparison."""
+        sim = Simulator()
         sig = Signal("s", 4, init=old)
-        changed, seen_old = sig._apply(new)
+        sim.register_signal(sig)
+        sig.next = new
+        sim.run()
         expected_change = not (
-            new.value == old.value
-            and new.xmask == old.xmask
-            and new.zmask == old.zmask
-            and new.width == old.width
+            new.value == old.value and new.xmask == old.xmask
         )
-        assert changed == expected_change
-        assert seen_old == old
+        assert sim.stats.deltas == 1
+        assert sim.stats.value_changes == int(expected_change)
         assert sig.value == (new if expected_change else old)
 
 

@@ -105,18 +105,18 @@ class TestSignals:
     def test_width_mismatch_write_rejected(self):
         sig = Signal("s", 4)
         with pytest.raises(SignalWriteError):
-            sig.force(0x10)
+            sig.next = 0x10
 
     def test_wider_vector_with_zero_top_bits_ok(self):
         from repro.kernel import LV
 
         sig = Signal("s", 4)
-        sig.force(LV(0x5, 8))  # top bits zero: resizable
+        sig.next = LV(0x5, 8)  # top bits zero: resizable
         assert sig.value.to_int() == 5
 
     def test_negative_int_wraps(self):
         sig = Signal("s", 8)
-        sig.force(-1)
+        sig.next = -1
         assert sig.value.to_int() == 0xFF
 
     def test_unelaborated_next_applies_immediately(self):
@@ -124,27 +124,9 @@ class TestSignals:
         sig.next = 7
         assert sig.value.to_int() == 7
 
-    def test_monitor_callback(self):
-        sim = Simulator()
-        sig = Signal("s", 8, init=0)
-        sim.register_signal(sig)
-        seen = []
-        sig.add_monitor(lambda s, old, new: seen.append((old.to_int(), new.to_int())))
-
-        def writer():
-            sig.next = 3
-            yield Timer(10)
-            sig.next = 3  # no change: no callback
-            yield Timer(10)
-            sig.next = 5
-
-        sim.fork(writer())
-        sim.run()
-        assert seen == [(0, 3), (3, 5)]
-
     def test_is_high_is_low_with_x(self):
-        sig = Signal("s", 1)
-        sig.force(xbits(1))
+        sig = Signal("s", 1, init=0)
+        sig.next = xbits(1)
         assert not sig.is_high and not sig.is_low
         assert sig.has_x
 

@@ -39,10 +39,11 @@ def test_counters():
     mbox = Mailbox(sim, "m")
     for i in range(5):
         mbox.try_put(i)
-    for _ in range(3):
+    assert [mbox.try_get() for _ in range(3)] == [0, 1, 2]
+    # the two items not taken are still queued, in order
+    assert [mbox.try_get() for _ in range(2)] == [3, 4]
+    with pytest.raises(MailboxEmpty):
         mbox.try_get()
-    assert mbox.total_put == 5
-    assert mbox.total_got == 3
 
 
 def test_multiple_consumers_each_get_distinct_items():
@@ -91,7 +92,8 @@ def test_contending_producers_lose_no_items():
     # each producer's items arrive in its own FIFO order
     assert [x for x in got if x < 100] == [0, 1, 2]
     assert [x for x in got if x >= 100] == [100, 101, 102]
-    assert mbox.total_put == mbox.total_got == 6
+    with pytest.raises(MailboxEmpty):
+        mbox.try_get()  # all six delivered, none left behind
 
 
 def test_repr_shows_occupancy():

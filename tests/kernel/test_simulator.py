@@ -122,7 +122,7 @@ def test_last_write_wins_within_delta():
     sim.fork(writer())
     sim.run()
     assert sig.value.to_int() == 2
-    assert sig.change_count == 1  # only one committed change
+    assert sim.stats.value_changes == 1  # only one committed change
 
 
 def test_rising_edge_trigger():
@@ -197,7 +197,7 @@ def test_no_spurious_trigger_on_equal_write():
     sim.fork(driver())
     sim.run()
     assert hits == [20]
-    assert sig.change_count == 1
+    assert sim.stats.value_changes == 1
 
 
 def test_first_trigger_timeout_path():
@@ -485,23 +485,6 @@ def test_module_hierarchy_paths_and_find():
     assert b.parent is a
 
 
-def test_signal_force_bypasses_triggers():
-    sim = Simulator()
-    sig = Signal("s", 1, init=0)
-    sim.register_signal(sig)
-    hits = []
-
-    def waiter():
-        yield RisingEdge(sig)
-        hits.append(sim.time)
-
-    sim.fork(waiter())
-    sig.force(1)
-    sim.run_for(100)
-    assert hits == []
-    assert sig.value == 1
-
-
 # ----------------------------------------------------------------------
 # One schedule behind every entry point
 # ----------------------------------------------------------------------
@@ -635,28 +618,29 @@ def test_run_until_event_rejects_negative_timeout(backend):
 # ----------------------------------------------------------------------
 # Silent clock edges: unobserved toggles skip the delta loop
 # ----------------------------------------------------------------------
-def _signal_counts(sim, top):
+def _signal_values(top):
     return {
-        f"{mod.path}.{sig.name}": sig.change_count
+        f"{mod.path}.{sig.name}": sig.value
         for mod in top.iter_tree()
         for sig in mod.signals
     }
 
 
 def _silent_vs_full(build, until=SCHEDULE_T):
-    """Run ``build()`` as is and with a no-op monitor on every clock
+    """Run ``build()`` as is and with a VCD writer tracing every clock
     (which forces every edge through the delta loop); return both."""
     runs = []
-    for monitored in (False, True):
+    for traced in (False, True):
         sim, top, clocks = build()
-        if monitored:
-            for clock in clocks:
-                clock.out.add_monitor(lambda *args: None)
+        if traced:
+            writer = VcdWriter(io.StringIO())
+            writer.trace(*(clock.out for clock in clocks))
+            sim.attach_vcd(writer)
         sim.run(until=until)
         runs.append((
             sim.time,
             _schedule(sim.stats),
-            _signal_counts(sim, top),
+            _signal_values(top),
             [clock.cycles for clock in clocks],
             sim.stats.silent_timesteps,
         ))
@@ -682,7 +666,7 @@ def test_forced_x_clock_takes_the_four_state_path():
         sim, top, clocks = _mixed_design_parts()
         sim.run(until=7)  # past the fast clock's first rise
         if force:
-            clocks[0].out.force(xbits(1))  # its falling edge at 10 is unwatched
+            clocks[0].out.next = xbits(1)  # its falling edge at 10 is unwatched
         return sim, top, clocks
 
     silent, full = _silent_vs_full(lambda: build(True))
@@ -709,7 +693,7 @@ def test_processless_clock_runs_one_delta_loop():
     assert calls[0] == 1  # the settle before the first timestep
     assert sim.stats.silent_timesteps == 200
     assert sim.stats.deltas == 200  # the initial settle had nothing to do
-    assert clk.out.change_count == 200
+    assert sim.stats.changes_by_owner[clk] == 200
     assert clk.cycles == 100
 
 
@@ -745,6 +729,6 @@ def test_waiter_primed_mid_run_gets_the_next_edge():
     sim.run(until=100)
     assert seen == [35, 45, 55, 65, 75, 85, 95]
     # 20 edges by t=100: the 7 watched rises take the delta loop
-    assert clk.out.change_count == 20
+    assert sim.stats.changes_by_owner[clk] == 20
     assert sim.stats.silent_timesteps == 20 - 7
     assert sim.stats.timesteps == 1 + 20 + 1  # settle, edges, the Timer

@@ -90,35 +90,6 @@ def test_vcd_empty_dump_is_valid():
     assert text.rstrip().endswith("#1000")
 
 
-def test_vcd_force_then_release():
-    """A forced value is recorded but fires no triggers; a subsequent
-    scheduled drive (the release back to design control) does both."""
-    sim = Simulator()
-    top = Module("top")
-    sig = top.signal("data", 8, init=0)
-    changes = []
-    sig.add_monitor(lambda s, old, new: changes.append(new.to_int()))
-
-    def proc():
-        yield Timer(100)
-        sig.force(0xEE)  # out-of-band injection: VCD yes, monitors no
-        yield Timer(100)
-        sig.next = 0x2A  # released: normal scheduled drive
-        yield Timer(1)
-
-    top.process(proc, "proc")
-    stream = io.StringIO()
-    writer = VcdWriter(stream, timescale="1ps")
-    writer.trace(sig, scope="top")
-    sim.add_module(top)
-    sim.attach_vcd(writer)
-    sim.run()
-    text = stream.getvalue()
-    assert "b11101110 " in text  # forced 0xEE is visible in the waveform
-    assert "b00101010 " in text  # released drive of 0x2A
-    assert changes == [0x2A]  # ...but only the drive fired monitors
-
-
 def test_vcd_rollover_timestamps():
     """Timestamps past 2**32 ps (the uint32 rollover trap) are written
     verbatim and stay monotonic."""

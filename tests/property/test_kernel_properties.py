@@ -44,8 +44,7 @@ def test_equal_time_timers_fire_fifo(delays):
 @settings(max_examples=50, deadline=None)
 def test_signal_sees_every_distinct_timed_write(values):
     sim = Simulator()
-    sig = Signal("s", 8, init=256 - 1)  # sentinel distinct from values? use force
-    sig.force(0xAB)
+    sig = Signal("s", 8, init=0xAB)
     sim.register_signal(sig)
     seen = []
 

@@ -11,10 +11,8 @@ from repro.video import (
     match_features,
     pack_pixels,
     pack_vector_bytes,
-    pack_vectors,
     unpack_pixels,
     unpack_vector_bytes,
-    unpack_vectors,
 )
 
 
@@ -42,16 +40,6 @@ def vector_fields(draw):
     dy = draw(arrays(np.int8, (h, w), elements=st.integers(-radius, radius)))
     valid = draw(arrays(np.bool_, (h, w)))
     return dx, dy, valid, radius
-
-
-@given(vector_fields())
-def test_vector_word_pack_roundtrip(field):
-    dx, dy, valid, radius = field
-    words = pack_vectors(dx, dy, valid)
-    rdx, rdy, rvalid = unpack_vectors(words, shape=dx.shape)
-    assert np.array_equal(rvalid, valid)
-    assert np.array_equal(rdx, dx)
-    assert np.array_equal(rdy, dy)
 
 
 @given(vector_fields())

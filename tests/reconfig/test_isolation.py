@@ -81,7 +81,7 @@ class TestLeakCounting:
         assert iso.x_leaks == 1
         # distinct X pattern on io: a genuine new leak
         slot.set_injection(lambda: {"done": 0, "busy": 0, "error": 0,
-                                    "io": LogicVector.from_string("000000xx")})
+                                    "io": LogicVector(8, 0, xmask=0b11)})
         sim.run_for(5_000)
         assert iso.x_leaks == 2
 

@@ -53,7 +53,7 @@ class PollingInterruptController(InterruptController):
             pending = self._pending
             for i, sig in enumerate(sources):
                 v = sig._value
-                if v.xmask | v.zmask:
+                if v.xmask:
                     self.x_violations += 1
                     if self.first_x_violation_at is None:
                         self.first_x_violation_at = self.sim.time
@@ -66,7 +66,7 @@ class PollingInterruptController(InterruptController):
             regs[isr] = pending
             want = 1 if pending & self._enabled else 0
             v = irq._value
-            if v.xmask | v.zmask or v.value != want:
+            if v.xmask or v.value != want:
                 irq.next = want
 
 

@@ -1,24 +1,33 @@
 """System assertions made by passive observers of one clean run.
 
-The observers are the two hooks the design already offers: every
-completed PLB transfer goes to ``PlbBus.add_observer`` and every value
-change of a signal to ``Signal.add_monitor``.  Neither disturbs the
-run, so the tests assert on timing and ordering, not just final state.
+Every completed PLB transfer goes to ``PlbBus.add_observer``, and a
+forked watcher process records every value change of a signal by
+waiting on ``Edge`` of it.  Neither disturbs the design, so the tests
+assert on timing and ordering, not just final state.
 """
 
 import pytest
 
+from repro.kernel import Edge
 from repro.system import AutoVisionSoftware, AutoVisionSystem, SystemConfig
 
 SMALL = dict(width=48, height=32, simb_payload_words=128)
 
 
 def _change_log(sim, signal):
-    """Record ``(time, value string)`` for every change of ``signal``."""
+    """Record ``(time, value string)`` for every change of ``signal``.
+
+    The watcher resumes in the delta after each commit, before the next
+    update phase, so it reads every committed value exactly once.
+    """
     log = []
-    signal.add_monitor(
-        lambda _sig, _old, new: log.append((sim.time, new.to_string()))
-    )
+
+    def watch():
+        while True:
+            yield Edge(signal)
+            log.append((sim.time, signal.value.to_string()))
+
+    sim.fork(watch(), f"watch.{signal.name}")
     return log
 
 

@@ -1,13 +1,13 @@
-"""Tests for pixel/vector word packing."""
+"""Tests for pixel and motion-vector word packing."""
 
 import numpy as np
 import pytest
 
 from repro.video import (
     pack_pixels,
-    pack_vectors,
+    pack_vector_bytes,
     unpack_pixels,
-    unpack_vectors,
+    unpack_vector_bytes,
     words_per_row,
 )
 
@@ -46,36 +46,39 @@ def test_pack_unpack_vectors_roundtrip():
     dx = rng.integers(-4, 5, (6, 8)).astype(np.int8)
     dy = rng.integers(-4, 5, (6, 8)).astype(np.int8)
     valid = rng.integers(0, 2, (6, 8)).astype(bool)
-    words = pack_vectors(dx, dy, valid)
-    dx2, dy2, valid2 = unpack_vectors(words, shape=(6, 8))
-    assert np.array_equal(dx2, dx)
-    assert np.array_equal(dy2, dy)
+    words = pack_vector_bytes(dx, dy, valid, 4)
+    assert len(words) == 6 * 8 // 4  # one byte per pixel
+    dx2, dy2, valid2 = unpack_vector_bytes(words, (6, 8), 4)
     assert np.array_equal(valid2, valid)
+    assert np.array_equal(dx2[valid], dx[valid])
+    assert np.array_equal(dy2[valid], dy[valid])
 
 
 def test_vector_encoding_layout():
-    words = pack_vectors(
-        np.array([-2], dtype=np.int8),
-        np.array([1], dtype=np.int8),
-        np.array([True]),
+    words = pack_vector_bytes(
+        np.array([-2, 0, 0, 0], dtype=np.int8),
+        np.array([1, 0, 0, 0], dtype=np.int8),
+        np.array([True, False, True, True]),
+        radius=2,
     )
     w = int(words[0])
-    assert w & 0xFF == 126  # -2 + 128
-    assert (w >> 8) & 0xFF == 129  # 1 + 128
-    assert w & (1 << 16)
+    assert w & 0xFF == (1 + 2) * 5 + (-2 + 2)  # (dy+r)*(2r+1) + (dx+r)
+    assert (w >> 8) & 0xFF == 0xFF  # invalid
+    assert (w >> 16) & 0xFF == 12  # the zero vector, centre of the window
 
 
 def test_vector_range_checked():
     with pytest.raises(ValueError):
-        pack_vectors(
-            np.array([200], dtype=np.int16),
-            np.array([0], dtype=np.int16),
-            np.array([True]),
+        pack_vector_bytes(
+            np.array([3, 0, 0, 0], dtype=np.int16),
+            np.zeros(4, np.int16),
+            np.ones(4, bool),
+            radius=2,
         )
 
 
 def test_vector_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        pack_vectors(
-            np.zeros(3, np.int8), np.zeros(4, np.int8), np.zeros(3, bool)
+        pack_vector_bytes(
+            np.zeros(4, np.int8), np.zeros(8, np.int8), np.zeros(4, bool), 2
         )

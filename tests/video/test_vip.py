@@ -42,7 +42,7 @@ def test_video_in_writes_frame_to_memory():
     words = mem.dump_words(FRAME_BASE, vin.frame_words)
     recovered = unpack_pixels(words).reshape(16, 32)
     assert np.array_equal(recovered, sent["frame"])
-    assert vin.frames_sent == 1
+    assert np.array_equal(sent["frame"], seq.frame(0))
 
 
 def test_video_out_reads_back_pixels():
