@@ -77,9 +77,9 @@ def bench_signal_update(updates: int = 40_000) -> int:
     The writer is paced by a lone ``Timer``.  The loop shape is kept as
     recorded in the committed baseline, so throughput stays comparable
     across revisions.  The signal is 8 bits wide and the written values
-    wrap through the full :class:`LogicVector` interning table, so the
-    kernel times the commit/wakeup machinery itself rather than vector
-    allocation (~0.4us, which would only dilute the measurement).
+    wrap through its full range; every one is a defined ``int``, which
+    the kernel stores as it is, so the workload times the
+    commit/wakeup machinery itself.
     """
     sim = Simulator()
     sig = Signal("s", 8, init=0)
@@ -131,9 +131,8 @@ def bench_proc_resume(cycles: int = 40_000) -> int:
     The workload is dominated by process resumes, not commits: a
     three-state FSM wakes on every rising edge, branches on its state
     local, and writes two signals, while an ``Edge`` watcher rides
-    ``state``.  Both signals are narrow enough that every written value
-    hits the :class:`LogicVector` interning table, keeping vector
-    allocation out of the measurement.
+    ``state``.  Every written value is a defined ``int``, which the
+    kernel stores as it is, so nothing is allocated per commit.
     """
     sim = Simulator()
     clk = Clock("clk", MHz(100))

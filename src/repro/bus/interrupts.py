@@ -142,7 +142,7 @@ class InterruptController(DcrRegisterFile):
         """One scan: latch the request lines into pending, drive irq.
 
         Runs at most once per bus-clock rising edge, so the body is kept
-        lean: ``pending`` in a local, raw X mask tests, and the ISR
+        lean: ``pending`` in a local, a type test for X, and the ISR
         word written straight to its register slot (what :meth:`poke`
         does, minus the name lookup).
         """
@@ -153,12 +153,12 @@ class InterruptController(DcrRegisterFile):
         pending = self._pending
         for i, sig in enumerate(self._sources):
             v = sig._value
-            if v.xmask:
+            if v.__class__ is not int:  # carries X
                 quiet = False
                 self.x_violations += 1
                 if self.first_x_violation_at is None:
                     self.first_x_violation_at = now
-            elif v.value & 1:
+            elif v & 1:
                 quiet = False
                 if not pending & (1 << i):
                     self.interrupts_raised += 1
@@ -168,8 +168,7 @@ class InterruptController(DcrRegisterFile):
         self._regs[self._isr] = pending
         want = 1 if pending & self._enabled else 0
         irq = self.irq
-        v = irq._value
-        if v.xmask or v.value != want:
+        if irq._value != want:
             irq.next = want
             quiet = False
         self._quiet = quiet

@@ -143,11 +143,7 @@ class PpcLiteIss(Module):
     # Core loop
     # ------------------------------------------------------------------
     def _irq_pending(self) -> bool:
-        return (
-            self.irq is not None
-            and self.irq.value.is_defined
-            and self.irq.value.value & 1 == 1
-        )
+        return self.irq is not None and self.irq.value == 1
 
     def _take_interrupt(self) -> None:
         self.srr0 = self.pc

@@ -91,7 +91,6 @@ class VideoEngine(Module):
         self.start_event = Event(f"{name}.start")
         self.frames_processed = 0
         self.frames_corrupted = 0
-        self.aborted_runs = 0
         self.restores = 0
         self.restore_errors = 0
         self._lfsr = 0xACE1
@@ -207,7 +206,6 @@ class VideoEngine(Module):
             completed = yield from self._process_frame(params, corrupted)
             if not completed:
                 # swapped out mid-frame: abort silently (torn output)
-                self.aborted_runs += 1
                 continue
             self.frames_processed += 1
             if corrupted:

@@ -19,7 +19,7 @@ from .events import (
     Timer,
     Trigger,
 )
-from .logic import LV, LogicVector, bit, xbits
+from .logic import LogicVector, xbits
 from .mailbox import Mailbox, MailboxEmpty
 from .module import ElaborationError, Module
 from .process import Process, ProcessError
@@ -40,9 +40,7 @@ __all__ = [
     "RisingEdge",
     "Timer",
     "Trigger",
-    "LV",
     "LogicVector",
-    "bit",
     "xbits",
     "Mailbox",
     "MailboxEmpty",

@@ -23,7 +23,6 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Optional
 
-from .logic import bit
 from .module import Module
 from .signal import Signal
 
@@ -46,9 +45,9 @@ class _ClockEdge:
 
     __slots__ = ("clock", "value", "bump", "delay", "next")
 
-    def __init__(self, clock: "Clock", value, bump: int, delay: int):
+    def __init__(self, clock: "Clock", value: int, bump: int, delay: int):
         self.clock = clock
-        self.value = value  # interned 1-bit LogicVector
+        self.value = value  # the level this edge drives: 0 or 1
         self.bump = bump  # 1 on the edge completing a full cycle
         self.delay = delay  # time from this edge to the clock's next one
         self.next = None  # the clock's other edge; set by Clock
@@ -97,12 +96,12 @@ class Clock(Module):
         # Each edge's ``delay`` is the half-period that follows it.
         if start_high:
             self._first_delay = self.half
-            self._edge_a = _ClockEdge(self, bit(0), 0, self.other_half)
-            self._edge_b = _ClockEdge(self, bit(1), 1, self.half)
+            self._edge_a = _ClockEdge(self, 0, 0, self.other_half)
+            self._edge_b = _ClockEdge(self, 1, 1, self.half)
         else:
             self._first_delay = self.other_half
-            self._edge_a = _ClockEdge(self, bit(1), 0, self.half)
-            self._edge_b = _ClockEdge(self, bit(0), 1, self.other_half)
+            self._edge_a = _ClockEdge(self, 1, 0, self.half)
+            self._edge_b = _ClockEdge(self, 0, 1, self.other_half)
         self._edge_a.next = self._edge_b
         self._edge_b.next = self._edge_a
         self._first_rise = None  # absolute time of the first rising edge

@@ -109,8 +109,9 @@ else:
 # form cannot represent exactly (X on either side of a commit,
 # First/multi-process waiters) is replayed through the interpreter at
 # the exact phase boundary the interpreter itself would be at.  Every
-# scheduled vector already has its signal's width (``Signal.next``
-# coerces it), so the 2-state compare of ``value`` decides a change.
+# scheduled value already has its signal's width (``Signal.next``
+# coerces it) and is an ``int`` unless it carries X, so an ``int``
+# compare decides a change.
 _EPILOGUE = """\
 rounds = 0
 while updates:
@@ -123,11 +124,11 @@ while updates:
     if len(updates) == 1:
         signal, new = updates.popitem()
         old2 = signal._value
-        if new.xmask | old2.xmask:
+        if new.__class__ is not int or old2.__class__ is not int:
             updates[signal] = new
             sim._step_deltas()
             break
-        if new.value == old2.value:
+        if new == old2:
             continue
         signal._value = new
         changes += 1
@@ -135,7 +136,7 @@ while updates:
         if ow is not None:
             owner_changes[ow] = owner_changes.get(ow, 0) + 1
         w_any2 = signal._w_any
-        rise2 = new.value & 1 and not old2.value & 1 and signal._w_rise
+        rise2 = new & 1 and not old2 & 1 and signal._w_rise
         if not w_any2 and not rise2:
             # nothing watches this change
             if ready or dts:
@@ -152,7 +153,7 @@ while updates:
         updates.clear()
         simple = True
         for signal, new in items:
-            if new.xmask | signal._value.xmask:
+            if new.__class__ is not int or signal._value.__class__ is not int:
                 simple = False
                 break
         if not simple:
@@ -165,7 +166,7 @@ while updates:
         fired = []
         for signal, new in items:
             old2 = signal._value
-            if new.value == old2.value:
+            if new == old2:
                 continue
             signal._value = new
             changes += 1
@@ -176,7 +177,7 @@ while updates:
             if w:
                 fired.extend(w)
             w = signal._w_rise
-            if w and new.value & 1 and not old2.value & 1:
+            if w and new & 1 and not old2 & 1:
                 fired.extend(w)
         if not fired:
             if ready or dts:
@@ -223,11 +224,11 @@ _CLOCK_ARM = """\
                     break  # simultaneous events: generic timestep
                 out = C{i}O
                 old = out._value
-                if old.xmask or out._w_any:
+                if old.__class__ is not int or out._w_any:
                     why = 'clock-x-any'
                     break
                 val = trig.value
-                wl = out._w_rise if val.value == 1 else ()
+                wl = out._w_rise if val == 1 else ()
                 ok = True
                 for et in wl:
                     ws = et._waiters
@@ -243,7 +244,7 @@ _CLOCK_ARM = """\
                 steps += 1
                 deltas += 1
                 C{i}.cycles += trig.bump
-                if val.value == old.value:
+                if val == old:
                     continue  # already at the edge's value: no change
                 out._value = val
                 changes += 1

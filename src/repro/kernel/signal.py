@@ -1,33 +1,29 @@
 """Signals — the state elements of the simulated design.
 
-A :class:`Signal` holds a three-valued
-:class:`~repro.kernel.logic.LogicVector` and follows HDL
-non-blocking-assignment semantics: writes performed during the
-evaluation phase of a delta cycle (``sig.next = v``) take effect in the
-following update phase, at which point edge triggers fire and sensitive
-processes are scheduled for the next delta.
+A :class:`Signal` holds a three-valued value: a plain ``int`` while
+every bit is defined, a :class:`~repro.kernel.logic.LogicVector` while
+any bit is ``X``.  It follows HDL non-blocking-assignment semantics:
+writes performed during the evaluation phase of a delta cycle
+(``sig.next = v``) take effect in the following update phase, at which
+point edge triggers fire and sensitive processes are scheduled for the
+next delta.
 
-``next`` owns the width rule: every value it schedules has exactly the
-signal's width (a narrower one is zero-extended, a wider one raises
-:class:`SignalWriteError` unless its extra bits are zero).  The
-simulator's update phase owns the commit rule: a commit changes the
-signal iff ``value`` or ``xmask`` differ, and each change is counted
-per owning module — that is how the Table II "elapsed time tracks
-signal activity" experiment is measured.
+``next`` owns the width rule and the value convention: every value it
+schedules has exactly the signal's width (a narrower one is
+zero-extended, a wider one raises :class:`SignalWriteError` unless its
+extra bits are zero), and a fully defined vector is scheduled as its
+``int``.  The simulator's update phase owns the commit rule: a commit
+changes the signal iff the new value differs (``!=``; an ``int`` never
+equals a vector), and each change is counted per owning module — that
+is how the Table II "elapsed time tracks signal activity" experiment is
+measured.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional, Union
 
-from .logic import (
-    _INTERN_WIDTH,
-    LogicVector,
-    _intern_table,
-    _new_defined,
-    _small_table,
-)
+from .logic import LogicVector
 
 __all__ = ["Signal", "SignalWriteError"]
 
@@ -36,31 +32,28 @@ class SignalWriteError(RuntimeError):
     pass
 
 
-def _coerce_int(value: int, width: int) -> LogicVector:
-    if value < 0:
-        value &= (1 << width) - 1
-    elif value >> width:
-        raise SignalWriteError(f"value {value:#x} does not fit in {width} bits")
-    if width <= _INTERN_WIDTH:
-        return _intern_table(width)[value]
-    return _new_defined(width, value)
-
-
-def _coerce_value(value: Union[LogicVector, int, bool], width: int) -> LogicVector:
-    if type(value) is int:  # hot path: plain int writes
-        return _coerce_int(value, width)
+def _coerce_value(
+    value: Union[LogicVector, int, bool], width: int
+) -> Union[int, LogicVector]:
+    """``value`` fitted to ``width`` bits: an ``int`` unless it carries X."""
     if isinstance(value, LogicVector):
         if value.width != width:
-            if value.width < width or not (
-                (value.value | value.xmask) >> width
-            ):
-                return value.resize(width)
+            if value.width > width and (value.value | value.xmask) >> width:
+                raise SignalWriteError(
+                    f"value of width {value.width} does not fit signal "
+                    f"of width {width}"
+                )
+            value = value.resize(width)
+        return value if value.xmask else value.value
+    if isinstance(value, int):  # int, bool, IntEnum, ...
+        value = int(value)
+        if value < 0:
+            return value & ((1 << width) - 1)
+        if value >> width:
             raise SignalWriteError(
-                f"value of width {value.width} does not fit signal of width {width}"
+                f"value {value:#x} does not fit in {width} bits"
             )
         return value
-    if isinstance(value, (bool, int)):  # bool, IntEnum, ...
-        return _coerce_int(int(value), width)
     raise TypeError(f"cannot drive signal with {value!r}")
 
 
@@ -77,8 +70,6 @@ class Signal:
         "_w_rise",
         "_vcd_id",
         "_limit",
-        "_small",
-        "_make",
     )
 
     def __init__(
@@ -90,23 +81,9 @@ class Signal:
     ):
         self.name = name
         self.width = width
-        # precomputed int-write fast path: exclusive upper bound, the
-        # interned constant table (None above the interning width), and
-        # a one-call in-range-int -> LogicVector maker
+        # exclusive upper bound of the in-range int writes ``next``
+        # stores as they are
         self._limit = 1 << width
-        if width <= _INTERN_WIDTH:
-            self._small = _intern_table(width)
-            self._make = self._small.__getitem__
-        else:
-            self._small = None
-            small = _small_table(width)
-            small_get = small.__getitem__
-            fresh = partial(_new_defined, width)
-
-            def _make(value, _get=small_get, _fresh=fresh):
-                return _get(value) if value < 256 else _fresh(value)
-
-            self._make = _make
         if init is None:
             self._value = LogicVector.unknown(width)
         else:
@@ -123,35 +100,14 @@ class Signal:
     # Reading
     # ------------------------------------------------------------------
     @property
-    def value(self) -> LogicVector:
+    def value(self) -> Union[int, LogicVector]:
+        """The ``int`` value, or a :class:`LogicVector` if any bit is X."""
         return self._value
-
-    def to_int(self) -> int:
-        return self._value.to_int()
-
-    def to_int_or(self, default: int) -> int:
-        return self._value.to_int_or(default)
 
     @property
     def is_high(self) -> bool:
         """True iff this is a 1-bit signal at a defined 1."""
-        v = self._value
-        return self.width == 1 and v.value == 1 and v.is_defined
-
-    @property
-    def is_low(self) -> bool:
-        """True iff this is a 1-bit signal at a defined 0.
-
-        Symmetric with :attr:`is_high`: both require ``width == 1``, so a
-        multi-bit all-zeros vector is neither "low" nor "high" — use
-        ``to_int()``/comparisons for buses.
-        """
-        v = self._value
-        return self.width == 1 and v.value == 0 and v.is_defined
-
-    @property
-    def has_x(self) -> bool:
-        return self._value.has_x
+        return self.width == 1 and self._value == 1
 
     # ------------------------------------------------------------------
     # Writing
@@ -163,16 +119,14 @@ class Signal:
     @next.setter
     def next(self, value: Union[LogicVector, int, bool]) -> None:
         """Schedule a non-blocking update to take effect this delta."""
-        if type(value) is int and 0 <= value < self._limit:
-            new = self._make(value)
-        else:
-            new = _coerce_value(value, self.width)
+        if type(value) is not int or not 0 <= value < self._limit:
+            value = _coerce_value(value, self.width)
         sim = self._sim
         if sim is None:
             # Not yet bound to a simulator: apply immediately (elaboration).
-            self._value = new
+            self._value = value
             return
-        sim._updates[self] = new
+        sim._updates[self] = value
 
     # ------------------------------------------------------------------
     # Kernel interface

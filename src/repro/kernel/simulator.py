@@ -226,13 +226,15 @@ class Simulator:
         the ready processes (evaluation), then commits the scheduled
         updates and fires the triggers they and the pending delta
         triggers raise (update).  The update phase is the one definition
-        of a commit: a signal changes iff the new vector's ``value`` or
-        ``xmask`` differs from the stored one.  Every scheduled vector
-        already has the signal's width (:attr:`Signal.next` coerces it,
-        and a clock edge writes a 1-bit value to its 1-bit output), so
-        those two fields decide.  The scheduler queues are drained in
-        place and never rebound, so they are bound here once, with
-        ``profile``; ``_vcd`` and ``time`` are read once per call.
+        of a commit: a signal changes iff the new value ``!=`` the
+        stored one.  Every scheduled value already has the signal's
+        width and is an ``int`` unless it carries X (:attr:`Signal.next`
+        coerces it, and a clock edge writes ``0``/``1`` to its 1-bit
+        output), so an ``int`` compare decides between defined values,
+        case equality between vectors, and an ``int`` never equals a
+        vector.  The scheduler queues are drained in place and never
+        rebound, so they are bound here once, with ``profile``;
+        ``_vcd`` and ``time`` are read once per call.
         Counters accumulate in locals and are flushed on exit, including
         on an error.
         """
@@ -319,10 +321,7 @@ class Simulator:
                             updates.clear()
                         for signal, new in items:
                             old = signal._value
-                            if (
-                                new.value == old.value
-                                and new.xmask == old.xmask
-                            ):
+                            if new == old:
                                 continue
                             signal._value = new
                             changes += 1
@@ -334,11 +333,17 @@ class Simulator:
                             w = signal._w_any
                             if w:
                                 fired.extend(w)
-                            # X bits read 0 in ``value``, so bit 0 of
-                            # ``value`` is set iff the LSB is a defined 1
                             w = signal._w_rise
-                            if w and new.value & 1 and not old.value & 1:
-                                fired.extend(w)
+                            if w:
+                                # X bits read 0 in a vector's ``value``,
+                                # so its bit 0 is set iff the LSB is a
+                                # defined 1
+                                if new.__class__ is not int:
+                                    new = new.value
+                                if old.__class__ is not int:
+                                    old = old.value
+                                if new & 1 and not old & 1:
+                                    fired.extend(w)
                     if fired:
                         try:
                             for trig in fired:
@@ -375,8 +380,8 @@ class Simulator:
         inline, with the same counter updates (``value_changes``,
         ``changes_by_owner``, one ``deltas``) that delta would make, and
         counted in ``silent_timesteps``.  Every edge still commits, so a
-        read of a clock signal is always exact.  X on either side of a
-        toggle takes the delta loop.
+        read of a clock signal is always exact.  A clock signal holding X
+        (an edge always writes ``0``/``1``) takes the delta loop.
 
         With ``event`` the loop stops as soon as its ``fired_count``
         rises; without it, a run that goes quiescent before ``until``
@@ -429,18 +434,17 @@ class Simulator:
                 if edges_only and not ready and not dts:
                     vcd = self._vcd
                     for sig, new in updates.items():
-                        old = sig._value
                         if (
                             sig._w_any
-                            or (new.value & 1 and sig._w_rise)
-                            or new.xmask | old.xmask
+                            or (new and sig._w_rise)
+                            or sig._value.__class__ is not int
                             or (vcd is not None and sig._vcd_id is not None)
                         ):
                             break
                     else:
                         # silent step: commit as one delta of step_deltas
                         for sig, new in updates.items():
-                            if new.value != sig._value.value:
+                            if new != sig._value:
                                 sig._value = new
                                 stats.value_changes += 1
                                 owner = sig.owner

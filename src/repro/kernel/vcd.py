@@ -113,9 +113,13 @@ class VcdWriter:
     @staticmethod
     def _format(sig: Signal) -> str:
         v = sig.value
+        if v.__class__ is int:
+            bits = format(v, f"0{sig.width}b")
+        else:
+            bits = v.to_string()
         if sig.width == 1:
-            return f"{v.bit_char(0)}{sig._vcd_id}\n"
-        return f"b{v.to_string()} {sig._vcd_id}\n"
+            return f"{bits}{sig._vcd_id}\n"
+        return f"b{bits} {sig._vcd_id}\n"
 
     def _record(self, time: int, sig: Signal) -> None:
         if not self._header_written:

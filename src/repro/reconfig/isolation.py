@@ -17,7 +17,7 @@ module's *static-side* outputs is a verification failure recorded in
 
 from __future__ import annotations
 
-from ..kernel import Edge, Event, First, Module
+from ..kernel import Edge, Event, First, LogicVector, Module
 
 __all__ = ["Isolation"]
 
@@ -75,7 +75,10 @@ class Isolation(Module):
                     (slot.out_io, self.out_io),
                 ):
                     value = src.value
-                    if value.has_x and value != prev.get(src):
+                    if (
+                        isinstance(value, LogicVector)
+                        and value != prev.get(src)
+                    ):
                         self.x_leaks += 1
                         if self.first_x_leak_at is None and self.sim is not None:
                             self.first_x_leak_at = self.sim.time

@@ -74,7 +74,7 @@ def test_ack_clears_pending_and_drops_irq():
         # allow a few cycles for irq to drop
         for _ in range(4):
             yield RisingEdge(clk.out)
-        log.append(intc.irq.value.to_int())
+        log.append(intc.irq.value)
 
     def device():
         yield Timer(300_000)

@@ -99,7 +99,7 @@ class TestMicroParity:
             clk = Clock("clk", MHz(100))
             sim.add_module(clk)
             sim.run(until=3_000 * MHz(100))
-            return _stats_fingerprint(sim, clk.cycles, clk.out.value.value)
+            return _stats_fingerprint(sim, clk.cycles, clk.out.value)
 
         a, b = _both(run)
         assert a == b
@@ -144,7 +144,7 @@ class TestMicroParity:
             sim.fork(writer())
             sim.fork(watcher())
             sim.run()
-            return _stats_fingerprint(sim, seen[0], sig.value.value)
+            return _stats_fingerprint(sim, seen[0], sig.value)
 
         a, b = _both(run)
         assert a == b
@@ -225,7 +225,7 @@ class TestMicroParity:
             sim.run()
             assert proc.finished
             return _stats_fingerprint(
-                sim, seen[0], state.value.value, out.value.value
+                sim, seen[0], state.value, out.value
             )
 
         a, b = _both(run)
@@ -252,7 +252,7 @@ class TestMicroParity:
 
             sim.fork(writer(), "writer")
             sim.run()
-            return _stats_fingerprint(sim, sig.value.value, hits[0])
+            return _stats_fingerprint(sim, sig.value, hits[0])
 
         a, b = _both(run)
         assert a == b
@@ -317,7 +317,7 @@ class TestMicroParity:
 
             sim.fork(killer(), "killer")
             sim.run()
-            return _stats_fingerprint(sim, sig.value.value, proc.finished)
+            return _stats_fingerprint(sim, sig.value, proc.finished)
 
         a, b = _both(run)
         assert a == b
@@ -340,7 +340,7 @@ class TestMicroParity:
             sim.fork(bomb(), "bomb")
             with pytest.raises(Exception, match="boom"):
                 sim.run()
-            return _stats_fingerprint(sim, sig.value.value)
+            return _stats_fingerprint(sim, sig.value)
 
         a, b = _both(run)
         assert a == b
@@ -363,7 +363,7 @@ class TestMicroParity:
             proc = sim.fork(finite(), "finite")
             sim.run()
             return _stats_fingerprint(sim, proc.finished, proc.result,
-                                      sig.value.value)
+                                      sig.value)
 
         a, b = _both(run)
         assert a == b
@@ -389,7 +389,7 @@ class TestMicroParity:
 
             sim.fork(echo(), "echo")
             sim.run()
-            return _stats_fingerprint(sim, sig.value.value)
+            return _stats_fingerprint(sim, sig.value)
 
         a, b = _both(run)
         assert a == b
@@ -408,7 +408,7 @@ class TestMicroParity:
 
             sim.fork(spinner(), "spinner")
             sim.run()
-            return _stats_fingerprint(sim, sig.value.value)
+            return _stats_fingerprint(sim, sig.value)
 
         a, b = _both(run)
         assert a == b

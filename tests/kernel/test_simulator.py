@@ -100,9 +100,9 @@ def test_nonblocking_update_semantics():
 
     def writer():
         sig.next = 42
-        seen.append(sig.value.to_int())  # still old value in same delta
+        seen.append(sig.value)  # still old value in same delta
         yield Edge(sig)  # resumes in the delta after the commit
-        seen.append(sig.value.to_int())
+        seen.append(sig.value)
 
     sim.fork(writer())
     sim.run()
@@ -121,7 +121,7 @@ def test_last_write_wins_within_delta():
 
     sim.fork(writer())
     sim.run()
-    assert sig.value.to_int() == 2
+    assert sig.value == 2
     assert sim.stats.value_changes == 1  # only one committed change
 
 
@@ -419,7 +419,7 @@ def test_delta_overflow_detection():
     def oscillate():
         while True:
             yield Edge(x)
-            x.next = 0 if x.value.to_int() else 1
+            x.next = 0 if x.value else 1
 
     def kick():
         x.next = 1
@@ -507,12 +507,12 @@ def _mixed_design(profile=False):
     def counter():
         while True:
             yield RisingEdge(fast.out)
-            count.next = (count.value.to_int() + 1) & 0xFF
+            count.next = (count.value + 1) & 0xFF
 
     def watcher():
         while True:
             yield Edge(count)
-            seen.next = count.value.to_int()
+            seen.next = count.value
 
     def racer():
         while True:
@@ -587,7 +587,7 @@ def test_run_until_event_detects_delta_overflow():
     def oscillate():
         while True:
             yield Edge(x)
-            x.next = 0 if x.value.to_int() else 1
+            x.next = 0 if x.value else 1
 
     def kick():
         x.next = 1

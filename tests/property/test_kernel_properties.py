@@ -58,7 +58,7 @@ def test_signal_sees_every_distinct_timed_write(values):
     def watcher():
         while True:
             yield Edge(sig)
-            seen.append(sig.value.to_int())
+            seen.append(sig.value)
 
     sim.fork(watcher())
     sim.fork(writer())

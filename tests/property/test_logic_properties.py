@@ -3,6 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given
 
+from repro.kernel import Signal
 from repro.kernel.logic import LogicVector
 
 
@@ -30,8 +31,13 @@ def test_string_roundtrip(v):
 
 @given(st.integers(1, 64), st.data())
 def test_int_roundtrip(width, data):
+    """A defined value reads back from a signal as the same ``int``,
+    whether it was written as an ``int`` or as an X-free vector."""
     value = data.draw(st.integers(0, (1 << width) - 1))
-    assert LogicVector.from_int(value, width).to_int() == value
+    for written in (value, LogicVector(width, value)):
+        sig = Signal("s", width)
+        sig.next = written  # unbound: applies at once
+        assert type(sig.value) is int and sig.value == value
 
 
 @given(logic_vectors())

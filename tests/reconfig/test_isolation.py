@@ -25,7 +25,7 @@ class TestArmedIsolation:
         assert iso.x_leaks == 0
         assert iso.first_x_leak_at is None
         for sig in (iso.out_done, iso.out_busy, iso.out_error, iso.out_io):
-            assert not sig.value.has_x
+            assert not isinstance(sig.value, LogicVector)
             assert sig.value == 0
 
     def test_armed_outputs_stay_constant_through_burst(self):

@@ -53,11 +53,11 @@ class PollingInterruptController(InterruptController):
             pending = self._pending
             for i, sig in enumerate(sources):
                 v = sig._value
-                if v.xmask:
+                if v.__class__ is not int:  # carries X
                     self.x_violations += 1
                     if self.first_x_violation_at is None:
                         self.first_x_violation_at = self.sim.time
-                elif v.value & 1:
+                elif v & 1:
                     if not pending & (1 << i):
                         self.interrupts_raised += 1
                         raised_by_source[names[i]] += 1
@@ -65,8 +65,7 @@ class PollingInterruptController(InterruptController):
             self._pending = pending
             regs[isr] = pending
             want = 1 if pending & self._enabled else 0
-            v = irq._value
-            if v.xmask or v.value != want:
+            if irq._value != want:
                 irq.next = want
 
 
@@ -208,7 +207,7 @@ def _edge_trace(config, n_frames=2):
         def sample():
             trace.append((
                 sim.time,
-                intc.irq.value.to_int_or(-1),
+                intc.irq.value,
                 intc.peek("ISR"),
                 ctrl.peek("STATUS"),
                 len(ctrl._fifo),
@@ -270,7 +269,7 @@ class IntcBench:
         self.trace.append((
             self.sim.time,
             intc.pending_mask,
-            intc.irq.value.to_int_or(-1),
+            intc.irq.value,
             intc.interrupts_raised,
             intc.x_violations,
         ))
@@ -458,7 +457,7 @@ def _drain_run(polling, poll):
             len(ctrl._fifo),
             ctrl.words_drained,
             ctrl.words_fetched,
-            ctrl.done_irq.value.to_int_or(-1),
+            ctrl.done_irq.value,
         ))
 
     bench.sim.fork(_edge_probe(bench.cfg_clk, sample))

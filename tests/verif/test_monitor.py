@@ -25,7 +25,8 @@ def _change_log(sim, signal):
     def watch():
         while True:
             yield Edge(signal)
-            log.append((sim.time, signal.value.to_string()))
+            v = signal.value
+            log.append((sim.time, str(v) if v.__class__ is int else v.to_string()))
 
     sim.fork(watch(), f"watch.{signal.name}")
     return log
