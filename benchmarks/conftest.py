@@ -16,15 +16,28 @@ from pathlib import Path
 
 import pytest
 
+from repro.system.scenarios import SCENARIOS
+
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: scaled-down default geometry (width, height, simb payload words)
-BENCH_GEOMETRY = dict(width=96, height=72, simb_payload_words=384)
-#: the paper's geometry (320x240, 4K-word SimB)
-FULL_GEOMETRY = dict(width=320, height=240, simb_payload_words=4096)
 
-#: small geometry for the many-run campaign benches
-CAMPAIGN_GEOMETRY = dict(width=48, height=32, simb_payload_words=128)
+def _geometry(name: str) -> dict:
+    """Width, height and SimB payload words of scenario ``name``."""
+    config = SCENARIOS[name]
+    return dict(
+        width=config.width,
+        height=config.height,
+        simb_payload_words=config.simb_payload_words,
+    )
+
+
+#: scaled-down default geometry (the ``scaled`` scenario)
+BENCH_GEOMETRY = _geometry("scaled")
+#: the paper's geometry (320x240, 4K-word SimB)
+FULL_GEOMETRY = _geometry("paper")
+
+#: small geometry for the many-run campaign benches (``tiny``)
+CAMPAIGN_GEOMETRY = _geometry("tiny")
 
 
 def geometry(full_env_var: str = "REPRO_FULL_RES") -> dict:

@@ -28,7 +28,7 @@ def main(vcd_path: str = "reconfig_debug.vcd"):
     software = AutoVisionSoftware(system)
     sim = system.build()
 
-    writer = VcdWriter(open(vcd_path, "w"), timescale="1ps")
+    writer = VcdWriter(open(vcd_path, "w"))
     # trace the RR boundary, the isolation outputs and the ICAP stream
     writer.trace(
         system.slot.out_done, system.slot.out_busy, system.slot.out_io,

@@ -97,23 +97,19 @@ def format_ps(ps: int) -> str:
     return f"{ps} ps"
 
 
-def format_trace_timeline(
-    events: Iterable,
-    limit: int = 0,
-    show_counters: bool = False,
-) -> str:
+def format_trace_timeline(events: Iterable, limit: int = 0) -> str:
     """Render trace events as an indented plain-text timeline.
 
     Events must already be sorted (``Tracer.sorted_events()``); span
     nesting is shown by indentation computed per track from span
     end-times.  ``limit`` truncates to the first N rows (0 = all);
-    counter samples are noisy and hidden unless ``show_counters``.
+    counter samples are noisy and left out.
     """
     rows: List[Sequence[Cell]] = []
     open_ends: dict = {}  # tid -> stack of span end timestamps
     truncated = 0
     for ev in events:
-        if ev.ph == "C" and not show_counters:
+        if ev.ph == "C":
             continue
         stack = open_ends.setdefault(ev.tid, [])
         while stack and ev.ts_ps >= stack[-1]:

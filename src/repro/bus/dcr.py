@@ -52,8 +52,6 @@ class DcrNode(Module):
         self.base = base
         self.size = size
         self._corrupted = False
-        self.reads = 0
-        self.writes = 0
 
     # -- chain corruption (driven by the ReSim error injector) ----------
     def set_corrupted(self, corrupted: bool) -> None:
@@ -129,7 +127,6 @@ class DcrRegisterFile(DcrNode):
         offset = addr - self.base
         if offset not in self._regs:
             raise DcrError(f"{self.path}: no register at DCR {addr:#x}")
-        self.reads += 1
         if offset in self._on_read:
             self._regs[offset] = self._on_read[offset]() & WORD_MASK
         return self._regs[offset]
@@ -138,7 +135,6 @@ class DcrRegisterFile(DcrNode):
         offset = addr - self.base
         if offset not in self._regs:
             raise DcrError(f"{self.path}: no register at DCR {addr:#x}")
-        self.writes += 1
         self._regs[offset] = data & WORD_MASK
         if offset in self._on_write:
             self._on_write[offset](data & WORD_MASK)
@@ -171,7 +167,6 @@ class DcrBus(Module):
         self.nodes: List[DcrNode] = []
         self.sig_cmd = self.signal("dcr_cmd", 32)
         self.sig_ack = self.signal("dcr_ack", 1)
-        self.total_commands = 0
         self.chain_break_observed = 0
         self._observers: List = []
 
@@ -200,7 +195,6 @@ class DcrBus(Module):
     def _walk(self, addr: int, write: bool, data: Optional[int]):
         """Shift a command around the ring; returns (value, ok)."""
         clk = self.clock.out
-        self.total_commands += 1
         start_ps = self.sim.time if self.sim is not None else 0
         poisoned = False
         result: Union[int, LogicVector, None] = None

@@ -19,25 +19,16 @@ __all__ = ["PlbMemory"]
 
 
 class PlbMemory(Module, PlbSlave):
-    """A word-addressable RAM with configurable wait states."""
+    """A word-addressable RAM with one read wait state."""
 
-    def __init__(
-        self,
-        name: str,
-        size_bytes: int,
-        read_wait_states: int = 1,
-        write_wait_states: int = 0,
-        parent=None,
-    ):
+    read_wait_states = 1
+
+    def __init__(self, name: str, size_bytes: int, parent=None):
         Module.__init__(self, name, parent)
         if size_bytes % WORD_BYTES:
             raise ValueError("memory size must be word aligned")
         self.size_bytes = size_bytes
         self.words = np.zeros(size_bytes // WORD_BYTES, dtype=np.uint32)
-        self.read_wait_states = read_wait_states
-        self.write_wait_states = write_wait_states
-        self.reads = 0
-        self.writes = 0
 
     # ------------------------------------------------------------------
     # PLB slave interface (offset is relative to the mapping base)
@@ -54,11 +45,9 @@ class PlbMemory(Module, PlbSlave):
         return idx
 
     def plb_read(self, offset: int) -> int:
-        self.reads += 1
         return int(self.words[self._index(offset)])
 
     def plb_write(self, offset: int, data: int) -> None:
-        self.writes += 1
         self.words[self._index(offset)] = data & WORD_MASK
 
     # ------------------------------------------------------------------

@@ -119,8 +119,6 @@ class PlbMasterPort:
         self.name = name
         self.priority = priority
         self.arbitrated = arbitrated
-        self.transactions = 0
-        self.beats = 0
 
     def read_burst(self, addr: int, count: int):
         txn = PlbTransaction(self, True, addr, count, arbitrated=self.arbitrated)
@@ -186,7 +184,6 @@ class PlbBus(Module):
         self._request = Event(f"{name}.request")
         self._rr_index = 0  # round-robin pointer among equal priorities
         self.protocol_errors = 0
-        self.total_transactions = 0
         self.total_beats = 0
         self._observers: List = []
         self.process(self._arbiter, "arbiter")
@@ -333,9 +330,6 @@ class PlbBus(Module):
                 yield edge
         self.sig_valid.next = 0
         self._busy = False
-        txn.master.transactions += 1
-        txn.master.beats += txn.burst
-        self.total_transactions += 1
         self.total_beats += txn.burst
         if self._observers:
             txn.completed_at = self.sim.time if self.sim else None

@@ -13,14 +13,13 @@ paper's re-integrated design moved them out to keep the DCR daisy chain
 intact during reconfiguration.
 """
 
-from .base import EngineParams, EngineTiming, VideoEngine
+from .base import EngineParams, VideoEngine
 from .cie import CensusImageEngine
 from .me import MatchingEngine
 from .registers import EngineRegs
 
 __all__ = [
     "EngineParams",
-    "EngineTiming",
     "VideoEngine",
     "CensusImageEngine",
     "MatchingEngine",

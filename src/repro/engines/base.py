@@ -1,13 +1,13 @@
 """Common machinery of the reconfigurable video engines.
 
 A :class:`VideoEngine` is a PLB bus-master pipeline with the classic
-FETCH → PROCESS → WRITEBACK row loop.  Its timing model has two knobs
-per engine (:class:`EngineTiming`):
+FETCH → PROCESS → WRITEBACK row loop.  Its timing model is two class
+constants that each engine sets:
 
-``cycles_per_pixel``
+``CYCLES_PER_PIXEL``
     datapath throughput — sets the *simulated* time a frame takes
     (Table II's "Simulated Time" column),
-``activity_per_pixel``
+``ACTIVITY_PER_PIXEL``
     internal signal-toggle density — sets how many kernel events the
     datapath generates per pixel, i.e. how *expensive* the engine is to
     simulate per unit of simulated time (Table II's observation that
@@ -33,21 +33,7 @@ import numpy as np
 
 from ..kernel import Event, Module, Timer
 
-__all__ = ["EngineTiming", "EngineParams", "VideoEngine"]
-
-
-@dataclass(frozen=True)
-class EngineTiming:
-    """Per-engine throughput and signal-activity parameters."""
-
-    cycles_per_pixel: float
-    activity_per_pixel: float
-
-    def __post_init__(self) -> None:
-        if self.cycles_per_pixel <= 0:
-            raise ValueError("cycles_per_pixel must be positive")
-        if self.activity_per_pixel < 0:
-            raise ValueError("activity_per_pixel must be >= 0")
+__all__ = ["EngineParams", "VideoEngine"]
 
 
 @dataclass(frozen=True)
@@ -71,11 +57,14 @@ class VideoEngine(Module):
 
     #: module ID encoded in SimBs / used by the portal (subclass sets)
     ENGINE_ID: int = 0
+    #: datapath clock cycles per pixel (subclass sets; > 0)
+    CYCLES_PER_PIXEL: float = 1.0
+    #: datapath signal toggles per pixel (subclass sets; >= 0)
+    ACTIVITY_PER_PIXEL: float = 0.0
 
-    def __init__(self, name: str, clock, timing: EngineTiming, parent=None):
+    def __init__(self, name: str, clock, parent=None):
         super().__init__(name, parent)
         self.clock = clock
-        self.timing = timing
         # Wired by the RR slot when the engine is installed:
         self.port = None  # PLB master port (shared RR bus interface)
         self.regs = None  # EngineRegs in the static region
@@ -235,12 +224,12 @@ class VideoEngine(Module):
         Datapath toggles may be denser than one per clock cycle (a real
         pipeline flips many nets per cycle), so activity is spread on a
         sub-cycle time grid while the total simulated time stays exactly
-        ``width * cycles_per_pixel`` clock cycles.
+        ``width * CYCLES_PER_PIXEL`` clock cycles.
         """
-        cycles = max(1, int(width * self.timing.cycles_per_pixel))
+        cycles = max(1, int(width * self.CYCLES_PER_PIXEL))
         period = self.clock.period
         total_ps = cycles * period
-        toggles = int(width * self.timing.activity_per_pixel)
+        toggles = int(width * self.ACTIVITY_PER_PIXEL)
         if toggles <= 0:
             yield Timer(total_ps)
             return

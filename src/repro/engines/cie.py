@@ -20,13 +20,9 @@ import numpy as np
 
 from ..video.census import census_transform
 from ..video.formats import pack_pixels, unpack_pixels, words_per_row
-from .base import EngineParams, EngineTiming, VideoEngine
+from .base import EngineParams, VideoEngine
 
 __all__ = ["CensusImageEngine"]
-
-#: throughput ~1 px/cycle plus pipeline refill; dense comparator activity
-#: (eight parallel window comparators flip several nets per pixel)
-DEFAULT_TIMING = EngineTiming(cycles_per_pixel=1.0, activity_per_pixel=5.0)
 
 #: the byte written per feature pixel when the engine runs unreset
 GARBAGE_FEATURE = 0xA5
@@ -36,9 +32,14 @@ class CensusImageEngine(VideoEngine):
     """The CIE reconfigurable module (SimB module id 0x1)."""
 
     ENGINE_ID = 0x1
+    #: throughput ~1 px/cycle plus pipeline refill; dense comparator
+    #: activity (eight parallel window comparators flip several nets per
+    #: pixel)
+    CYCLES_PER_PIXEL = 1.0
+    ACTIVITY_PER_PIXEL = 5.0
 
-    def __init__(self, name: str = "cie", clock=None, timing: EngineTiming = DEFAULT_TIMING, parent=None):
-        super().__init__(name, clock, timing, parent)
+    def __init__(self, name: str = "cie", clock=None, parent=None):
+        super().__init__(name, clock, parent)
 
     def _process_frame(self, params: EngineParams, corrupted: bool):
         w, h = params.width, params.height

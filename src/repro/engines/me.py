@@ -27,21 +27,22 @@ import numpy as np
 from ..video.census import hamming_distance
 from ..video.formats import pack_vector_bytes, unpack_pixels, words_per_row
 from ..video.matching import _search_order
-from .base import EngineParams, EngineTiming, VideoEngine
+from .base import EngineParams, VideoEngine
 
 __all__ = ["MatchingEngine"]
-
-#: sequential window search: lower throughput, sparser datapath toggling
-DEFAULT_TIMING = EngineTiming(cycles_per_pixel=1.25, activity_per_pixel=0.25)
 
 
 class MatchingEngine(VideoEngine):
     """The ME reconfigurable module (SimB module id 0x2)."""
 
     ENGINE_ID = 0x2
+    #: sequential window search: lower throughput, sparser datapath
+    #: toggling
+    CYCLES_PER_PIXEL = 1.25
+    ACTIVITY_PER_PIXEL = 0.25
 
-    def __init__(self, name: str = "me", clock=None, timing: EngineTiming = DEFAULT_TIMING, parent=None):
-        super().__init__(name, clock, timing, parent)
+    def __init__(self, name: str = "me", clock=None, parent=None):
+        super().__init__(name, clock, parent)
 
     def _process_frame(self, params: EngineParams, corrupted: bool):
         w, h = params.width, params.height

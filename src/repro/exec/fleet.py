@@ -97,8 +97,6 @@ class RunOutcome:
     elapsed_s: float = 0.0
     #: total executions attempted (1 + crash retries)
     attempts: int = 1
-    #: worker incarnation that produced the result (-1 = serial/in-process)
-    worker: int = -1
 
 
 @dataclass
@@ -322,7 +320,6 @@ def run_many(
                         f"this task"
                     ),
                     attempts=crashes_of[index],
-                    worker=worker.id,
                 )
 
     try:
@@ -371,7 +368,6 @@ def run_many(
                     error=error,
                     elapsed_s=elapsed,
                     attempts=crashes_of[index] + 1,
-                    worker=worker.id,
                 )
                 dispatch(worker)
     finally:

@@ -43,20 +43,17 @@ class _ClockEdge:
     heap entries themselves.
     """
 
-    __slots__ = ("clock", "value", "bump", "delay", "next")
+    __slots__ = ("clock", "value", "delay", "next")
 
-    def __init__(self, clock: "Clock", value: int, bump: int, delay: int):
+    def __init__(self, clock: "Clock", value: int, delay: int):
         self.clock = clock
         self.value = value  # the level this edge drives: 0 or 1
-        self.bump = bump  # 1 on the edge completing a full cycle
         self.delay = delay  # time from this edge to the clock's next one
         self.next = None  # the clock's other edge; set by Clock
 
     def _fire(self, sim) -> None:
         """Commit this (already popped) edge and post the clock's next one."""
-        clock = self.clock
-        sim._updates[clock.out] = self.value
-        clock.cycles += self.bump
+        sim._updates[self.clock.out] = self.value
         sim._seq += 1
         heappush(sim._timed, (sim.time + self.delay, sim._seq, self.next))
 
@@ -89,19 +86,18 @@ class Clock(Module):
         self.half = self.period // 2
         self.other_half = self.period - self.half
         self.out: Signal = self.signal("clk", 1, init=1 if start_high else 0)
-        self.cycles = 0
         self._start_high = start_high
         # Edge A ends the first half-period (leaves the start phase);
         # edge B returns to the start phase and completes the cycle.
         # Each edge's ``delay`` is the half-period that follows it.
         if start_high:
             self._first_delay = self.half
-            self._edge_a = _ClockEdge(self, 0, 0, self.other_half)
-            self._edge_b = _ClockEdge(self, 1, 1, self.half)
+            self._edge_a = _ClockEdge(self, 0, self.other_half)
+            self._edge_b = _ClockEdge(self, 1, self.half)
         else:
             self._first_delay = self.other_half
-            self._edge_a = _ClockEdge(self, 1, 0, self.half)
-            self._edge_b = _ClockEdge(self, 0, 1, self.other_half)
+            self._edge_a = _ClockEdge(self, 1, self.half)
+            self._edge_b = _ClockEdge(self, 0, self.other_half)
         self._edge_a.next = self._edge_b
         self._edge_b.next = self._edge_a
         self._first_rise = None  # absolute time of the first rising edge

@@ -62,7 +62,6 @@ except StopIteration as stop:
     _unprime_edge(et)
 except Exception as exc:
     proc.finished = True
-    proc.exception = exc
     _unprime_edge(et)
     errors.append(ProcessError(proc, exc))
 else:
@@ -93,7 +92,6 @@ except StopIteration as stop:
     proc.result = stop.value
 except Exception as exc:
     proc.finished = True
-    proc.exception = exc
     errors.append(ProcessError(proc, exc))
 else:
     if isinstance(y, Trigger):
@@ -243,7 +241,6 @@ _CLOCK_ARM = """\
                 sim.time = when
                 steps += 1
                 deltas += 1
-                C{i}.cycles += trig.bump
                 if val == old:
                     continue  # already at the edge's value: no change
                 out._value = val

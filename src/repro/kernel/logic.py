@@ -52,22 +52,12 @@ class LogicVector:
     def __setattr__(self, name, _value):  # pragma: no cover - defensive
         raise AttributeError("LogicVector is immutable")
 
-    @classmethod
-    def unknown(cls, width: int) -> "LogicVector":
-        """All bits ``X`` — the reset/error-injection value."""
-        return cls(width, 0, _mask(width))
-
-    def bit_char(self, i: int) -> str:
-        if not 0 <= i < self.width:
-            raise IndexError(f"bit {i} out of range for width {self.width}")
-        b = 1 << i
-        if self.xmask & b:
-            return "x"
-        return "1" if self.value & b else "0"
-
     def to_string(self) -> str:
         """MSB-first bit string, e.g. ``"10x1"``."""
-        return "".join(self.bit_char(i) for i in range(self.width - 1, -1, -1))
+        return "".join(
+            "x" if self.xmask >> i & 1 else "1" if self.value >> i & 1 else "0"
+            for i in range(self.width - 1, -1, -1)
+        )
 
     def __repr__(self) -> str:
         return f"LogicVector({self.width}'b{self.to_string()})"
@@ -93,4 +83,5 @@ class LogicVector:
 
 
 def xbits(width: int) -> LogicVector:
-    return LogicVector.unknown(width)
+    """All ``width`` bits ``X`` — the reset/error-injection value."""
+    return LogicVector(width, 0, _mask(width))

@@ -39,7 +39,6 @@ class Process:
         "_gen",
         "finished",
         "result",
-        "exception",
         "_waiting_on",
         "_send",
     )
@@ -55,7 +54,6 @@ class Process:
         self._gen = gen
         self.finished = False
         self.result = None
-        self.exception: Optional[BaseException] = None
         self._waiting_on: Optional[Trigger] = None
         # Every resume path (the interpreter's delta loop and the
         # compiled driver) calls this cached bound method, saving the
@@ -83,7 +81,6 @@ class Process:
             f"process {self.name!r} yielded {yielded!r}; processes must "
             f"yield Trigger instances (Timer, RisingEdge, ...)"
         )
-        self.exception = exc
         sim._report_process_error(ProcessError(self, exc))
 
     def __repr__(self) -> str:

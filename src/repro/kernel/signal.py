@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .logic import LogicVector
+from .logic import LogicVector, xbits
 
 __all__ = ["Signal", "SignalWriteError"]
 
@@ -85,7 +85,7 @@ class Signal:
         # stores as they are
         self._limit = 1 << width
         if init is None:
-            self._value = LogicVector.unknown(width)
+            self._value = xbits(width)
         else:
             self._value = _coerce_value(init, width)
         self._sim = None

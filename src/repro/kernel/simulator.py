@@ -298,7 +298,6 @@ class Simulator:
                             proc.result = stop.value
                         except Exception as exc:  # noqa: BLE001
                             proc.finished = True
-                            proc.exception = exc
                             errors.append(ProcessError(proc, exc))
                         else:
                             if isinstance(yielded, Trigger):
@@ -424,9 +423,7 @@ class Simulator:
                         heapreplace(
                             timed, (when + trig.delay, self._seq, trig.next)
                         )
-                        clock = trig.clock
-                        updates[clock.out] = trig.value
-                        clock.cycles += trig.bump
+                        updates[trig.clock.out] = trig.value
                     else:
                         heappop(timed)
                         edges_only = False

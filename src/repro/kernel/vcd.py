@@ -36,17 +36,15 @@ class VcdWriter:
 
     Usage::
 
-        writer = VcdWriter(open("dump.vcd", "w"), timescale="1ps")
+        writer = VcdWriter(open("dump.vcd", "w"))
         writer.trace_module(top)          # or writer.trace(sig, ...)
         sim.attach_vcd(writer)
         sim.run_for(...)
         sim.close()
     """
 
-    def __init__(self, stream: TextIO, timescale: str = "1ps", date: str = ""):
+    def __init__(self, stream: TextIO):
         self._stream = stream
-        self._timescale = timescale
-        self._date = date
         self._signals: List[Signal] = []
         self._scopes: List[tuple] = []  # (scope path tuple, signal)
         self._header_written = False
@@ -84,10 +82,8 @@ class VcdWriter:
 
     def _write_header(self) -> None:
         w = self._stream.write
-        if self._date:
-            w(f"$date {self._date} $end\n")
         w("$version repro.kernel VCD writer $end\n")
-        w(f"$timescale {self._timescale} $end\n")
+        w("$timescale 1ps $end\n")  # simulated time is in picoseconds
         # Group by scope, emitting nested $scope sections.
         current: tuple = ()
         for scope, sig in sorted(self._scopes, key=lambda t: t[0]):

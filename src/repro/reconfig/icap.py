@@ -38,7 +38,6 @@ class IcapArtifact(Module):
         #: running framing-error count, as a signal so waveform/VCD
         #: users see errors the moment they happen (not only post-run)
         self.sig_errors = self.signal("cfg_errors", 16, init=0)
-        self.words_received = 0
         self.ignored_words = 0
         self.framing_errors: List[str] = []
         self.crc_failures = 0
@@ -68,9 +67,7 @@ class IcapArtifact(Module):
             # corrupted bus data (X) arrives as a LogicVector; the real
             # port would latch garbage — model it as an ignored word
             self.ignored_words += 1
-            self.words_received += 1
             return
-        self.words_received += 1
         self.sig_data.next = word & 0xFFFF_FFFF
         pre_idle = self.parser.state == SimBParser.IDLE
         # the parser clears expected_crc before emitting payload_end, so

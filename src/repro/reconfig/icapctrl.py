@@ -60,6 +60,9 @@ STATUS_ERROR = 0b100
 class IcapCtrl(DcrRegisterFile):
     """The PLB-master bitstream DMA controller."""
 
+    #: words the bitstream FIFO holds between the PLB and the ICAP
+    FIFO_DEPTH = 16
+
     def __init__(
         self,
         name: str,
@@ -68,7 +71,6 @@ class IcapCtrl(DcrRegisterFile):
         icap,
         bus_clock,
         cfg_clock,
-        fifo_depth: int = 16,
         arbitrated: bool = True,
         watchdog_cycles: int = 0,
         detect_truncation: bool = False,
@@ -79,7 +81,6 @@ class IcapCtrl(DcrRegisterFile):
         self.icap = icap
         self.bus_clock = bus_clock
         self.cfg_clock = cfg_clock
-        self.fifo_depth = fifo_depth
         #: fault-tolerance knob: abort a transfer that makes no progress
         #: for this many bus cycles (0 disables the watchdog)
         self.watchdog_cycles = watchdog_cycles
@@ -120,7 +121,6 @@ class IcapCtrl(DcrRegisterFile):
         self._abort_requested = False
         self._icap_errors_seen = 0
         self._rb_start = Event(f"{name}.rb_start")
-        self.readbacks_completed = 0
         self.words_read_back = 0
         #: open "reconfig"/"icap-transfer" trace span while a DMA runs,
         #: and the drained-word count when it opened
@@ -212,7 +212,7 @@ class IcapCtrl(DcrRegisterFile):
                 if self.stall_fetch:
                     yield RisingEdge(self.bus_clock.out)
                     continue
-                space = self.fifo_depth - len(self._fifo)
+                space = self.FIFO_DEPTH - len(self._fifo)
                 if space <= 0 and not self.ignore_fifo_space:
                     yield RisingEdge(self.bus_clock.out)
                     continue
@@ -221,7 +221,7 @@ class IcapCtrl(DcrRegisterFile):
                     burst = min(burst, space)
                 data = yield from self.port.read_burst(addr, burst)
                 for w in data:
-                    if len(self._fifo) >= self.fifo_depth:
+                    if len(self._fifo) >= self.FIFO_DEPTH:
                         self.fifo_overflows += 1  # word dropped
                         if self.fifo_overflows == overflows_at_start + 1:
                             self._latch_error(
@@ -265,16 +265,12 @@ class IcapCtrl(DcrRegisterFile):
                     # transfer complete: latch STATUS.done and pulse the
                     # interrupt line for two config-clock cycles
                     self.transfers_completed += 1
-                    if self.detect_truncation and getattr(
-                        self.icap, "mid_reconfiguration", False
-                    ):
+                    if self.detect_truncation and self.icap.mid_reconfiguration:
                         self._latch_error(
                             "transfer completed mid-reconfiguration "
                             "(truncated SimB?)"
                         )
-                        resync = getattr(self.icap, "resync", None)
-                        if resync is not None:
-                            resync("truncated SimB")
+                        self.icap.resync("truncated SimB")
                     self._set_status(
                         done=True, busy=False, error=self._error_latched
                     )
@@ -293,9 +289,7 @@ class IcapCtrl(DcrRegisterFile):
 
     def _check_icap_errors(self) -> None:
         """Surface new ICAP framing/CRC errors into STATUS.error."""
-        errors = getattr(self.icap, "framing_errors", None)
-        if errors is None:
-            return
+        errors = self.icap.framing_errors
         n = len(errors)
         if n > self._icap_errors_seen:
             self._latch_error(f"ICAP reported: {errors[-1]}")
@@ -343,9 +337,7 @@ class IcapCtrl(DcrRegisterFile):
         self.stall_drain = False
         self._fifo.clear()
         self._latch_error(f"transfer aborted: {reason}")
-        resync = getattr(self.icap, "resync", None)
-        if resync is not None:
-            resync(reason)
+        self.icap.resync(reason)
         # DONE stays low: the driver reads busy=0 + error=1 and retries
         self.poke("STATUS", STATUS_ERROR)
 
@@ -376,7 +368,6 @@ class IcapCtrl(DcrRegisterFile):
             if buffer:
                 yield from self.port.write_block(dest, buffer)
             self.words_read_back += words
-            self.readbacks_completed += 1
             self._set_status(done=True, busy=False, error=self._error_latched)
             self.done_irq.next = 1
             yield RisingEdge(cfg)

@@ -53,14 +53,12 @@ class ExtendedPortal(Module):
         self.swap_early = swap_early
         self.rr_id = slot.rr_id
         self.pending_module: Optional[int] = None
-        self.in_during_phase = False
         self.timeline: List[PortalRecord] = []
         self.reconfigurations = 0
         #: fires after each completed module swap (data = module id)
         self.swap_done = Event(f"{name}.swap_done")
         self.unknown_module_errors = 0
         self.aborted_loads = 0
-        self.captures = 0
         self.capture_errors = 0
         self.restores = 0
         self.restore_failures = 0
@@ -104,7 +102,6 @@ class ExtendedPortal(Module):
         self._log("far", module_id)
 
     def on_payload_start(self) -> None:
-        self.in_during_phase = True
         if self.swap_early and self.pending_module is not None:
             # ablation: instantaneous swap at the start of configuration
             self._log("inject_start", self.pending_module)
@@ -142,7 +139,6 @@ class ExtendedPortal(Module):
         self._log("error", self.pending_module)
 
     def on_desync(self) -> None:
-        self.in_during_phase = False
         self._log("desync", self.pending_module)
         self.pending_module = None
 
@@ -154,7 +150,6 @@ class ExtendedPortal(Module):
             self._log("capture", None)
             return []
         words = self.slot.active.capture_state()
-        self.captures += 1
         self._log("capture", self.slot.active.ENGINE_ID)
         return words
 

@@ -66,7 +66,6 @@ class RRSlot(Module):
         self.active: Optional[VideoEngine] = None
         self._injection_fn: Optional[Callable[[], Dict[str, object]]] = None
         self._update = Event(f"{name}.update")
-        self.swap_count = 0
         self.lost_start_pulses = 0
         self.lost_reset_pulses = 0
         self.process(self._mux, "mux")
@@ -85,7 +84,6 @@ class RRSlot(Module):
             self.active.swap_out()
         self.active = engine
         engine.swap_in()
-        self.swap_count += 1
         self._notify()
         return engine
 

@@ -34,6 +34,9 @@ from ..vmux import VirtualMuxWrapper
 __all__ = ["SystemConfig", "MemoryMap", "AutoVisionSystem", "NullConfigPort"]
 
 RR_ID = 0x1
+#: the PLB/system clock, in MHz (the configuration clock is a
+#: SystemConfig field because scenarios vary it)
+BUS_MHZ = 100.0
 
 # DCR address map
 DCR_ENGINE_REGS = 0x10
@@ -55,7 +58,6 @@ class SystemConfig:
     height: int = 120
     n_objects: int = 3
     seed: int = 2013
-    bus_mhz: float = 100.0
     #: the re-integrated design's *slower* configuration clock (§V-A);
     #: the original design effectively ran it at bus speed
     cfg_mhz: float = 50.0
@@ -139,7 +141,6 @@ class MemoryMap:
         self.bs_me = place(bs_bytes)
         self.size = _align(cursor, 0x10000)
         self.frame_bytes = frame_bytes
-        self.frame_words = frame_bytes // 4
 
 
 class NullConfigPort(Module):
@@ -150,17 +151,21 @@ class NullConfigPort(Module):
     attributes to the method.
     """
 
+    #: the null port never reports an error, so IcapCTRL's checks pass
+    framing_errors = ()
+    mid_reconfiguration = False
+
     def __init__(self, name: str = "null_icap", parent=None):
         super().__init__(name, parent)
-        self.words_received = 0
-        self.words_read = 0
 
     def write_word(self, word) -> None:
-        self.words_received += 1
+        pass
 
     def read_word(self) -> int:
-        self.words_read += 1
         return 0
+
+    def resync(self, reason: str) -> None:
+        pass
 
 
 class AutoVisionSystem(Module):
@@ -173,7 +178,7 @@ class AutoVisionSystem(Module):
         self.memory_map = MemoryMap(config)
 
         # -- clocks ------------------------------------------------------
-        self.bus_clock = Clock("bus_clk", MHz(config.bus_mhz), parent=self)
+        self.bus_clock = Clock("bus_clk", MHz(BUS_MHZ), parent=self)
         self.cfg_clock = Clock("cfg_clk", MHz(config.cfg_mhz), parent=self)
 
         # -- interconnect --------------------------------------------------
@@ -360,7 +365,6 @@ class AutoVisionSystem(Module):
         self.memory.words[:] = image  # per-run deep copy of the pristine image
         #: read-only cached arrays; load_words copies on every use
         self._pristine_simbs = simbs
-        self.bitstream_words = len(simbs[self.me.ENGINE_ID])
 
     def refresh_bitstream(self, module_id: int) -> None:
         """Rewrite a module's SimB from its pristine image.

@@ -173,7 +173,7 @@ class DcsReconfigStrategy(ReconfigStrategy):
     def reconfigure(self, sw: "AutoVisionSoftware", module_id: int):
         dcs = sw.system.dcs
         yield from sw.dcr_write(dcs.signature.addr_of("SIG"), module_id)
-        cycles = dcs.swap_delay_cycles + self.MARGIN_CYCLES
+        cycles = dcs.SWAP_DELAY_CYCLES + self.MARGIN_CYCLES
         yield Timer(cycles * sw.system.bus_clock.period)
         return True
 
@@ -203,7 +203,6 @@ class AutoVisionSoftware(Module):
         self.max_reconfig_attempts = system.config.max_reconfig_attempts
         self.retry_backoff_cycles = system.config.retry_backoff_cycles
         self.frames_dropped = 0
-        self.reconfig_retries = 0
         #: (time_ps, message) records of every recovery action taken
         self.recovery_log: List[Tuple[int, str]] = []
         #: fired (data=frame index) after each frame's overlay is drawn
@@ -332,7 +331,6 @@ class AutoVisionSoftware(Module):
         period = system.bus_clock.period
         for attempt in range(1, self.max_reconfig_attempts + 1):
             if attempt > 1:
-                self.reconfig_retries += 1
                 # reload the SimB from (modeled) non-volatile storage —
                 # this is what makes memory-corruption transients
                 # recoverable — then back off exponentially

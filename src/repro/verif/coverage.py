@@ -27,7 +27,7 @@ asserted by the coverage tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["DprCoverage", "GENERIC_POINTS", "point_names"]
 
@@ -48,13 +48,13 @@ GENERIC_POINTS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def point_names(engines: Sequence[str] = ("cie", "me")) -> List[str]:
-    """Every cover-point name a system with ``engines`` declares.
+def point_names() -> List[str]:
+    """Every cover-point name the demonstrator (CIE and ME) declares.
 
     Lets coverage consumers (the fuzzer's closure loop, CI gates) know
     the full point set without building a system first.
     """
-    return [f"swap_to_{name}" for name in engines] + [
+    return [f"swap_to_{name}" for name in ("cie", "me")] + [
         name for name, _ in GENERIC_POINTS
     ]
 
@@ -83,8 +83,6 @@ class DprCoverage:
             )
         for name, desc in GENERIC_POINTS:
             self._declare(name, desc)
-        self._armed_during_injection = False
-        self._baseline_swaps = 0
 
     def _declare(self, name: str, description: str) -> None:
         self.points[name] = CoverPoint(name, description=description)
@@ -110,7 +108,6 @@ class DprCoverage:
                 self.hit("phase_during")
                 self.hit("injection_window")
                 if system.isolation.enabled:
-                    self._armed_during_injection = True
                     self.hit("isolation_armed")
             elif slot.active is not None and slot.active.busy_out.is_high:
                 if self._any_swaps():
@@ -150,7 +147,7 @@ class DprCoverage:
                     self.hit(f"swap_to_{system.slot.active.name}")
         if system.icapctrl.transfers_completed:
             self.hit("bitstream_transfer", system.icapctrl.transfers_completed)
-        if system.icapctrl.fifo_high_water >= system.icapctrl.fifo_depth:
+        if system.icapctrl.fifo_high_water >= system.icapctrl.FIFO_DEPTH:
             self.hit("fifo_backpressure")
         # per-frame intra-frame swaps
         if system.artifacts is not None:

@@ -36,6 +36,7 @@ from ..exec.fleet import RunSpec, run_many
 from ..kernel import Timer
 from ..reconfig.simb import TYPE2_LEN_TAG, simb_header_words
 from ..system.autovision import SystemConfig
+from ..system.scenarios import scenario
 from .campaign import failed_run_result, run_system
 from .scoreboard import RunResult
 
@@ -400,9 +401,7 @@ def run_soak_campaign(
     ``calibrate:M``, transient keys ``M:K``).
     """
     if base_config is None:
-        base_config = SystemConfig(
-            width=48, height=32, simb_payload_words=128, fault_tolerance=True
-        )
+        base_config = scenario("tiny-ft")
     keys = list(transients) if transients is not None else list(TRANSIENTS)
     for key in keys:
         if key not in TRANSIENTS:

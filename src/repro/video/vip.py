@@ -43,11 +43,6 @@ class VideoInVIP(Module):
         self.port = port
         self.sequence = sequence
 
-    @property
-    def frame_words(self) -> int:
-        cfg = self.sequence.config
-        return cfg.width * cfg.height // 4
-
     def _packed_frame(self, t: int) -> np.ndarray:
         """Word-packed frame ``t``, memoized alongside the frame render."""
         seq = self.sequence

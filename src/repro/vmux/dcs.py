@@ -31,6 +31,9 @@ __all__ = ["DcsWrapper"]
 class DcsWrapper(Module):
     """Signature-triggered swap with X injection and constant delay."""
 
+    #: the constant "reconfiguration time", in clock cycles
+    SWAP_DELAY_CYCLES = 64
+
     def __init__(
         self,
         name: str,
@@ -38,7 +41,6 @@ class DcsWrapper(Module):
         injector,
         clock,
         dcr_base: int,
-        swap_delay_cycles: int = 64,
         initial_signature: Optional[int] = None,
         parent=None,
     ):
@@ -46,7 +48,6 @@ class DcsWrapper(Module):
         self.slot = slot
         self.injector = injector
         self.clock = clock
-        self.swap_delay_cycles = swap_delay_cycles
         self.signature = EngineSignatureRegister(
             f"{name}_sig", dcr_base, self, parent=self
         )
@@ -85,7 +86,7 @@ class DcsWrapper(Module):
             # deactivate + inject for the constant "reconfiguration time"
             self.slot.deselect()
             self.injector.inject()
-            yield Timer(self.swap_delay_cycles * period)
+            yield Timer(self.SWAP_DELAY_CYCLES * period)
             self.injector.release()
             # activate the new module; DCS models activation, so the
             # module appears with undefined state (needs a reset)

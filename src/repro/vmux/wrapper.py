@@ -31,7 +31,6 @@ class EngineSignatureRegister(DcrRegisterFile):
 
     def __init__(self, name: str, base: int, wrapper: "VirtualMuxWrapper", parent=None):
         super().__init__(name, base, size=2, parent=parent)
-        self.wrapper = wrapper
         self.add_register("SIG", 0, init=SIG_NONE, on_write=wrapper._on_signature)
 
 

@@ -10,7 +10,6 @@ def test_word_read_write():
     mem = PlbMemory("mem", 1024)
     mem.plb_write(0, 0x12345678)
     assert mem.plb_read(0) == 0x12345678
-    assert mem.reads == 1 and mem.writes == 1
 
 
 def test_write_masks_to_32_bits():

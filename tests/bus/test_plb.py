@@ -238,6 +238,8 @@ def test_bus_signals_toggle_during_traffic():
 
 def test_utilization_counters():
     sim, top, clk, bus, mem, (port,) = make_system()
+    done = []
+    bus.add_observer(done.append)
 
     def master():
         yield from port.write_burst(0x1000_0000, [0] * 8)
@@ -245,6 +247,5 @@ def test_utilization_counters():
 
     sim.fork(master())
     sim.run(until=10_000_000)
-    assert port.beats == 9
-    assert bus.total_transactions == 2
+    assert [(txn.master, txn.burst) for txn in done] == [(port, 8), (port, 1)]
     assert bus.total_beats == 9

@@ -163,9 +163,8 @@ class TestClock:
         clk = Clock("clk", MHz(100))
         sim.add_module(clk)
         sim.run(until=1000 * MHz(100))
-        assert clk.cycles == 1000
         assert sim.stats.value_changes >= 2 * 1000
-        assert sim.stats.changes_by_owner[clk] >= 2 * 1000
+        assert sim.stats.changes_by_owner[clk] == 2 * 1000
 
     def test_clock_stops_at_until_boundary(self):
         sim = Simulator()
@@ -174,7 +173,7 @@ class TestClock:
         period = MHz(100)
         # stop partway through a cycle
         sim.run(until=10 * period + period // 4)
-        assert clk.cycles == 10
+        assert sim.stats.changes_by_owner[clk] == 2 * 10
         assert clk.out.is_high  # started high, 10 full cycles later still high
         sim.run(until=10 * period + period // 2)
         assert clk.out.value == 0  # half period later: toggled

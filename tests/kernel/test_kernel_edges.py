@@ -49,7 +49,8 @@ class TestClock:
         clk = Clock("clk", MHz(100))
         sim.add_module(clk)
         sim.run(until=105_000)
-        assert clk.cycles == 10
+        # 21 edges: ten full cycles and the rise of the eleventh
+        assert sim.stats.changes_by_owner[clk] == 21
 
     def test_tiny_period_rejected(self):
         with pytest.raises(ValueError):

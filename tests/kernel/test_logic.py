@@ -18,7 +18,7 @@ class TestConstruction:
             LogicVector(0)
 
     def test_unknown(self):
-        v = LogicVector.unknown(4)
+        v = xbits(4)
         assert v.xmask == 0xF
         assert v.to_string() == "xxxx"
 
@@ -30,13 +30,9 @@ class TestConstruction:
 
 class TestInspection:
     def test_bit_char(self):
-        v = LogicVector(4, 0b1001, xmask=0b0100)
-        assert v.bit_char(3) == "1"
-        assert v.bit_char(2) == "x"
-        assert v.bit_char(1) == "0"
-        assert v.bit_char(0) == "1"
-        with pytest.raises(IndexError):
-            v.bit_char(4)
+        # one character per bit, MSB first
+        assert LogicVector(4, 0b1001, xmask=0b0100).to_string() == "1x01"
+        assert LogicVector(1, 1).to_string() == "1"
 
     def test_immutability(self):
         v = xbits(1)

@@ -27,7 +27,7 @@ def _run_with_vcd(trace_module=False):
 
     top.process(driver, "driver")
     stream = io.StringIO()
-    writer = VcdWriter(stream, timescale="1ps")
+    writer = VcdWriter(stream)
     if trace_module:
         writer.trace_module(top)
     else:
@@ -76,7 +76,7 @@ def test_vcd_empty_dump_is_valid():
     top = Module("top")
     top.signal("unused", 4, init=0)
     stream = io.StringIO()
-    writer = VcdWriter(stream, timescale="1ps")
+    writer = VcdWriter(stream)
     sim.add_module(top)
     sim.attach_vcd(writer)
     sim.run(until=1_000)
@@ -106,7 +106,7 @@ def test_vcd_rollover_timestamps():
 
     top.process(proc, "proc")
     stream = io.StringIO()
-    writer = VcdWriter(stream, timescale="1ps")
+    writer = VcdWriter(stream)
     writer.trace(sig, scope="top")
     sim.add_module(top)
     sim.attach_vcd(writer)

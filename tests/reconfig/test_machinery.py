@@ -93,7 +93,7 @@ def test_full_reconfiguration_swaps_module():
     bench.sim.run_for(1_000_000)
     assert bench.slot.active is bench.me
     assert bench.portal.reconfigurations == 1
-    assert bench.icap.words_received == n_words
+    assert bench.icapctrl.words_drained == n_words
     assert not bench.icap.framing_errors
 
 
@@ -231,7 +231,7 @@ def test_fifo_never_overflows_with_flow_control():
     bench.start_transfer(n * 4)
     assert bench.run_until_done()
     assert bench.icapctrl.fifo_overflows == 0
-    assert bench.icapctrl.fifo_high_water <= bench.icapctrl.fifo_depth
+    assert bench.icapctrl.fifo_high_water <= bench.icapctrl.FIFO_DEPTH
 
 
 def test_fifo_overflow_scenario_detectable():
@@ -265,7 +265,8 @@ def test_back_to_back_intra_frame_reconfigurations():
         bench.sim.fork(clear())
         bench.sim.run_for(100_000)
     assert bench.portal.reconfigurations == 2
-    assert bench.slot.swap_count >= 3
+    swaps = [r.module_id for r in bench.portal.timeline if r.kind == "swap"]
+    assert swaps == [bench.me.ENGINE_ID, bench.cie.ENGINE_ID]
 
 
 def test_unknown_module_id_flagged():

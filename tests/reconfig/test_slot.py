@@ -31,7 +31,6 @@ class TestSlotSelection:
         assert slot.active is cie and cie.present
         slot.select(me.ENGINE_ID)
         assert slot.active is me and me.present and not cie.present
-        assert slot.swap_count == 2
 
     def test_select_same_engine_is_idempotent(self):
         sim, top, regs, slot, iso, cie, me = make_slot()
@@ -39,7 +38,6 @@ class TestSlotSelection:
         cie.is_reset = True
         slot.select(cie.ENGINE_ID)  # no swap: state untouched
         assert cie.is_reset
-        assert slot.swap_count == 1
 
     def test_select_unknown_id_raises(self):
         sim, top, regs, slot, iso, cie, me = make_slot()

@@ -131,8 +131,9 @@ class TestFullSaveRestorePath:
         bench.cie.frames_processed = 3
         saved = run_capture_readback(bench)
         assert saved == bench.cie.capture_state()
-        assert bench.icapctrl.readbacks_completed == 1
-        assert bench.portal.captures == 1
+        assert bench.icapctrl.words_read_back == len(saved)
+        captures = [r for r in bench.portal.timeline if r.kind == "capture"]
+        assert [r.module_id for r in captures] == [bench.cie.ENGINE_ID]
 
     def test_save_swap_restore_resumes_state(self):
         """The headline flow: save CIE, run ME, restore CIE with state."""
@@ -207,7 +208,7 @@ class TestFullSaveRestorePath:
 
         saved = run_capture_readback(bench, after_capture=fault)
         assert saved == bench.cie.capture_state()
-        assert ctrl.readbacks_completed == 1
+        assert ctrl.words_read_back == len(saved)
         assert ctrl.status_done
         assert not ctrl.status_error
         assert len(ctrl.error_events) == errors[0]

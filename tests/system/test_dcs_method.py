@@ -54,7 +54,7 @@ def test_dcs_injects_during_constant_window():
 
     sim.fork(driver())
     # run into the middle of the swap window
-    sim.run_for(system.dcs.swap_delay_cycles * system.bus_clock.period // 2)
+    sim.run_for(system.dcs.SWAP_DELAY_CYCLES * system.bus_clock.period // 2)
     assert system.slot.injecting
     assert system.slot.active is None
     sim.run_for(200_000_000)

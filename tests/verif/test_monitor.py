@@ -73,7 +73,6 @@ def test_traffic_monitor_beat_totals_match_bus_counters(monitored_run):
     for txn in traffic:
         beats[txn.master.name] = beats.get(txn.master.name, 0) + txn.burst
     assert sum(beats.values()) == system.bus.total_beats
-    assert len(traffic) == system.bus.total_transactions
 
 
 def test_bitstream_window_reads(monitored_run):

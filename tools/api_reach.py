@@ -1,12 +1,23 @@
 #!/usr/bin/env python
-"""List the ``src/repro`` functions that no shipped entry point reaches.
+"""Find the ``src/repro`` code that nothing uses, and keep the lists honest.
 
-Code that no run reaches is a candidate for deletion.  This script runs
-the repository's entry points in this one process under a
-``sys.setprofile`` hook, records every function called, and prints each
-function defined under ``src/repro`` that was never called, grouped by
-module.  It reports rather than gates: the exit status is 0 whatever it
-finds.
+Code that no run reaches, and state that nothing reads, are candidates
+for deletion.  This script has two passes, each checked against a list
+committed next to it.
+
+**Unreached functions** (dynamic; a few minutes).  The script runs the
+repository's entry points in this one process under a
+``sys.setprofile`` hook, records every function called, and lists each
+function defined under ``src/repro`` that was never called.  It prints
+them grouped by module, with line numbers, and rewrites
+``tools/unreached_functions.txt``: one ``module::qualified.name  #
+reason`` line per function, keyed by name, not by line.  Reasons of
+entries already in the file are kept; a new entry gets ``(no reason
+yet)``, which tier-1 rejects until someone writes one.  It names on
+stderr every entry added or removed since the committed file.  It
+always exits 0: CI reruns it and fails when ``git diff`` shows the
+file changed.  To refresh the list after a change that moves it, rerun
+the script and commit the file, with a reason for each new entry.
 
 The entry-point set, run with ``--jobs 1`` where a command takes it (but
 for the one ``--jobs 2`` campaign below), so every task runs in this
@@ -32,8 +43,19 @@ Commands run in a temporary directory.  A function reached only through
 another path (a test, a worker process) is listed: read the list as
 "nothing a user runs calls this", then check the tests before deleting.
 Names that ``perfbench/`` uses (``ArtifactCache``, ``run_many_laned``,
-``CampaignResult.run_failures``) stay listed, as the tool does not run
-that harness; they are not deletion candidates while it pins them.
+``CampaignResult.run_failures``) stay listed, as the script does not
+run that harness; they are not deletion candidates while it pins them.
+
+**Unread attributes** (static; well under a second).  An attribute is
+*written* when a method of a ``src/repro`` class stores ``self.<name>``
+or a dataclass declares it as a field.  It is *read* when any code in
+``src/``, ``examples/``, ``benchmarks/``, ``perfbench/`` or ``tools/``
+loads an attribute of that name, or passes the name as a string
+constant to ``getattr``/``hasattr``.  Tests do not count as readers.
+Each written attribute that nothing reads must be listed, with the
+reason it stays, in ``tools/unread_attributes.txt`` as ``Class.attr  #
+reason``; ``tests/test_api_reach.py`` holds the repository to that
+list, so a new write-only counter fails tier-1.
 
 Run from anywhere inside the repository (takes a few minutes)::
 
@@ -57,6 +79,19 @@ from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
+#: the committed list of unreached functions, with reasons
+FUNCTION_LIST = REPO / "tools" / "unreached_functions.txt"
+#: the committed allow-list of write-only attributes, with reasons
+ATTRIBUTE_LIST = REPO / "tools" / "unread_attributes.txt"
+#: the code whose attribute loads count as readers
+READER_DIRS = ("src", "examples", "benchmarks", "perfbench", "tools")
+#: the reason a new list entry gets until someone writes one
+NO_REASON = "(no reason yet)"
+FUNCTION_LIST_HEADER = """\
+src/repro functions that no shipped entry point reaches, one
+`module::qualified.name  # reason` per line.  Written by
+`python tools/api_reach.py`, which keeps the reasons already here; give
+each new entry a reason and commit the file."""
 
 #: ``(label, python -m repro arguments)`` run in the temporary directory
 CLI_RUNS: List[Tuple[str, List[str]]] = [
@@ -184,6 +219,120 @@ def format_report(
     return "\n".join(lines)
 
 
+def function_entries(missed: Dict[str, List[Tuple[int, str]]]) -> List[str]:
+    """``module::qualified.name`` list keys of an :func:`unreached` result."""
+    return sorted(
+        {f"{module}::{name}" for module, funcs in missed.items() for _, name in funcs}
+    )
+
+
+# ----------------------------------------------------------------------
+# The committed lists
+# ----------------------------------------------------------------------
+def read_list(path: Path) -> Dict[str, str]:
+    """``{entry: reason}`` of a list file: one ``entry  # reason`` per
+    line; blank lines and lines starting with ``#`` are comments."""
+    out: Dict[str, str] = {}
+    for line in path.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            entry, _, reason = line.partition("#")
+            out[entry.strip()] = reason.strip()
+    return out
+
+
+def write_list(path: Path, header: str, entries: Iterable[str],
+               reasons: Dict[str, str]) -> None:
+    """Write ``entries`` under a ``#`` comment ``header``, each with its
+    reason from ``reasons`` or :data:`NO_REASON`."""
+    lines = [f"# {line}".rstrip() for line in header.splitlines()]
+    lines += [f"{e}  # {reasons.get(e) or NO_REASON}" for e in entries]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def drift(found: Iterable[str], listed: Iterable[str]) -> Tuple[List[str], List[str]]:
+    """``(found but not listed, listed but not found)``, each sorted."""
+    found, listed = set(found), set(listed)
+    return sorted(found - listed), sorted(listed - found)
+
+
+# ----------------------------------------------------------------------
+# Unread attributes (static)
+# ----------------------------------------------------------------------
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(
+            target, "id", ""
+        )
+        if name == "dataclass":
+            return True
+    return False
+
+
+def written_attributes(path: Path) -> Set[str]:
+    """``Class.attr`` of every ``self.attr`` store in a method of a class
+    in ``path``, and of every field of a dataclass there."""
+    out: Set[str] = set()
+
+    def visit(node, cls) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    out.update(
+                        f"{child.name}.{stmt.target.id}"
+                        for stmt in child.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)
+                    )
+                visit(child, child.name)
+                continue
+            if (
+                cls is not None
+                and isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Store)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "self"
+            ):
+                out.add(f"{cls}.{child.attr}")
+            visit(child, cls)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return out
+
+
+def read_attributes(path: Path) -> Set[str]:
+    """Every attribute name ``path`` loads, and every string constant it
+    passes to ``getattr``/``hasattr`` as the name."""
+    out: Set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            out.add(node.args[1].value)
+    return out
+
+
+def unread_attributes(package: Path, readers: Iterable[Path]) -> List[str]:
+    """Sorted ``Class.attr`` written under ``package`` whose name no
+    ``.py`` file under ``readers`` reads."""
+    read: Set[str] = set()
+    for root in readers:
+        for path in root.rglob("*.py"):
+            read |= read_attributes(path)
+    written: Set[str] = set()
+    for path in package.rglob("*.py"):
+        written |= written_attributes(path)
+    return sorted(a for a in written if a.partition(".")[2] not in read)
+
+
 # ----------------------------------------------------------------------
 # The entry-point set
 # ----------------------------------------------------------------------
@@ -261,7 +410,17 @@ def main() -> int:
                 run_entry_points(Path(tmp))
         finally:
             os.chdir(cwd)
-    print(format_report("src/repro", unreached(PACKAGE, reached_lines(reached))))
+    missed = unreached(PACKAGE, reached_lines(reached))
+    print(format_report("src/repro", missed))
+
+    reasons = read_list(FUNCTION_LIST)
+    entries = function_entries(missed)
+    added, gone = drift(entries, reasons)
+    for entry in added:
+        print(f"api_reach: newly unreached: {entry}", file=sys.stderr)
+    for entry in gone:
+        print(f"api_reach: now reached or gone: {entry}", file=sys.stderr)
+    write_list(FUNCTION_LIST, FUNCTION_LIST_HEADER, entries, reasons)
     return 0
 
 
