@@ -1,7 +1,5 @@
 """Measurement and reporting: the numbers behind the paper's evaluation.
 
-* :mod:`~repro.analysis.benchkit` — kernel-throughput workloads and the
-  BENCH_kernel.json regression baseline (``repro bench``),
 * :mod:`~repro.analysis.profiling` — per-phase simulated/elapsed-time
   accounting (Table II) and simulation-overhead attribution (§V),
 * :mod:`~repro.analysis.reporting` — dependency-free table and
@@ -18,7 +16,6 @@ viewer such as GTKWave; ``examples/waveform_debug.py`` shows a scan for
 the first X in a dump.
 """
 
-from . import benchkit
 from .tracing import (
     Tracer,
     TraceEvent,
@@ -38,7 +35,6 @@ from .reporting import format_ps, format_table, format_trace_timeline
 from .timeline import DevelopmentTimeline, build_timeline
 
 __all__ = [
-    "benchkit",
     "FrameProfile",
     "OverheadProfile",
     "PhaseStats",

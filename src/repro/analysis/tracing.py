@@ -25,8 +25,7 @@ Instrumentation sites all follow the pattern ``tr = self.tracer; if tr
 is not None: ...`` at *lifecycle* granularity (a reconfiguration, a bus
 transaction, a firmware phase), never per delta cycle, and the bus
 observers are only registered when tracing is enabled — so the kernel
-hot path is untouched and ``repro bench --check`` holds with tracing
-off.  Per-delta kernel detail is instead exposed as **counter samples**
+hot path is untouched with tracing off.  Per-delta kernel detail is instead exposed as **counter samples**
 (:meth:`Tracer.sample_kernel`) read from the accounting the scheduler
 already maintains (``SimStats``).
 

@@ -9,8 +9,6 @@ Commands:
 ``coverage``   DPR functional coverage of a run (resim vs vmux)
 ``scenarios``  list the named scenarios
 ``timeline``   the Figure 5 development-timeline model
-``bench``      kernel throughput micro-benchmarks; ``--check`` gates
-               against the committed BENCH_kernel.json baseline
 ``campaign``   the full Table III bug-detection campaign; ``--jobs N``
                fans runs out to fleet workers with byte-identical
                reports
@@ -184,76 +182,6 @@ def _cmd_scenarios(_args) -> int:
             rows,
         )
     )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from .analysis import benchkit
-
-    kernels = args.kernel or None
-    try:
-        results = benchkit.measure(repeats=args.repeats, kernels=kernels)
-    except KeyError as exc:
-        print(f"unknown kernel {exc.args[0]!r}; "
-              f"choose from {', '.join(benchkit.KERNELS)}", file=sys.stderr)
-        return 2
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else benchkit.DEFAULT_BASELINE
-    )
-    if args.update:
-        benchkit.write_baseline(results, baseline_path)
-
-    if args.json:
-        print(_json.dumps({n: r for n, r in sorted(results.items())}, indent=2))
-    else:
-        rows = [
-            (
-                name,
-                f"{r['work']:,} {r['unit']}",
-                f"{r['best_s'] * 1e3:.1f} ms",
-                f"{r['per_sec']:,.0f}/s",
-            )
-            for name, r in sorted(results.items())
-        ]
-        print(
-            format_table(
-                ["Kernel", "Work", "Best", "Throughput"],
-                rows,
-                title=f"Kernel throughput (min of {args.repeats})",
-            )
-        )
-
-    if args.update:
-        print(f"baseline written to {baseline_path}")
-        return 0
-    if not args.check:
-        return 0
-
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path} (run `repro bench --update`)",
-              file=sys.stderr)
-        return 2
-    baseline = benchkit.load_baseline(baseline_path)
-    comparison = benchkit.compare(results, baseline, tolerance=args.tolerance)
-    failed = [row for row in comparison if not row["ok"]]
-    for row in comparison:
-        verdict = "ok" if row["ok"] else "REGRESSED"
-        print(
-            f"[{verdict:9s}] {row['name']}: {row['per_sec']:,.0f}/s vs "
-            f"baseline {row['baseline_per_sec']:,.0f}/s "
-            f"({row['ratio']:.2f}x)"
-        )
-    if failed:
-        print(
-            f"{len(failed)} kernel(s) regressed more than "
-            f"{args.tolerance:.0%} vs {baseline_path}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -571,38 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tl = sub.add_parser("timeline", help="Figure 5 timeline model")
     p_tl.set_defaults(func=_cmd_timeline)
-
-    p_bench = sub.add_parser(
-        "bench", help="kernel throughput micro-benchmarks"
-    )
-    p_bench.add_argument(
-        "--check", action="store_true",
-        help="fail if throughput regressed vs the committed baseline",
-    )
-    p_bench.add_argument(
-        "--update", action="store_true",
-        help="rewrite the baseline file with this measurement",
-    )
-    p_bench.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    p_bench.add_argument(
-        "--repeats", type=_positive_int, default=3,
-        help="runs per kernel (min wins)",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=0.20,
-        help="allowed fractional throughput loss for --check (default 0.20)",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None,
-        help="baseline file path (default: benchmarks/BENCH_kernel.json)",
-    )
-    p_bench.add_argument(
-        "--kernel", action="append", default=[],
-        help="run only this kernel (repeatable)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_camp = sub.add_parser(
         "campaign", help="Table III bug-detection campaign"

@@ -33,7 +33,7 @@ transfer time exactly, and odd lengths exercise FIFO corner cases
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np

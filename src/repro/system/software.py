@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..kernel import Event, First, Mailbox, MHz, Module, RisingEdge, Timer
+from ..kernel import Event, First, Mailbox, Module, RisingEdge, Timer
 from ..kernel.logic import LogicVector
 from ..video.formats import pack_pixels, unpack_vector_bytes
 from .autovision import IRQ_ENGINE_DONE, AutoVisionSystem

@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro.kernel import (
-    NS,
     Clock,
     DeltaOverflowError,
     Edge,

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.kernel import Clock, MHz, Module, Signal, Simulator, Timer, VcdWriter, xbits
+from repro.kernel import Clock, MHz, Module, Simulator, Timer, VcdWriter, xbits
 from repro.kernel.vcd import _vcd_id
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bus import PlbBus, PlbMemory
 from repro.engines import CensusImageEngine, EngineRegs, MatchingEngine
-from repro.kernel import Clock, LogicVector, MHz, Module, Simulator, xbits
+from repro.kernel import Clock, LogicVector, MHz, Module, Simulator
 from repro.reconfig import Isolation, NoopInjector, RRSlot, XInjector
 
 

@@ -19,7 +19,6 @@ from repro.reconfig import (
     SimBParser,
     build_capture_simb,
     build_restore_simb,
-    build_simb,
     decode_simb,
 )
 

@@ -1,8 +1,6 @@
 """Tests for the Dynamic-Circuit-Switch-style simulation method."""
 
-import pytest
-
-from repro.system import AutoVisionSystem, SystemConfig
+from repro.system import AutoVisionSystem
 from repro.system.autovision import NullConfigPort
 from repro.verif import run_system
 

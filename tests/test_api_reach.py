@@ -27,23 +27,41 @@ def unused():
 '''
 
 
-def test_reports_the_function_nothing_called(tmp_path):
+def _toy_module(tmp_path):
     package = tmp_path / "toypkg"
     package.mkdir()
     (package / "mod.py").write_text(TOY)
     spec = importlib.util.spec_from_file_location("toymod", package / "mod.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return package, mod
 
+
+def test_reports_the_function_nothing_called(tmp_path):
+    package, mod = _toy_module(tmp_path)
+    table = api_reach.function_table(package)
     with api_reach.recording({}) as reached:
         assert mod.used() == 1
-    missed = api_reach.unreached(package, api_reach.reached_lines(reached))
+    missed = api_reach.unreached(table, api_reach.reached_lines(reached))
     assert missed == {"mod.py": [(5, "unused")]}
     assert api_reach.format_report("toypkg", missed).splitlines() == [
         "toypkg/mod.py",
         "      5  unused",
         "1 function(s) in 1 module(s) unreached",
     ]
+
+
+def test_an_edit_during_the_run_does_not_shift_the_table(tmp_path):
+    # the table is read before the run; a line inserted into the file
+    # afterwards must not move `used` off its recorded code object
+    package, mod = _toy_module(tmp_path)
+    table = api_reach.function_table(package)
+    path = package / "mod.py"
+    path.write_text("import os\n" + path.read_text())
+    with api_reach.recording({}) as reached:
+        assert mod.used() == 1
+    missed = api_reach.unreached(table, api_reach.reached_lines(reached))
+    assert missed == {"mod.py": [(5, "unused")]}
 
 
 def test_qualified_names_and_decorator_lines(tmp_path):
@@ -126,6 +144,43 @@ def test_function_list_round_trip_keeps_reasons(tmp_path):
         "# two lines", "# of header", f"a.py::C.g  # {api_reach.NO_REASON}"
     ]
     assert api_reach.read_list(path)["a.py::f"] == "why"
+
+
+TOY_IMPORTS = '''\
+from __future__ import annotations
+
+import os
+import os.path as osp
+from typing import Dict, List
+
+from .model import Model, reader
+
+__all__ = ["reader"]
+
+
+def size(table: Dict) -> int:
+    return len(table) + os.sep.count("/")
+'''
+
+
+def test_reports_the_import_nothing_loads(tmp_path):
+    # `os` and `Dict` are loaded, `reader` is re-exported through
+    # `__all__`; the __future__ import and __init__ modules are exempt
+    package = tmp_path / "toypkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .user import size\n")
+    (package / "user.py").write_text(TOY_IMPORTS)
+    assert api_reach.unused_imports(package) == [
+        "user.py:4 osp", "user.py:5 List", "user.py:7 Model",
+    ]
+
+
+def test_repository_has_no_unused_imports():
+    unused = api_reach.unused_imports(api_reach.PACKAGE)
+    assert not unused, (
+        f"imports under src/repro that nothing in their module loads: "
+        f"{unused}; delete them, or list a re-export in the module's __all__"
+    )
 
 
 def test_repository_unread_attributes_match_the_allow_list():

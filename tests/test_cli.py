@@ -71,25 +71,33 @@ def test_observer_commands_reject_backend(command, capsys):
     assert "--backend" in capsys.readouterr().err
 
 
-def _options(command):
+def _subcommands():
     sub = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
+    return sub.choices
+
+
+def _options(command):
     return {
-        s for a in sub.choices[command]._actions for s in a.option_strings
+        s for a in _subcommands()[command]._actions for s in a.option_strings
     } - {"-h", "--help"}
+
+
+def test_subcommand_set_is_pinned():
+    # adding or retiring a command is a deliberate change to this list
+    assert set(_subcommands()) == {
+        "run", "bugs", "profile", "coverage", "scenarios", "timeline",
+        "campaign", "soak", "fuzz", "trace",
+    }
 
 
 def test_no_command_accepts_backend():
     # the backend is picked in code (Simulator / SystemConfig) only
-    for command in ("run", "bugs", "profile", "coverage", "bench",
+    for command in ("run", "bugs", "profile", "coverage",
                     "campaign", "soak", "fuzz", "trace"):
         assert "--backend" not in _options(command), command
-    assert _options("bench") == {
-        "--check", "--update", "--json", "--repeats", "--tolerance",
-        "--baseline", "--kernel",
-    }
     assert _options("bugs") == {"--scenario", "--frames"}
     assert _options("profile") == {"--scenario", "--method", "--fault"}
 
@@ -113,7 +121,6 @@ def test_profile_takes_no_frames(capsys):
     ["fuzz", "--jobs", "0"],
     ["fuzz", "--wave", "0"],
     ["fuzz", "--shrink-evals", "0"],
-    ["bench", "--repeats", "0"],
     ["run", "--frames", "two"],
 ], ids=" ".join)
 def test_bad_counts_are_usage_errors(argv, capsys):

@@ -46,7 +46,7 @@ def test_documented_cli_flags_exist():
 
 def test_cli_options_cover_all_subcommands():
     options = checker.cli_options()
-    for sub in ("run", "bench", "campaign", "soak", "fuzz", "trace"):
+    for sub in ("run", "campaign", "soak", "fuzz", "trace"):
         assert sub in options
     assert "--jobs" in options["campaign"]
     assert "--jobs" in options["soak"]
@@ -56,9 +56,9 @@ def test_cli_options_cover_all_subcommands():
 def test_extract_cli_refs_attribution():
     refs = checker.extract_cli_refs(
         "PYTHONPATH=src python -m repro fuzz --budget 4 --jobs=4 "
-        "&& python -m repro bench --check"
+        "&& python -m repro soak --check"
     )
-    assert refs == [("fuzz", ["--budget", "--jobs"]), ("bench", ["--check"])]
+    assert refs == [("fuzz", ["--budget", "--jobs"]), ("soak", ["--check"])]
 
 
 def test_stale_flag_would_be_caught():

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Find the ``src/repro`` code that nothing uses, and keep the lists honest.
 
-Code that no run reaches, and state that nothing reads, are candidates
-for deletion.  This script has two passes, each checked against a list
-committed next to it.
+Code that no run reaches, state that nothing reads, and imports that
+nothing uses are candidates for deletion.  This script has three
+passes; the first two are checked against a list committed next to it,
+the third allows none.
 
 **Unreached functions** (dynamic; a few minutes).  The script runs the
 repository's entry points in this one process under a
@@ -27,13 +28,10 @@ process:
   ``bugs`` (list and one injection); ``scenarios``; ``timeline``;
   ``profile``; ``coverage``; ``campaign``; ``soak``; ``fuzz`` with a
   shrunk divergence and its ``--replay``; ``trace``;
-* the CI gates' own paths: ``bench --check`` against the committed
-  baseline, and a two-bug ``campaign --jobs 2``, which reaches the
-  worker-fleet dispatcher (the calls its worker processes make are not
-  recorded; the ``--jobs 1`` runs cover the same task code).  The
-  profile hook slows the kernel several-fold, so the bench check runs
-  with ``--tolerance 1`` and only reaches the comparison; it never
-  rewrites the baseline;
+* the CI gates' own path: a two-bug ``campaign --jobs 2``, which
+  reaches the worker-fleet dispatcher (the calls its worker processes
+  make are not recorded; the ``--jobs 1`` runs cover the same task
+  code);
 * one ``run_system`` on the codegen backend;
 * every script under ``examples/``;
 * the ``benchmarks/`` harness (on a copy, so its result files in the
@@ -56,6 +54,12 @@ Each written attribute that nothing reads must be listed, with the
 reason it stays, in ``tools/unread_attributes.txt`` as ``Class.attr  #
 reason``; ``tests/test_api_reach.py`` holds the repository to that
 list, so a new write-only counter fails tier-1.
+
+**Unused imports** (static).  A module-level import in a
+non-``__init__`` module under ``src/repro`` is unused when that module
+never loads the bound name and does not list it in ``__all__``.  There
+is no allow-list: ``tests/test_api_reach.py`` fails tier-1 on any.
+Tests are left out, as a pytest fixture imported by name looks unused.
 
 Run from anywhere inside the repository (takes a few minutes)::
 
@@ -115,9 +119,6 @@ CLI_RUNS: List[Tuple[str, List[str]]] = [
     ("fuzz replay", ["fuzz", "--replay", "repro.json"]),
     ("trace", ["trace", "--scenario", "tiny", "--frames", "1",
                "-o", "trace.json", "--timeline", "--summary"]),
-    ("bench --check", ["bench", "--repeats", "1", "--check", "--tolerance",
-                       "1", "--baseline",
-                       str(REPO / "benchmarks" / "BENCH_kernel.json")]),
 ]
 
 
@@ -186,23 +187,36 @@ def defined_functions(path: Path) -> List[Tuple[int, str]]:
     return sorted(found)
 
 
+def function_table(package: Path) -> Dict[str, Tuple[str, List[Tuple[int, str]]]]:
+    """``{module path relative to package: (real path, [(first line,
+    qualified name), ...])}`` for every module under ``package``, read
+    from the files as they are now.
+
+    :func:`main` builds it before the entry points run, so the line
+    numbers match the code objects the run records even if a file is
+    edited while it runs.
+    """
+    return {
+        path.relative_to(package).as_posix(): (
+            os.path.realpath(path), defined_functions(path)
+        )
+        for path in sorted(package.rglob("*.py"))
+    }
+
+
 def unreached(
-    package: Path, reached: Iterable[Tuple[str, int]]
+    table: Dict[str, Tuple[str, List[Tuple[int, str]]]],
+    reached: Iterable[Tuple[str, int]],
 ) -> Dict[str, List[Tuple[int, str]]]:
-    """Functions under ``package`` whose ``(real path, first line)`` is
-    not in ``reached``, as ``{module path relative to package: [(line,
-    qualified name), ...]}``; modules with nothing unreached are left out."""
+    """Functions of a :func:`function_table` whose ``(real path, first
+    line)`` is not in ``reached``, as ``{module: [(line, qualified name),
+    ...]}``; modules with nothing unreached are left out."""
     hit = set(reached)
     out: Dict[str, List[Tuple[int, str]]] = {}
-    for path in sorted(package.rglob("*.py")):
-        real = os.path.realpath(path)
-        missed = [
-            (line, name)
-            for line, name in defined_functions(path)
-            if (real, line) not in hit
-        ]
+    for module, (real, funcs) in table.items():
+        missed = [(line, name) for line, name in funcs if (real, line) not in hit]
         if missed:
-            out[path.relative_to(package).as_posix()] = missed
+            out[module] = missed
     return out
 
 
@@ -334,6 +348,49 @@ def unread_attributes(package: Path, readers: Iterable[Path]) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# Unused imports (static)
+# ----------------------------------------------------------------------
+def _exported(tree: ast.Module) -> Set[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    out: Set[str] = set()
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+            and isinstance(stmt.value, (ast.List, ast.Tuple))
+        ):
+            out.update(
+                e.value for e in stmt.value.elts if isinstance(e, ast.Constant)
+            )
+    return out
+
+
+def unused_imports(package: Path) -> List[str]:
+    """``module:line name`` of every module-level import in a
+    non-``__init__`` module under ``package`` whose name that module
+    never loads and does not list in ``__all__``."""
+    out: List[str] = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        } | _exported(tree)
+        module = path.relative_to(package).as_posix()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name != "*" and name not in loaded:
+                        out.append(f"{module}:{stmt.lineno} {name}")
+    return out
+
+
+# ----------------------------------------------------------------------
 # The entry-point set
 # ----------------------------------------------------------------------
 def _quietly(label: str, fn: Callable[[], object]) -> None:
@@ -401,6 +458,7 @@ def run_entry_points(workdir: Path) -> None:
 
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
+    table = function_table(PACKAGE)
     reached: Dict[int, object] = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="api-reach-") as tmp:
@@ -410,7 +468,7 @@ def main() -> int:
                 run_entry_points(Path(tmp))
         finally:
             os.chdir(cwd)
-    missed = unreached(PACKAGE, reached_lines(reached))
+    missed = unreached(table, reached_lines(reached))
     print(format_report("src/repro", missed))
 
     reasons = read_list(FUNCTION_LIST)
