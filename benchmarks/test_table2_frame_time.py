@@ -16,14 +16,22 @@ hold:
 * the ISR stage is cheap in both senses (paper: 0.5 ms / 0.5 min),
 * DPR is negligible because the SimB is much shorter than a real
   bitstream (paper: <0.1 ms / negligible).
+
+The bit-true counterfactual checks that premise from the other side: one
+``tiny`` frame whose SimB has the real bitstream's 129K words.  Its
+simulated time and kernel events are published beside the table (its
+wall time is printed only), and DPR then dominates the frame.
 """
+
+import time
 
 import pytest
 
 from repro.analysis import format_table, profile_one_frame
+from repro.reconfig.simb import REAL_BITSTREAM_WORDS
 from repro.system import SystemConfig
 
-from .conftest import geometry, publish
+from .conftest import CAMPAIGN_GEOMETRY, geometry, publish
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +40,37 @@ def frame_profile():
     return profile_one_frame(config, quantum_ps=1_000_000)
 
 
-def test_table2_frame_time(benchmark, frame_profile):
+@pytest.fixture(scope="module")
+def bit_true_profile():
+    """One ``tiny`` frame moving a real-size (129K-word) bitstream."""
+    config = SystemConfig(
+        video_backdoor=True,
+        **dict(CAMPAIGN_GEOMETRY, simb_payload_words=REAL_BITSTREAM_WORDS),
+    )
+    t0 = time.perf_counter()
+    profile = profile_one_frame(config, quantum_ps=1_000_000)
+    print(f"\nbit-true Table II frame: {time.perf_counter() - t0:.1f} s wall")
+    return profile
+
+
+def _bit_true_table(profile) -> str:
+    """The counterfactual's deterministic columns: no wall time."""
+    config = profile.config
+    return format_table(
+        ["Stage", "Simulated Time (ms)", "Kernel events"],
+        [
+            (label, round(sim_ms, 4), events)
+            for label, sim_ms, _, events in profile.rows()
+        ],
+        title=(
+            f"Bit-true counterfactual — one frame with a real-size "
+            f"bitstream ({config.width}x{config.height}, SimB payload "
+            f"{config.simb_payload_words} words)"
+        ),
+    )
+
+
+def test_table2_frame_time(benchmark, frame_profile, bit_true_profile):
     config = SystemConfig(video_backdoor=True, **geometry())
     profile = benchmark.pedantic(
         profile_one_frame, args=(config,), kwargs=dict(quantum_ps=1_000_000),
@@ -51,6 +89,7 @@ def test_table2_frame_time(benchmark, frame_profile):
             f"{config.simb_payload_words} words)"
         ),
     )
+    text += "\n\n" + _bit_true_table(bit_true_profile)
     publish("table2_frame_time", text, benchmark)
     assert profile.clean
     _assert_table2_shape(profile)
@@ -104,3 +143,12 @@ def test_table2_simb_much_shorter_than_real_bitstream():
     from repro.reconfig.simb import DEFAULT_PAYLOAD_WORDS, REAL_BITSTREAM_WORDS
 
     assert REAL_BITSTREAM_WORDS / DEFAULT_PAYLOAD_WORDS > 30
+
+
+def test_table2_bit_true_dpr_is_not_negligible(bit_true_profile):
+    """With a real-size bitstream the premise is gone: moving it takes
+    most of the frame's simulated time and kernel events."""
+    dpr = bit_true_profile.phase("dpr")
+    assert bit_true_profile.clean
+    assert dpr.simulated_ps > 0.9 * bit_true_profile.total_simulated_ps
+    assert dpr.events > 0.9 * bit_true_profile.total_events

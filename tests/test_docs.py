@@ -69,6 +69,17 @@ def test_stale_flag_would_be_caught():
     assert flags[0] not in options[sub]
 
 
+def test_planning_notes_are_not_cli_references(tmp_path):
+    retired = "`repro campaign --no-such-flag`\n"
+    for name in ("TODO.md", "ROADMAP.md", "CHANGES.md"):
+        (tmp_path / name).write_text(f"retired here: {retired}")
+    assert checker.check_cli_flags(tmp_path) == []
+    (tmp_path / "README.md").write_text(f"run {retired}")
+    assert checker.check_cli_flags(tmp_path) == [
+        "README.md:1: `repro campaign` has no option --no-such-flag"
+    ]
+
+
 def test_prose_is_not_scanned_for_flags(tmp_path):
     md = tmp_path / "x.md"
     md.write_text("the repro campaign --bogus flag is prose, not code\n")

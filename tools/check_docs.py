@@ -21,6 +21,7 @@ Four checks, all cheap enough for every CI run:
    A renamed or deleted flag therefore rots no further than one CI
    run.  Only ``--long`` options are matched; flags on backslash
    continuation lines (no ``repro <sub>`` prefix) are out of scope.
+   Only the reference documents are scanned, as in check 4.
 
 4. **Documented names exist** — every dotted ``repro.…`` name inside a
    code context must resolve: the longest importable module prefix is
@@ -50,10 +51,26 @@ _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
 
 
-def markdown_files() -> List[Path]:
+def markdown_files(root: Path = REPO) -> List[Path]:
     """Top-level *.md plus everything under docs/, sorted for stable output."""
-    files = sorted(REPO.glob("*.md")) + sorted((REPO / "docs").glob("**/*.md"))
+    files = sorted(root.glob("*.md")) + sorted((root / "docs").glob("**/*.md"))
     return [f for f in files if f.is_file()]
+
+
+#: top-level documents that describe the code as it is now; the others
+#: (the change log, the roadmap, task statements) are history and plans,
+#: which name retired commands and modules on purpose
+_REFERENCE_DOCS = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+
+def reference_files(root: Path = REPO) -> List[Path]:
+    """The markdown whose code references must be live: docs/ and the
+    top-level reference documents."""
+    return [
+        f
+        for f in markdown_files(root)
+        if f.parent != root or f.name in _REFERENCE_DOCS
+    ]
 
 
 def iter_links(md_file: Path) -> Iterable[Tuple[int, str]]:
@@ -168,11 +185,11 @@ def cli_options() -> dict:
     return options
 
 
-def check_cli_flags() -> List[str]:
+def check_cli_flags(root: Path = REPO) -> List[str]:
     problems = []
     options = cli_options()
-    for md in markdown_files():
-        rel = md.relative_to(REPO)
+    for md in reference_files(root):
+        rel = md.relative_to(root)
         for lineno, text in iter_code_texts(md):
             for sub, flags in extract_cli_refs(text):
                 if sub not in options:
@@ -190,8 +207,6 @@ def check_cli_flags() -> List[str]:
 
 
 _DOTTED_NAME_RE = re.compile(r"(?<![\w./-])repro(\.\w+)+")
-#: top-level documents that describe the code as it is now
-_REFERENCE_DOCS = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 
 def resolve_dotted(name: str) -> bool:
@@ -217,9 +232,7 @@ def resolve_dotted(name: str) -> bool:
 
 def check_dotted_names() -> List[str]:
     problems = []
-    for md in markdown_files():
-        if md.parent == REPO and md.name not in _REFERENCE_DOCS:
-            continue
+    for md in reference_files():
         rel = md.relative_to(REPO)
         for lineno, text in iter_code_texts(md):
             for match in _DOTTED_NAME_RE.finditer(text):
