@@ -65,6 +65,12 @@ class LogicVector:
     def __hash__(self) -> int:
         return hash((self.width, self.value, self.xmask))
 
+    def __bool__(self) -> bool:
+        raise TypeError(
+            f"{self!r} has no truth value: compare it with == or test "
+            f"whether it is an int"
+        )
+
     def __eq__(self, other: object) -> bool:
         """Case equality (``===``, X equals X); never true against an int."""
         if not isinstance(other, LogicVector):

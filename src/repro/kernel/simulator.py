@@ -18,10 +18,11 @@ to nothing: a timestep holding nothing but clock edges that no process
 or VCD writer observes is *silent*, and the timestep loop commits its
 toggles inline, with the counters one delta of the delta
 loop would record, instead of entering the delta loop at all.  A
-stretch of time in which two clocks wake only a few known processes
-can run outside both loops (:meth:`Simulator._run_clocked`, which
-IcapCTRL's bitstream DMA uses); it resumes the same generators in the
-same order and commits through the delta loop's own update phase.
+stretch of time in which only clock edges are queued can run in one
+loop of its own (:meth:`Simulator._run_clocked`, which IcapCTRL's
+bitstream DMA opens): it walks the timed queue's clock edges in heap
+order and resumes whoever they wake, in the same order and with the
+same counters as the two loops.
 
 Activity accounting
 -------------------
@@ -31,7 +32,9 @@ slower than the Matching engine despite covering less simulated time).
 To reproduce that measurement the scheduler counts, per owning module:
 process resumptions and signal value changes; ``profile=True``
 additionally samples wall-clock time around each process resumption so
-the ReSim-artifact overhead (§V, 1.7%) can be attributed.
+the ReSim-artifact overhead (§V, 1.7%) can be attributed.  It does so
+in the process itself (:meth:`Simulator.fork`), so every loop runs the
+same code with or without it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 from .clock import _ClockEdge
-from .events import Event, EventTrigger, RisingEdge, Trigger, _FirstWaiter
+from .events import Event, RisingEdge, Trigger, _FirstWaiter
 from .process import Process, ProcessError
 from .signal import Signal
 
@@ -58,6 +61,20 @@ class SimulationError(RuntimeError):
 
 class DeltaOverflowError(SimulationError):
     """Raised when a time step fails to stabilize (combinational loop)."""
+
+
+def _timed_send(send: Callable, elapsed_ns: Dict[object, int], owner):
+    """``send`` that adds the wall time of each call to ``elapsed_ns[owner]``."""
+    clock = _time.perf_counter_ns
+
+    def timed(value):
+        t0 = clock()
+        try:
+            return send(value)
+        finally:
+            elapsed_ns[owner] += clock() - t0
+
+    return timed
 
 
 class SimStats:
@@ -113,7 +130,7 @@ class Simulator:
         #: Steps the codegen driver inlines count from above 2 (see
         #: ``codegen.backend._PAST_FIRST_DELTA``).
         self.delta = 0
-        #: fixed at construction (the delta loop binds it once)
+        #: fixed at construction (:meth:`fork` reads it)
         self.profile = profile
         self.backend_name = backend
         #: the compiled-execution backend, or None for the default
@@ -190,8 +207,17 @@ class Simulator:
             self.warnings.append((self.time, message))
 
     def fork(self, gen: Generator, name: str = "proc", owner=None) -> Process:
-        """Start a new process; it first runs in the next delta cycle."""
+        """Start a new process; it first runs in the next delta cycle.
+
+        In profile mode a process with an owner is resumed through a
+        wrapper that adds the wall time of each resume to
+        ``stats.elapsed_ns_by_owner``.
+        """
         proc = Process(gen, name=name, owner=owner)
+        if self.profile and owner is not None:
+            proc._send = _timed_send(
+                proc._send, self.stats.elapsed_ns_by_owner, owner
+            )
         self._processes.append(proc)
         self._ready.append((proc, None))
         return proc
@@ -236,8 +262,8 @@ class Simulator:
         """Build this simulator's delta loop, bound once to its queues.
 
         The first function returned, installed as :attr:`_step_deltas`,
-        is the kernel's only delta loop: every run entry point, profile mode
-        and each codegen-driver bail settle through it (a silent step,
+        is the kernel's only delta loop: every run entry point and each
+        codegen-driver bail settle through it (a silent step,
         which resumes nothing, is committed by :meth:`_run_loop`
         itself).  It keeps :attr:`delta` current.  It runs delta
         cycles at the current time until quiescent.  Each delta resumes
@@ -251,8 +277,8 @@ class Simulator:
         output), so an ``int`` compare decides between defined values,
         case equality between vectors, and an ``int`` never equals a
         vector.  The scheduler queues are drained in place and never
-        rebound, so they are bound here once, with ``profile``;
-        ``_vcd`` and ``time`` are read once per call.
+        rebound, so they are bound here once; ``_vcd`` and ``time`` are
+        read once per call.
         Counters accumulate in locals and are flushed on exit, including
         on an error.  The second, installed as :attr:`_commit`, is the
         update phase itself, which :meth:`_run_clocked` shares.
@@ -266,9 +292,6 @@ class Simulator:
         stats = self.stats
         resumes_by_owner = stats.resumes_by_owner
         changes_by_owner = stats.changes_by_owner
-        elapsed_ns_by_owner = stats.elapsed_ns_by_owner
-        perf_counter_ns = _time.perf_counter_ns
-        profile = self.profile
         max_deltas = self.MAX_DELTAS_PER_STEP
 
         def commit(time_now: int, vcd) -> int:
@@ -344,17 +367,7 @@ class Simulator:
                             resumes_by_owner[owner] += 1
                         proc._waiting_on = None
                         try:
-                            if profile:
-                                t0 = perf_counter_ns()
-                                try:
-                                    yielded = proc._send(sent)
-                                finally:
-                                    if owner is not None:
-                                        elapsed_ns_by_owner[owner] += (
-                                            perf_counter_ns() - t0
-                                        )
-                            else:
-                                yielded = proc._send(sent)
+                            yielded = proc._send(sent)
                         except StopIteration as stop:
                             proc.finished = True
                             proc.result = stop.value
@@ -391,8 +404,8 @@ class Simulator:
         """Advance time step by step until ``until``, quiescence or ``event``.
 
         The kernel's only timestep loop, behind :meth:`run`,
-        :meth:`run_until_event`, profile mode and the codegen backend's
-        fallback.  Each step pops every timed event due at the earliest
+        :meth:`run_until_event` and the codegen backend's fallback.
+        Each step pops every timed event due at the earliest
         pending time, then settles it with :meth:`_step_deltas`.  Clock
         edges, most of the heap traffic, are fired inline (the body of
         ``_ClockEdge._fire``): each clock keeps one edge in the heap, and
@@ -492,325 +505,235 @@ class Simulator:
         """Queue a timed ``entry`` whose ``_fire`` calls :meth:`_run_clocked`.
 
         Queues nothing, and returns False, where :meth:`_run_clocked`
-        never runs: in profile mode (which times every resume), under a
-        VCD writer (which records every change) and on the codegen
-        backend (whose compiled driver owns the timed queue).
+        never runs: under a VCD writer (which records every change) and
+        on the codegen backend (whose compiled driver owns the timed
+        queue).
         """
-        if self.profile or self._vcd is not None or self._backend is not None:
+        if self._vcd is not None or self._backend is not None:
             return False
         self._seq += 1
         heapq.heappush(self._timed, (when, self._seq, entry))
         return True
 
-    def _run_clocked(self, procs, clocks) -> bool:
-        """Run two clocks and the processes they wake in one loop.
+    def _run_clocked(self) -> bool:
+        """Run the timesteps that hold only clock edges in one loop.
 
         Called from a timed entry's ``_fire`` (see :meth:`_post_clocked`)
-        before the timestep it fires in has entered the delta loop.  The
-        loop opens only if every process in ``procs`` waits alone on a
-        rising edge of one of the two ``clocks`` or on an unspent event
-        trigger, nothing else waits on either clock, and some other
-        timed entry is due at a time T (or the run ends at its
-        ``until``); it returns False, changing nothing, otherwise.
+        before the timestep it fires in has entered the delta loop.  It
+        returns False, changing nothing, under a VCD writer, or if that
+        timestep already has work queued or a timed entry that is not a
+        clock edge is due in it.  Otherwise it does what :meth:`_run_loop`
+        and the delta loop would, up to the first timed entry that is not
+        a clock edge (or the run's ``until`` or event): it pops the clock
+        edges from the timed queue in heap order, commits each as the
+        update phase would, and settles each timestep with the delta
+        loop's evaluation and update phases (:attr:`_commit`), charging
+        :attr:`stats` the same counters, silent timesteps included.
 
-        It then does what :meth:`_run_loop` would up to T, without the
-        timed queue: it fires the clocks' edges in queue order, sets
-        :attr:`time`, resumes the processes an edge or event wakes with
-        the trigger they waited on, commits their writes through the
-        delta loop's update phase (:attr:`_commit`), and charges
-        :attr:`stats` the same resumes, changes, deltas, timesteps and
-        silent timesteps.  It holds the processes' waits itself while it
-        runs, in priming order.  A step that makes work the loop does not
-        own hands control back, at the delta where it stands: a change
-        that wakes another process, a process waiting on anything else,
-        finishing or raising, a forked process or a new timed entry.  The
-        loop gives the waits back to their triggers, fires the triggers
-        that delta raised, and returns True; the kernel's delta loop then
-        finishes the step as it would have.
+        It holds the processes by their waits.  Whoever a clock's rise,
+        an event or any other trigger wakes is resumed here, in the
+        order the delta loop would resume it, through the triggers' own
+        wait lists (a rising edge with one process waiting is inlined).
+        A timed entry that a process posts bounds the loop anew.  One
+        posted for the current time ends it: the timestep loop runs that
+        entry in a timestep of its own, as it always does, except at the
+        time the loop was entered, where it runs it in the pass that
+        fired the entry (so the loop counts that timestep for it).  The
+        one difference this leaves: a run whose event is set in that
+        first timestep still runs such an entry before it returns.  A
+        process error or a timestep that does not settle raises as in
+        the delta loop.
         """
         if (
             self._vcd is not None
             or self._ready
             or self._updates
             or self._delta_triggers
+            or not self._timed
         ):
             return False
-        clock_a, clock_b = clocks
-        if clock_a is clock_b:
-            return False
-        out_a, out_b = clock_a.out, clock_b.out
-        if out_a._w_any or out_b._w_any:
-            return False
-        events: Dict[Trigger, List[Process]] = {}
-        on_clock = 0
-        for proc in procs:
-            trig = proc._waiting_on
-            if proc.finished or trig is None or trig._waiters != [proc]:
-                return False
-            cls = trig.__class__
-            if cls is RisingEdge:
-                if trig.signal is not out_a and trig.signal is not out_b:
-                    return False
-                on_clock += 1
-            elif cls is EventTrigger and not trig._spent:
-                events[trig] = [proc]
-            else:
-                return False
-        if len(out_a._w_rise) + len(out_b._w_rise) != on_clock:
-            return False
-        # each clock's one pending edge, and the earliest other entry
-        now = self.time
         timed = self._timed
-        pending = {}
-        horizon = None
-        for entry in timed:
-            trig = entry[2]
-            if trig.__class__ is _ClockEdge and (
-                trig.clock is clock_a or trig.clock is clock_b
-            ):
-                pending[trig.clock] = entry
-            elif horizon is None or entry[0] < horizon:
-                horizon = entry[0]
         until, stop_event, stop_count = self._run_bounds
-        if until is not None and (horizon is None or horizon > until):
-            horizon = until + 1
-        if horizon is None:
-            horizon = float("inf")
-        if horizon <= now or len(pending) != 2:
+        last = float("inf") if until is None else until + 1
+
+        def bound() -> float:
+            """When the first timed entry that is not a clock edge is due."""
+            end = last
+            for when, _, trig in timed:
+                if when < end and trig.__class__ is not _ClockEdge:
+                    end = when
+            return end
+
+        start = now = self.time
+        end = bound()
+        if end <= now:
             return False
-        at, sa, ea = pending[clock_a]
-        bt, sb, eb = pending[clock_b]
-        for edge, out in ((ea, out_a), (eb, out_b)):
-            value = out._value
-            if value.__class__ is not int or value != edge.next.value:
-                return False
-
-        # hold the waits: (process, trigger) per clock, in priming order
-        wait_a = [(t._waiters[0], t) for t in out_a._w_rise]
-        wait_b = [(t._waiters[0], t) for t in out_b._w_rise]
-        for _, trig in wait_a + wait_b:
-            trig._waiters.clear()
-        out_a._w_rise.clear()
-        out_b._w_rise.clear()
-        for trig in events:
-            trig._waiters.clear()
-        holding = True
-
-        def release() -> None:
-            """Give the held waits back to their triggers."""
-            for proc, trig in wait_a + wait_b:
-                proc._waiting_on = trig
-                trig._prime(self, proc)
-            for trig, waiting in events.items():
-                for proc in waiting:
-                    proc._waiting_on = trig
-                    trig._prime(self, proc)
-            wait_a.clear()
-            wait_b.clear()
-            events.clear()
-
         stats = self.stats
-        resumes_by_owner = stats.resumes_by_owner
-        changes_by_owner = stats.changes_by_owner
-        ready_q = self._ready
+        ready = self._ready
+        popleft = ready.popleft
+        wake = ready.append
         updates = self._updates
         dts = self._delta_triggers
         errors = self._errors
         fired = self._fired_scratch
         commit = self._commit
+        heapreplace = heapq.heapreplace
         max_deltas = self.MAX_DELTAS_PER_STEP
+        # changes by clock signal and resumes by owner, added to the
+        # counters on exit
+        toggled: Dict[Signal, int] = defaultdict(int)
+        resumed: Dict[object, int] = defaultdict(int)
         seq = self._seq
         delta = self.delta
-        steps = silent = deltas = resumes = changes = 0
-        changes_a = changes_b = 0
-        handed_back = False
+        # timesteps that clock edges open (each one's first delta commits
+        # them), the silent ones among them, and the other deltas
+        steps = silent = deltas = changes = 0
+        when, _, edge = timed[0]
+        # the kernel counted the timestep the loop was entered in: the
+        # clock edges still due in it join it, and it is never silent
+        joined = when == now
         try:
             while True:
-                t = at if at <= bt else bt
-                if t != now:  # the kernel counted the first step
-                    if t >= horizon or (
+                if when != now:
+                    if when >= end or (
                         stop_event is not None
                         and stop_event.fired_count > stop_count
                     ):
                         break
+                    now = when
+                    delta = 1  # the edges' commit is the step's first delta
+                    limit = max_deltas
                     steps += 1
-                    now = t
-                # fire the edges due now in queue order; a rising edge
-                # wakes the processes waiting on it
-                if at != bt:
-                    seq += 1
-                    if at == t:
-                        edge = ea
-                        sa = seq
-                        at += edge.delay
-                        ea = edge.next
-                        changes_a += 1
-                        ready = wait_a if edge.value else None
-                        if ready:
-                            wait_a = []
-                    else:
-                        edge = eb
-                        sb = seq
-                        bt += edge.delay
-                        eb = edge.next
-                        changes_b += 1
-                        ready = wait_b if edge.value else None
-                        if ready:
-                            wait_b = []
-                else:
-                    edge_a, edge_b = ea, eb
-                    at += edge_a.delay
-                    ea = edge_a.next
-                    bt += edge_b.delay
-                    eb = edge_b.next
-                    changes_a += 1
-                    changes_b += 1
-                    woken_a = wait_a if edge_a.value else None
-                    if woken_a:
-                        wait_a = []
-                    woken_b = wait_b if edge_b.value else None
-                    if woken_b:
-                        wait_b = []
-                    if sa < sb:
-                        sa, sb = seq + 1, seq + 2
-                        ready = (
-                            woken_a + woken_b
-                            if woken_a and woken_b
-                            else woken_a or woken_b
-                        )
-                    else:
-                        sb, sa = seq + 1, seq + 2
-                        ready = (
-                            woken_b + woken_a
-                            if woken_a and woken_b
-                            else woken_b or woken_a
-                        )
-                    seq += 2
-                if not ready:
-                    # a silent step: one delta that resumes nobody
+                    quiet = True
+                elif joined:
+                    joined = quiet = False
+                    limit = delta + max_deltas
+                    delta += 1
                     deltas += 1
+                else:
+                    # an entry a process posted for this very time; at the
+                    # entry's own time the timestep loop runs it in the
+                    # pass that fired the entry, without counting it
+                    if now == start:
+                        stats.timesteps += 1
+                    break
+                # the timestep's clock edges, in heap order: each commits
+                # as the update phase would and wakes whoever waits on it
+                # as its triggers would
+                while True:
+                    seq += 1
+                    heapreplace(timed, (when + edge.delay, seq, edge.next))
+                    sig = edge.clock.out
+                    new = edge.value
+                    old = sig._value
+                    if new != old:
+                        sig._value = new
+                        toggled[sig] += 1
+                        if old.__class__ is not int:
+                            quiet = False
+                        if sig._w_any:
+                            quiet = False
+                            for trig in tuple(sig._w_any):
+                                trig._fire(self)
+                        if new:
+                            w = sig._w_rise
+                            if w:
+                                quiet = False
+                                trig = w.pop()
+                                waiters = trig._waiters
+                                if (
+                                    not w
+                                    and len(waiters) == 1
+                                    and waiters[0].__class__ is Process
+                                ):
+                                    # RisingEdge._fire, inlined
+                                    wake((waiters.pop(), trig))
+                                else:
+                                    w.append(trig)
+                                    for trig in tuple(w):
+                                        trig._fire(self)
+                    elif sig._w_any or (new and sig._w_rise):
+                        quiet = False
+                    next_when, _, edge = timed[0]
+                    if next_when != when:
+                        break
+                if quiet:
+                    # a silent step: its one delta resumes nobody
                     silent += 1
-                    delta = 1
+                    when = next_when
                     continue
+                # settle the step as the delta loop would
                 self.time = now
                 self._seq = seq
-                delta = 1
-                while True:
+                while ready or updates or dts:
+                    deltas += 1
+                    if delta >= limit:
+                        raise DeltaOverflowError(
+                            f"time step at t={now}ps did not stabilize "
+                            f"after {max_deltas} delta cycles "
+                            f"(combinational loop?)"
+                        )
                     delta += 1
                     self.delta = delta
-                    # ---- evaluation: the delta loop's resume
-                    for proc, trig in ready:
+                    # ---- evaluation: the delta loop's own
+                    for _ in range(len(ready)):
+                        proc, sent = popleft()
                         if proc.finished:
                             continue
-                        resumes += 1
-                        owner = proc.owner
-                        if owner is not None:
-                            resumes_by_owner[owner] += 1
+                        resumed[proc.owner] += 1
                         proc._waiting_on = None
                         try:
-                            yielded = proc._send(trig)
+                            yielded = proc._send(sent)
                         except StopIteration as stop:
                             proc.finished = True
                             proc.result = stop.value
-                            handed_back = True
-                            continue
                         except Exception as exc:  # noqa: BLE001
                             proc.finished = True
                             errors.append(ProcessError(proc, exc))
-                            handed_back = True
-                            continue
-                        if holding:
-                            cls = yielded.__class__
-                            if cls is RisingEdge:
-                                if yielded.signal is out_a:
-                                    wait_a.append((proc, yielded))
-                                    continue
-                                if yielded.signal is out_b:
-                                    wait_b.append((proc, yielded))
-                                    continue
-                            elif cls is EventTrigger and not yielded._spent:
-                                waiting = events.get(yielded)
-                                if waiting is not None:
-                                    waiting.append(proc)
-                                    continue
-                                if not yielded._waiters:
-                                    events[yielded] = [proc]
-                                    continue
-                            # a wait the loop does not own: from here on
-                            # every wait is primed as the delta loop would
-                            release()
-                            holding = False
-                            handed_back = True
-                        if isinstance(yielded, Trigger):
-                            proc._waiting_on = yielded
-                            yielded._prime(self, proc)
                         else:
-                            proc._handle_nontrigger_yield(self, yielded)
+                            if yielded.__class__ is RisingEdge:
+                                # RisingEdge._prime, inlined
+                                proc._waiting_on = yielded
+                                yielded._waiters.append(proc)
+                                yielded.signal._w_rise.append(yielded)
+                            elif isinstance(yielded, Trigger):
+                                proc._waiting_on = yielded
+                                yielded._prime(self, proc)
+                            else:
+                                proc._handle_nontrigger_yield(self, yielded)
                     # ---- update: the delta loop's own
                     if dts or updates:
                         changes += commit(now, None)
-                    if (
-                        handed_back
-                        or ready_q
-                        or self._seq != seq
-                        or delta >= max_deltas
-                    ):
-                        handed_back = True
-                        break
-                    if not fired:
-                        break
-                    for trig in fired:
-                        if trig not in events:
-                            handed_back = True
-                            break
-                    else:
-                        ready = [
-                            (proc, trig)
-                            for trig in fired
-                            for proc in events.pop(trig)
-                        ]
+                    if fired:
+                        for trig in fired:
+                            trig._fire(self)
                         fired.clear()
-                        continue
-                    break
-                deltas += delta
-                if handed_back:
-                    break
+                    if errors:
+                        raise errors.pop(0)
+                if self._seq != seq:  # a process posted a timed entry
+                    seq = self._seq
+                    end = bound()
+                when, _, edge = timed[0]
         finally:
-            # re-queue the clocks' pending edges and commit the level
-            # each one's last fired edge drove
-            for i, entry in enumerate(timed):
-                trig = entry[2]
-                if trig.__class__ is _ClockEdge:
-                    if trig.clock is clock_a:
-                        timed[i] = (at, sa, ea)
-                    elif trig.clock is clock_b:
-                        timed[i] = (bt, sb, eb)
-            heapq.heapify(timed)
-            out_a._value = ea.next.value
-            out_b._value = eb.next.value
-            if self._seq < seq:
+            fired.clear()
+            if seq > self._seq:
                 self._seq = seq
-            if holding:
-                release()
-            changes_by_owner[out_a.owner] += changes_a
-            changes_by_owner[out_b.owner] += changes_b
-            stats.resumes += resumes
-            stats.value_changes += changes + changes_a + changes_b
-            stats.deltas += deltas
+            self.time = now
+            self.delta = delta
+            changes_by_owner = stats.changes_by_owner
+            for sig, n in toggled.items():
+                changes += n
+                if sig.owner is not None:
+                    changes_by_owner[sig.owner] += n
+            resumes_by_owner = stats.resumes_by_owner
+            for owner, n in resumed.items():
+                stats.resumes += n
+                if owner is not None:
+                    resumes_by_owner[owner] += n
+            stats.value_changes += changes
+            stats.deltas += deltas + steps
             stats.timesteps += steps
             stats.silent_timesteps += silent
-        # the kernel's delta loop finishes a step handed back at ``delta``,
-        # from the triggers this delta's update raised
-        self.time = now
-        self.delta = delta
-        if handed_back:
-            try:
-                for trig in fired:
-                    trig._fire(self)
-            finally:
-                fired.clear()
-            if errors:
-                raise errors.pop(0)
         return True
 
     def _interpret(

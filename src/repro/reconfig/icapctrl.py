@@ -398,34 +398,24 @@ class _DmaWindow:
 
     The fetch queues this entry as it starts an arbitrated burst.  When
     it fires, :meth:`Simulator._run_clocked
-    <repro.kernel.simulator.Simulator._run_clocked>` runs the bus and
-    configuration clocks' edges, and the PLB arbiter, fetch and drain
-    they wake, in one loop up to the next other timed entry, for as
-    long as nothing else in the design is woken.  Every counter and
-    result is the one the kernel's own loops would produce.
+    <repro.kernel.simulator.Simulator._run_clocked>` runs the clock
+    edges up to the next other timed entry in one loop, with every
+    process they wake: the PLB arbiter, fetch and drain, and anyone else
+    waiting on a clock or an event, such as the software's DCR walk.
+    Every counter and result is the one the kernel's own loops would
+    produce.
     """
 
-    __slots__ = ("ctrl", "procs")
+    __slots__ = ("ctrl",)
 
     def __init__(self, ctrl: IcapCtrl):
         self.ctrl = ctrl
-        self.procs = None  # (arbiter, fetch, drain), found at first use
 
     def _fire(self, sim) -> None:
         ctrl = self.ctrl
-        if self.procs is None:
-            named = {p.name: p for p in ctrl.bus.processes + ctrl.processes}
-            self.procs = tuple(
-                named[name]
-                for name in (
-                    f"{ctrl.bus.path}.arbiter",
-                    f"{ctrl.path}.fetch",
-                    f"{ctrl.path}.drain",
-                )
-            )
         drained = ctrl.words_drained
         try:
-            if sim._run_clocked(self.procs, (ctrl.bus_clock, ctrl.cfg_clock)):
+            if sim._run_clocked():
                 ctrl.fast_forward_windows += 1
         finally:
             ctrl._window_queued = False

@@ -33,8 +33,7 @@ transfer time exactly, and odd lengths exercise FIFO corner cases
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -212,8 +211,7 @@ def build_restore_simb(
     )
 
 
-@dataclass(frozen=True)
-class SimBEvent:
+class SimBEvent(NamedTuple):
     """One semantic action decoded from the SimB stream.
 
     ``kind`` is one of ``sync``, ``noop``, ``far``, ``wcfg``, ``crc``,

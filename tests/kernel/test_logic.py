@@ -53,6 +53,15 @@ class TestEquality:
         x1 = LogicVector(2, 0b10, 0b01)
         assert len({x1, LogicVector(2, 0b10, 0b01), LogicVector(2, 0b10)}) == 2
 
+    def test_no_truth_value(self):
+        # ``if sig.value:`` must not quietly take a branch on X
+        for v in (xbits(1), LogicVector(4, 0b1000, 0b0100)):
+            with pytest.raises(TypeError, match="compare it with =="):
+                bool(v)
+            with pytest.raises(TypeError):
+                if not v:
+                    pass
+
 
 class TestSliceConcat:
     # resize is what ``Signal.next`` uses to fit a narrower or

@@ -9,18 +9,21 @@ never offered a window, and compare everything observable, including
 runs that hand steps back to the kernel mid-window (a corrupted SimB, a
 stalled fetch, a wedged transfer the watchdog aborts, odd clock ratios
 whose edges coincide irregularly, a DMA step that posts a timed entry,
-forks a process or waits on a trigger the window does not own).  The
+forks a process or waits on a trigger the window does not own), and
+runs in which it resumes more than the DMA: another process on the bus
+clock, a third clock with a process of its own, and profile mode.  The
 counters the fast-forward keeps
 tell when it ran; only counts are asserted, never wall time.
 """
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.tracing import to_chrome_trace
-from repro.kernel import Edge, Event, ProcessError, Timer, VcdWriter
+from repro.kernel import Clock, Edge, Event, ProcessError, RisingEdge, Timer, VcdWriter
 from repro.reconfig.icapctrl import IcapCtrl
 from repro.system.scenarios import scenario
 from repro.verif import run_system
@@ -86,6 +89,37 @@ def _transient(key, at_ps, seed=7):
     return prepare
 
 
+def _bus_waiter(at_ps, cycles):
+    """Another process on the bus clock's rises for a stretch of the
+    transfer: the fast-forward runs it alongside the DMA."""
+
+    def prepare(system, software, sim):
+        def waiter():
+            yield Timer(at_ps)
+            for _ in range(cycles):
+                yield RisingEdge(system.bus_clock.out)
+
+        sim.fork(waiter(), "bus_waiter", owner=system)
+
+    return prepare
+
+
+def _third_clock(period_ps):
+    """A free-running clock of its own, with a process on its rises."""
+
+    def prepare(system, software, sim):
+        clock = Clock("clk3", period_ps)
+        sim.add_module(clock)
+
+        def waiter():
+            while True:
+                yield RisingEdge(clock.out)
+
+        sim.fork(waiter(), "clk3_waiter", owner=clock)
+
+    return prepare
+
+
 CASES = {
     "tiny": (scenario("tiny"), 2, None),
     "cfg33": (scenario("tiny", simb_payload_words=512, cfg_mhz=33.0), 1, None),
@@ -122,6 +156,17 @@ CASES = {
         1,
         _transient("fifo_backpressure", MID_DPR_PS),
     ),
+    "bus_waiter": (
+        scenario("tiny", simb_payload_words=512),
+        1,
+        _bus_waiter(MID_DPR_PS, 300),
+    ),
+    "third_clock": (
+        scenario("tiny", simb_payload_words=512),
+        1,
+        _third_clock(37_000),
+    ),
+    "profile": (scenario("tiny", simb_payload_words=512, profile=True), 1, None),
 }
 
 
@@ -347,6 +392,16 @@ def test_tracing_does_not_turn_the_fast_forward_off():
     assert plain.words_fast_forwarded > 0
     assert traced.words_fast_forwarded == plain.words_fast_forwarded
     assert traced.fast_forward_windows == plain.fast_forward_windows
+
+
+def test_profile_mode_does_not_turn_the_fast_forward_off():
+    config = scenario("tiny", simb_payload_words=4096)
+    plain, _ = _run(config, 2)
+    profiled, captured = _run(replace(config, profile=True), 2)
+    assert captured["sim"].profile
+    assert plain.words_fast_forwarded > 0
+    assert profiled.words_fast_forwarded == plain.words_fast_forwarded
+    assert profiled.fast_forward_windows == plain.fast_forward_windows
 
 
 def test_a_vcd_writer_turns_the_fast_forward_off():
