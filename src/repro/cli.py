@@ -94,9 +94,7 @@ def _cmd_run(args) -> int:
         print("  !", a)
     print(
         f"simulated {result.sim_time_ps / 1e9:.3f} ms in "
-        f"{result.elapsed_s:.2f} s ({result.kernel_events:,} kernel events; "
-        f"{result.words_fast_forwarded:,} SimB words fast-forwarded in "
-        f"{result.fast_forward_windows:,} windows)"
+        f"{result.elapsed_s:.2f} s ({result.kernel_events:,} kernel events)"
     )
     return 1 if result.detected else 0
 

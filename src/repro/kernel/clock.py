@@ -113,15 +113,6 @@ class Clock(Module):
             sim._seq += 1
             heappush(sim._timed, (first, sim._seq, self._edge_a))
 
-    def next_rise(self, t: int) -> int:
-        """Time of this clock's first rising edge strictly after ``t``."""
-        first = self._first_rise
-        if first is None:
-            raise RuntimeError(f"clock {self.path} is not elaborated")
-        if t < first:
-            return first
-        return first + ((t - first) // self.period + 1) * self.period
-
     def rises_at(self, t: int) -> bool:
         """True if this clock has a rising edge at time ``t`` (ps)."""
         first = self._first_rise

@@ -13,16 +13,13 @@ There is one timestep loop (:meth:`Simulator._run_loop`) and one delta
 loop (:meth:`Simulator._step_deltas`).  :meth:`~Simulator.run`,
 :meth:`~Simulator.run_until_event` and profile mode all run on them,
 and the codegen backend settles every bail through the same delta loop,
-so every entry point executes one schedule.  Idle hardware costs next
-to nothing: a timestep holding nothing but clock edges that no process
-or VCD writer observes is *silent*, and the timestep loop commits its
-toggles inline, with the counters one delta of the delta
-loop would record, instead of entering the delta loop at all.  A
-stretch of time in which only clock edges are queued can run in one
-loop of its own (:meth:`Simulator._run_clocked`, which IcapCTRL's
-bitstream DMA opens): it walks the timed queue's clock edges in heap
-order and resumes whoever they wake, in the same order and with the
-same counters as the two loops.
+so every entry point executes one schedule.  Stretches of clock edges
+that wake a few processes, such as a frame's engine rows or the
+bitstream DMA, stay cheap: the timestep loop commits a timestep that
+holds nothing but clock edges in one pass over the toggled clocks and,
+if they woke anyone, settles it with the delta loop's phases inline.
+Such a step that no process or VCD writer observes is *silent*: that
+pass is all it costs.
 
 Activity accounting
 -------------------
@@ -114,7 +111,7 @@ class Simulator:
     """Delta-cycle discrete-event simulator with activity accounting."""
 
     #: safety net against combinational loops (the delta loop reads it
-    #: once, at construction)
+    #: once, at construction, and the timestep loop once per run)
     MAX_DELTAS_PER_STEP = 10_000
 
     def __init__(self, profile: bool = False, backend: str = "interp"):
@@ -162,15 +159,6 @@ class Simulator:
         self.tracer = None
         self._vcd = None
         self._modules: List[object] = []
-        #: ``(until, event, event.fired_count at start)`` of the run in
-        #: progress, set once per :meth:`_run_loop` call so a timed entry
-        #: that advances time itself (see :meth:`_run_clocked`) stops
-        #: where the run would
-        self._run_bounds: Tuple[Optional[int], Optional[Event], int] = (
-            None,
-            None,
-            0,
-        )
         #: the kernel's only delta loop and its update phase (see
         #: :meth:`_delta_loop`)
         self._step_deltas: Callable[[], None]
@@ -262,11 +250,11 @@ class Simulator:
         """Build this simulator's delta loop, bound once to its queues.
 
         The first function returned, installed as :attr:`_step_deltas`,
-        is the kernel's only delta loop: every run entry point and each
-        codegen-driver bail settle through it (a silent step,
-        which resumes nothing, is committed by :meth:`_run_loop`
-        itself).  It keeps :attr:`delta` current.  It runs delta
-        cycles at the current time until quiescent.  Each delta resumes
+        is the kernel's delta loop: every run entry point and each
+        codegen-driver bail settle through it, except the timesteps that
+        hold only clock edges, which :meth:`_run_loop` settles inline
+        with the same phases.  It keeps :attr:`delta` current.  It runs
+        delta cycles at the current time until quiescent.  Each delta resumes
         the ready processes (evaluation), then commits the scheduled
         updates and fires the triggers they and the pending delta
         triggers raise (update).  The update phase is the one definition
@@ -281,7 +269,7 @@ class Simulator:
         read once per call.
         Counters accumulate in locals and are flushed on exit, including
         on an error.  The second, installed as :attr:`_commit`, is the
-        update phase itself, which :meth:`_run_clocked` shares.
+        update phase itself, which :meth:`_run_loop` shares.
         """
         ready = self._ready
         popleft = ready.popleft
@@ -405,41 +393,56 @@ class Simulator:
 
         The kernel's only timestep loop, behind :meth:`run`,
         :meth:`run_until_event` and the codegen backend's fallback.
-        Each step pops every timed event due at the earliest
-        pending time, then settles it with :meth:`_step_deltas`.  Clock
-        edges, most of the heap traffic, are fired inline (the body of
-        ``_ClockEdge._fire``): each clock keeps one edge in the heap, and
-        firing it re-posts the clock's other edge with one ``heapreplace``.
+        Each step pops every timed event due at the earliest pending
+        time.  Clock edges, most of the heap traffic, are fired inline
+        (the body of ``_ClockEdge._fire``): each clock keeps one edge in
+        the heap, and firing it re-posts the clock's other edge with one
+        ``heapreplace``.
 
-        A *silent* step skips the delta loop.  It holds nothing but clock
-        edges, with no process ready and no delta trigger pending, and no
-        toggled clock signal has an any-edge waiter, a rising-edge waiter
-        on a rise, or a VCD id while a VCD writer is attached.  Such a
-        step is one delta that resumes nobody: its toggles are committed
-        inline, with the same counter updates (``value_changes``,
-        ``changes_by_owner``, one ``deltas``) that delta would make, and
-        counted in ``silent_timesteps``.  Every edge still commits, so a
-        read of a clock signal is always exact.  A clock signal holding X
-        (an edge always writes ``0``/``1``) takes the delta loop.
+        An *edges-only* step holds nothing but clock edges, with no
+        process ready and no delta trigger pending.  Its first delta is
+        its update phase alone, which the loop runs in one pass over the
+        toggled clock signals: each commits, is recorded in the VCD, and
+        wakes its any-edge waiters, then, on a rise, its rising-edge
+        waiters (a rising edge with one process waiting is inlined).  The
+        step is *silent* when no toggled signal has an any-edge waiter, a
+        rising-edge waiter on a rise, a VCD id while a VCD writer is
+        attached, or an X: it ends there, counted in
+        ``silent_timesteps``.  Otherwise the loop settles the step's
+        other deltas itself, with the delta loop's evaluation phase and
+        its update phase (:attr:`_commit`), and the delta loop's delta
+        index, counters, :class:`DeltaOverflowError` and process errors.
+        Every other step settles in :meth:`_step_deltas`.  The settle is
+        inline, not a :meth:`_step_deltas` call, because the call is what
+        a long stretch of clock-driven steps would pay most for (see
+        ``docs/performance.md``).
 
         With ``event`` the loop stops as soon as its ``fired_count``
-        rises; without it, a run that goes quiescent before ``until``
-        still advances time to ``until``.
+        rises, before it pops the next step, so a zero-delay timed entry
+        posted in the step that set it runs in the next run; without it,
+        a run that goes quiescent before ``until`` still advances time to
+        ``until``.
         """
         timed = self._timed
         updates = self._updates
         ready = self._ready
+        popleft = ready.popleft
+        wake = ready.append
         dts = self._delta_triggers
+        errors = self._errors
+        fired = self._fired_scratch
         stats = self.stats
+        resumes_by_owner = stats.resumes_by_owner
         changes_by_owner = stats.changes_by_owner
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
         step_deltas = self._step_deltas
+        commit = self._commit
+        max_deltas = self.MAX_DELTAS_PER_STEP
         clock_edge = _ClockEdge
         start = 0 if event is None else event.fired_count
-        self._run_bounds = (until, event, start)
         timesteps = 1
-        silent = 0
+        silent = resumes = changes = deltas = 0
         try:
             step_deltas()
             while timed:
@@ -469,176 +472,43 @@ class Simulator:
                         heappop(timed)
                         edges_only = False
                         trig._fire(self)
-                if edges_only and not ready and not dts:
-                    vcd = self._vcd
-                    for sig, new in updates.items():
+                if not edges_only or ready or dts:
+                    step_deltas()
+                    continue
+                # ---- an edges-only step's first delta: update phase ----
+                vcd = self._vcd
+                quiet = True
+                for sig, new in updates.items():
+                    old = sig._value
+                    if new == old:
                         if (
                             sig._w_any
                             or (new and sig._w_rise)
-                            or sig._value.__class__ is not int
                             or (vcd is not None and sig._vcd_id is not None)
                         ):
-                            break
-                    else:
-                        # silent step: commit as one delta of step_deltas
-                        for sig, new in updates.items():
-                            if new != sig._value:
-                                sig._value = new
-                                stats.value_changes += 1
-                                owner = sig.owner
-                                if owner is not None:
-                                    changes_by_owner[owner] += 1
-                        updates.clear()
-                        stats.deltas += 1
-                        self.delta = 1
-                        silent += 1
+                            quiet = False
                         continue
-                step_deltas()
-        finally:
-            stats.timesteps += timesteps
-            stats.silent_timesteps += silent
-        if event is None and until is not None and self.time < until:
-            self.time = until
-            self.delta = 0
-
-    def _post_clocked(self, when: int, entry) -> bool:
-        """Queue a timed ``entry`` whose ``_fire`` calls :meth:`_run_clocked`.
-
-        Queues nothing, and returns False, where :meth:`_run_clocked`
-        never runs: under a VCD writer (which records every change) and
-        on the codegen backend (whose compiled driver owns the timed
-        queue).
-        """
-        if self._vcd is not None or self._backend is not None:
-            return False
-        self._seq += 1
-        heapq.heappush(self._timed, (when, self._seq, entry))
-        return True
-
-    def _run_clocked(self) -> bool:
-        """Run the timesteps that hold only clock edges in one loop.
-
-        Called from a timed entry's ``_fire`` (see :meth:`_post_clocked`)
-        before the timestep it fires in has entered the delta loop.  It
-        returns False, changing nothing, under a VCD writer, or if that
-        timestep already has work queued or a timed entry that is not a
-        clock edge is due in it.  Otherwise it does what :meth:`_run_loop`
-        and the delta loop would, up to the first timed entry that is not
-        a clock edge (or the run's ``until`` or event): it pops the clock
-        edges from the timed queue in heap order, commits each as the
-        update phase would, and settles each timestep with the delta
-        loop's evaluation and update phases (:attr:`_commit`), charging
-        :attr:`stats` the same counters, silent timesteps included.
-
-        It holds the processes by their waits.  Whoever a clock's rise,
-        an event or any other trigger wakes is resumed here, in the
-        order the delta loop would resume it, through the triggers' own
-        wait lists (a rising edge with one process waiting is inlined).
-        A timed entry that a process posts bounds the loop anew.  One
-        posted for the current time ends it: the timestep loop runs that
-        entry in a timestep of its own, as it always does, except at the
-        time the loop was entered, where it runs it in the pass that
-        fired the entry (so the loop counts that timestep for it).  The
-        one difference this leaves: a run whose event is set in that
-        first timestep still runs such an entry before it returns.  A
-        process error or a timestep that does not settle raises as in
-        the delta loop.
-        """
-        if (
-            self._vcd is not None
-            or self._ready
-            or self._updates
-            or self._delta_triggers
-            or not self._timed
-        ):
-            return False
-        timed = self._timed
-        until, stop_event, stop_count = self._run_bounds
-        last = float("inf") if until is None else until + 1
-
-        def bound() -> float:
-            """When the first timed entry that is not a clock edge is due."""
-            end = last
-            for when, _, trig in timed:
-                if when < end and trig.__class__ is not _ClockEdge:
-                    end = when
-            return end
-
-        start = now = self.time
-        end = bound()
-        if end <= now:
-            return False
-        stats = self.stats
-        ready = self._ready
-        popleft = ready.popleft
-        wake = ready.append
-        updates = self._updates
-        dts = self._delta_triggers
-        errors = self._errors
-        fired = self._fired_scratch
-        commit = self._commit
-        heapreplace = heapq.heapreplace
-        max_deltas = self.MAX_DELTAS_PER_STEP
-        # changes by clock signal and resumes by owner, added to the
-        # counters on exit
-        toggled: Dict[Signal, int] = defaultdict(int)
-        resumed: Dict[object, int] = defaultdict(int)
-        seq = self._seq
-        delta = self.delta
-        # timesteps that clock edges open (each one's first delta commits
-        # them), the silent ones among them, and the other deltas
-        steps = silent = deltas = changes = 0
-        when, _, edge = timed[0]
-        # the kernel counted the timestep the loop was entered in: the
-        # clock edges still due in it join it, and it is never silent
-        joined = when == now
-        try:
-            while True:
-                if when != now:
-                    if when >= end or (
-                        stop_event is not None
-                        and stop_event.fired_count > stop_count
-                    ):
-                        break
-                    now = when
-                    delta = 1  # the edges' commit is the step's first delta
-                    limit = max_deltas
-                    steps += 1
-                    quiet = True
-                elif joined:
-                    joined = quiet = False
-                    limit = delta + max_deltas
-                    delta += 1
-                    deltas += 1
-                else:
-                    # an entry a process posted for this very time; at the
-                    # entry's own time the timestep loop runs it in the
-                    # pass that fired the entry, without counting it
-                    if now == start:
-                        stats.timesteps += 1
-                    break
-                # the timestep's clock edges, in heap order: each commits
-                # as the update phase would and wakes whoever waits on it
-                # as its triggers would
-                while True:
-                    seq += 1
-                    heapreplace(timed, (when + edge.delay, seq, edge.next))
-                    sig = edge.clock.out
-                    new = edge.value
-                    old = sig._value
-                    if new != old:
-                        sig._value = new
-                        toggled[sig] += 1
-                        if old.__class__ is not int:
+                    sig._value = new
+                    changes += 1
+                    owner = sig.owner
+                    if owner is not None:
+                        changes_by_owner[owner] += 1
+                    if vcd is not None and sig._vcd_id is not None:
+                        quiet = False
+                        vcd._record(when, sig)
+                    if old.__class__ is not int:
+                        quiet = False
+                        old = old.value
+                    w = sig._w_any
+                    if w:
+                        quiet = False
+                        for trig in tuple(w):
+                            trig._fire(self)
+                    if new:
+                        w = sig._w_rise
+                        if w:
                             quiet = False
-                        if sig._w_any:
-                            quiet = False
-                            for trig in tuple(sig._w_any):
-                                trig._fire(self)
-                        if new:
-                            w = sig._w_rise
-                            if w:
-                                quiet = False
+                            if not old & 1:
                                 trig = w.pop()
                                 waiters = trig._waiters
                                 if (
@@ -652,35 +522,32 @@ class Simulator:
                                     w.append(trig)
                                     for trig in tuple(w):
                                         trig._fire(self)
-                    elif sig._w_any or (new and sig._w_rise):
-                        quiet = False
-                    next_when, _, edge = timed[0]
-                    if next_when != when:
-                        break
+                updates.clear()
+                base = self.delta
+                delta = self.delta = base + 1
+                deltas += 1
                 if quiet:
-                    # a silent step: its one delta resumes nobody
                     silent += 1
-                    when = next_when
                     continue
-                # settle the step as the delta loop would
-                self.time = now
-                self._seq = seq
+                # ---- the step's other deltas, as the delta loop's ----
+                limit = base + max_deltas
                 while ready or updates or dts:
                     deltas += 1
                     if delta >= limit:
                         raise DeltaOverflowError(
-                            f"time step at t={now}ps did not stabilize "
+                            f"time step at t={when}ps did not stabilize "
                             f"after {max_deltas} delta cycles "
                             f"(combinational loop?)"
                         )
-                    delta += 1
-                    self.delta = delta
-                    # ---- evaluation: the delta loop's own
+                    delta = self.delta = delta + 1
                     for _ in range(len(ready)):
                         proc, sent = popleft()
                         if proc.finished:
                             continue
-                        resumed[proc.owner] += 1
+                        resumes += 1
+                        owner = proc.owner
+                        if owner is not None:
+                            resumes_by_owner[owner] += 1
                         proc._waiting_on = None
                         try:
                             yielded = proc._send(sent)
@@ -701,40 +568,25 @@ class Simulator:
                                 yielded._prime(self, proc)
                             else:
                                 proc._handle_nontrigger_yield(self, yielded)
-                    # ---- update: the delta loop's own
                     if dts or updates:
-                        changes += commit(now, None)
+                        changes += commit(when, vcd)
                     if fired:
-                        for trig in fired:
-                            trig._fire(self)
-                        fired.clear()
+                        try:
+                            for trig in fired:
+                                trig._fire(self)
+                        finally:
+                            fired.clear()
                     if errors:
                         raise errors.pop(0)
-                if self._seq != seq:  # a process posted a timed entry
-                    seq = self._seq
-                    end = bound()
-                when, _, edge = timed[0]
         finally:
-            fired.clear()
-            if seq > self._seq:
-                self._seq = seq
-            self.time = now
-            self.delta = delta
-            changes_by_owner = stats.changes_by_owner
-            for sig, n in toggled.items():
-                changes += n
-                if sig.owner is not None:
-                    changes_by_owner[sig.owner] += n
-            resumes_by_owner = stats.resumes_by_owner
-            for owner, n in resumed.items():
-                stats.resumes += n
-                if owner is not None:
-                    resumes_by_owner[owner] += n
+            stats.resumes += resumes
             stats.value_changes += changes
-            stats.deltas += deltas + steps
-            stats.timesteps += steps
+            stats.deltas += deltas
+            stats.timesteps += timesteps
             stats.silent_timesteps += silent
-        return True
+        if event is None and until is not None and self.time < until:
+            self.time = until
+            self.delta = 0
 
     def _interpret(
         self, until: Optional[int], event: Optional[Event] = None

@@ -126,14 +126,6 @@ class IcapCtrl(DcrRegisterFile):
         #: and the drained-word count when it opened
         self._transfer_span = None
         self._span_drained0 = 0
-        #: the timed entry that runs a DMA window (see _offer_window) is
-        #: queued or running
-        self._window_queued = False
-        self._window = _DmaWindow(self)
-        #: SimB words drained inside DMA windows, and the windows opened
-        #: (counted, never used to decide anything)
-        self.words_fast_forwarded = 0
-        self.fast_forward_windows = 0
         self.process(self._fetch_proc, "fetch")
         self.process(self._drain_proc, "drain")
         self.process(self._readback_proc, "readback")
@@ -227,8 +219,6 @@ class IcapCtrl(DcrRegisterFile):
                 burst = min(remaining, self.bus.MAX_BURST)
                 if not self.ignore_fifo_space:
                     burst = min(burst, space)
-                if not self._window_queued and self.port.arbitrated:
-                    self._offer_window()
                 data = yield from self.port.read_burst(addr, burst)
                 for w in data:
                     if len(self._fifo) >= self.FIFO_DEPTH:
@@ -244,14 +234,6 @@ class IcapCtrl(DcrRegisterFile):
                 addr += burst * 4
                 remaining -= burst
             self._fetch_done = True
-
-    def _offer_window(self) -> None:
-        """Queue a DMA window at the arbiter's grant edge, the next bus
-        rising edge (see :class:`_DmaWindow`)."""
-        sim = self.sim
-        self._window_queued = sim._post_clocked(
-            self.bus_clock.next_rise(sim.time), self._window
-        )
 
     # ------------------------------------------------------------------
     # Drain process (configuration clock domain)
@@ -391,32 +373,3 @@ class IcapCtrl(DcrRegisterFile):
             yield RisingEdge(cfg)
             yield RisingEdge(cfg)
             self.done_irq.next = 0
-
-
-class _DmaWindow:
-    """Runs a quiet stretch of a transfer outside the kernel's loops.
-
-    The fetch queues this entry as it starts an arbitrated burst.  When
-    it fires, :meth:`Simulator._run_clocked
-    <repro.kernel.simulator.Simulator._run_clocked>` runs the clock
-    edges up to the next other timed entry in one loop, with every
-    process they wake: the PLB arbiter, fetch and drain, and anyone else
-    waiting on a clock or an event, such as the software's DCR walk.
-    Every counter and result is the one the kernel's own loops would
-    produce.
-    """
-
-    __slots__ = ("ctrl",)
-
-    def __init__(self, ctrl: IcapCtrl):
-        self.ctrl = ctrl
-
-    def _fire(self, sim) -> None:
-        ctrl = self.ctrl
-        drained = ctrl.words_drained
-        try:
-            if sim._run_clocked():
-                ctrl.fast_forward_windows += 1
-        finally:
-            ctrl._window_queued = False
-            ctrl.words_fast_forwarded += ctrl.words_drained - drained

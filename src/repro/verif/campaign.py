@@ -116,8 +116,6 @@ def run_system(
         sim_time_ps=sim.time,
         kernel_events=sim.stats.events,
         elapsed_s=elapsed,
-        words_fast_forwarded=system.icapctrl.words_fast_forwarded,
-        fast_forward_windows=system.icapctrl.fast_forward_windows,
     )
 
 

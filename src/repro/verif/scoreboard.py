@@ -123,10 +123,6 @@ class RunResult:
     sim_time_ps: int = 0
     kernel_events: int = 0
     elapsed_s: float = 0.0
-    #: SimB words IcapCTRL drained inside DMA windows, and the windows
-    #: opened (see :meth:`repro.kernel.simulator.Simulator._run_clocked`)
-    words_fast_forwarded: int = 0
-    fast_forward_windows: int = 0
 
     @property
     def data_mismatches(self) -> List[str]:

@@ -729,3 +729,163 @@ def test_waiter_primed_mid_run_gets_the_next_edge():
     assert sim.stats.changes_by_owner[clk] == 20
     assert sim.stats.silent_timesteps == 20 - 7
     assert sim.stats.timesteps == 1 + 20 + 1  # settle, edges, the Timer
+
+
+# ----------------------------------------------------------------------
+# Edges-only steps: a timestep holding only clock edges settles inline
+# ----------------------------------------------------------------------
+def test_stop_event_set_on_a_rise_leaves_a_zero_delay_timer_to_the_next_run():
+    sim = Simulator()
+    clk = Clock("clk", 10)  # rises at 5, 15, ...
+    sim.add_module(clk)
+    stop = Event("stop")
+    log = []
+
+    def proc():
+        yield RisingEdge(clk.out)
+        yield RisingEdge(clk.out)
+        stop.set(sim)
+        log.append(("set", sim.time, sim.delta))
+        yield Timer(0)
+        log.append(("timer", sim.time, sim.delta))
+
+    sim.fork(proc(), "proc", owner=clk)
+    assert sim.run_until_event(stop)
+    assert (sim.time, sim.delta) == (15, 2)
+    assert (sim.stats.resumes, sim.stats.timesteps) == (3, 4)
+    assert log == [("set", 15, 2)]
+    sim.run(until=15)
+    assert log == [("set", 15, 2), ("timer", 15, 3)]
+    assert (sim.stats.resumes, sim.stats.timesteps) == (4, 6)  # and a settle
+
+
+def test_a_combinational_loop_woken_by_a_rise_overflows():
+    sim = Simulator()
+    clk = Clock("clk", 10)
+    sim.add_module(clk)
+    x = Signal("x", 1, init=0)
+    sim.register_signal(x)
+
+    def oscillate():
+        yield RisingEdge(clk.out)
+        x.next = 1
+        for _ in range(20_000):  # past the limit, then it would settle
+            yield Edge(x)
+            x.next = 0 if x.value else 1
+
+    sim.fork(oscillate())
+    with pytest.raises(DeltaOverflowError) as info:
+        sim.run(until=100)
+    assert str(info.value) == (
+        "time step at t=5ps did not stabilize after 10000 delta cycles "
+        "(combinational loop?)"
+    )
+    assert (sim.time, sim.delta) == (5, 10_000)
+    assert sim.stats.deltas == 10_002  # the first settle and the overflow
+
+
+def test_a_rise_wakes_any_edge_waiters_before_rise_waiters():
+    sim = Simulator()
+    clk = Clock("clk", 10)
+    sim.add_module(clk)
+    log = []
+
+    def waiter(name, trigger):
+        while True:
+            yield trigger(clk.out)
+            log.append((name, sim.time))
+
+    sim.fork(waiter("rise", RisingEdge), "rise")
+    sim.fork(waiter("any", Edge), "any")
+    sim.run(until=15)
+    assert log == [
+        ("any", 5), ("rise", 5), ("any", 10), ("any", 15), ("rise", 15)
+    ]
+
+
+def test_a_rise_woken_process_that_raises_fails_at_the_edge():
+    sim = Simulator()
+    clk = Clock("clk", 10)
+    sim.add_module(clk)
+
+    def bad():
+        yield RisingEdge(clk.out)
+        yield RisingEdge(clk.out)
+        raise ValueError("boom")
+
+    sim.fork(bad(), "bad", owner=clk)
+    with pytest.raises(ProcessError) as info:
+        sim.run(until=100)
+    assert isinstance(info.value.original, ValueError)
+    assert (sim.time, sim.delta) == (15, 2)
+    assert sim.stats.resumes == sim.stats.resumes_by_owner[clk] == 3
+    assert (sim.stats.deltas, sim.stats.timesteps) == (6, 4)
+
+
+#: the rising edges and the counter they drive, X included; the
+#: untraced clock's edges are not in it
+VCD_OF_RISE_WAITERS = """\
+$version repro.kernel VCD writer $end
+$timescale 1ps $end
+$scope module top $end
+$var wire 1 ! clk $end
+$var wire 2 " count $end
+$upscope $end
+$enddefinitions $end
+$dumpvars
+0!
+b00 "
+$end
+#5
+1!
+b01 "
+#10
+0!
+#15
+1!
+b10 "
+#20
+0!
+#25
+1!
+bxx "
+#30
+0!
+#35
+1!
+b00 "
+#40
+0!
+#45
+1!
+b01 "
+#50
+0!
+#50
+"""
+
+
+def test_vcd_of_rise_waiters_and_an_untraced_clock():
+    sim = Simulator()
+    top = Module("top")
+    clk = Clock("clk", 10, parent=top)
+    other = Clock("other", 6, parent=top)
+    count = top.signal("count", 2)
+    sim.add_module(top)
+    stream = io.StringIO()
+    writer = VcdWriter(stream)
+    writer.trace(clk.out, count)
+    sim.attach_vcd(writer)
+
+    def counter():
+        n = 0
+        while True:
+            yield RisingEdge(clk.out)
+            n += 1
+            count.next = xbits(2) if n == 3 else n & 3
+
+    sim.fork(counter(), "counter", owner=top)
+    sim.run(until=50)
+    sim.close()
+    assert stream.getvalue() == VCD_OF_RISE_WAITERS
+    assert sim.stats.silent_timesteps == 13  # the untraced clock's own edges

@@ -1,29 +1,26 @@
-"""The bitstream DMA's fast-forward: when it runs, and that it changes nothing.
+"""What IcapCTRL's bitstream DMA runs show, pinned.
 
-``Simulator._run_clocked`` runs quiet stretches of an IcapCTRL transfer
-outside the kernel's timestep and delta loops.  It must be invisible: every
-simulated result, kernel counter, warning and trace byte is the same as
-when the kernel runs the DMA itself.  The differential cases below run
-each stimulus twice, once as shipped and once with the fast-forward
-never offered a window, and compare everything observable, including
-runs that hand steps back to the kernel mid-window (a corrupted SimB, a
-stalled fetch, a wedged transfer the watchdog aborts, odd clock ratios
-whose edges coincide irregularly, a DMA step that posts a timed entry,
-forks a process or waits on a trigger the window does not own), and
-runs in which it resumes more than the DMA: another process on the bus
-clock, a third clock with a process of its own, and profile mode.  The
-counters the fast-forward keeps
-tell when it ran; only counts are asserted, never wall time.
+Each case runs a stimulus that keeps the DMA busy: odd clock ratios
+whose edges coincide irregularly, a corrupted or truncated SimB, a
+stalled fetch or drain, a wedged transfer the watchdog aborts, DMA steps
+that post a timed entry, fork a process or wait on a timer, any edge of
+a clock or a shared event, another process on the bus clock, a third
+clock with a process of its own, tracing and profile mode.  It compares
+everything observable (simulated results, kernel counters, warnings,
+trace bytes) with a digest or value recorded from a kernel that ran the
+DMA's clock-only stretches in a loop of their own, where those stretches
+were checked against the kernel's timestep loop alone.  The kernel now
+has that one loop, so each pin must still hold.
 """
 
-import io
+import hashlib
+import heapq
 import random
-from dataclasses import replace
 
 import pytest
 
 from repro.analysis.tracing import to_chrome_trace
-from repro.kernel import Clock, Edge, Event, ProcessError, RisingEdge, Timer, VcdWriter
+from repro.kernel import Clock, Edge, Event, ProcessError, RisingEdge, Timer
 from repro.reconfig.icapctrl import IcapCtrl
 from repro.system.scenarios import scenario
 from repro.verif import run_system
@@ -47,8 +44,12 @@ def _run(config, frames=1, prepare=None):
     return result, captured
 
 
+def _digest(observed) -> str:
+    return hashlib.sha256(repr(observed).encode()).hexdigest()
+
+
 def _observed(result, captured):
-    """Everything a run shows, fast-forward counters aside."""
+    """Everything a run shows."""
     system, sim = captured["system"], captured["sim"]
     st = sim.stats
     ctrl = system.icapctrl
@@ -91,7 +92,7 @@ def _transient(key, at_ps, seed=7):
 
 def _bus_waiter(at_ps, cycles):
     """Another process on the bus clock's rises for a stretch of the
-    transfer: the fast-forward runs it alongside the DMA."""
+    transfer, resumed alongside the DMA."""
 
     def prepare(system, software, sim):
         def waiter():
@@ -170,74 +171,30 @@ CASES = {
 }
 
 
+#: sha256 of ``_observed`` for each case
+PINNED = {
+    "backpressure": "3a0a60fbecae65294858a6523b3149469aea2927584c22f283185313389d05dd",
+    "bitflip": "a54936d394193afc14cd0895c8cb94d3a4ebd9c871c0578fdb104213d9a519c7",
+    "bus_waiter": "a384e4293acb8877640171245c7ab4dc82f84a0565f94acf511f90aa27ff6f5c",
+    "cfg33": "134b6aeef85c423c74a270fef14f2a0ee56bbbf07568650b35b694cebc60dc62",
+    "cfg77": "d76c0066a36d2022eeed65b689b6a473319f9a1106f2694132688f773f11610c",
+    "cfg9.09": "161457e17bad52d06b73fe2fb7d2bb326cf6b5c2225d65f36880c96f4605b4c2",
+    "dma_stall": "47d9989571272abe43a10ab9eeae438070a1ff6a9e8b74acd4f7967a62816d4c",
+    "dpr.5": "0cd762db3a065d0508383c31e9b0955a794ab59ab74923331a179adc4f475f05",
+    "profile": "268586abf41c7da6a0390d78420d40bc63776f26ff7afcd2f55a42a88af9d4bc",
+    "third_clock": "c1fb65a9359622ecfaca34bc35587737c2c0d22e8115dfdcb950f1003672d20a",
+    "tiny": "07b6d9cb9692863c32c4ce989ae4d6a6a76999f1b4f9b24a83c70a0fee60a288",
+    "traced": "791227969d482550472a3ca4e148cba0b306c1ebfaf6708c65e2d514dc1befb5",
+    "truncated": "753578cff33959ee7dbdd5e79b5b42f4896e0c3e9713d6b8535024cf93b7ca13",
+}
+
+
 @pytest.mark.parametrize("case", list(CASES))
-def test_fast_forward_changes_nothing_observable(case, monkeypatch):
+def test_fast_forward_changes_nothing_observable(case):
     config, frames, prepare = CASES[case]
     result, captured = _run(config, frames, prepare)
-    assert captured["system"].icapctrl.words_fast_forwarded > 0
-    shipped = _observed(result, captured)
-    monkeypatch.setattr(IcapCtrl, "_offer_window", lambda self: None)
-    result, captured = _run(config, frames, prepare)
-    assert captured["system"].icapctrl.words_fast_forwarded == 0
-    assert shipped == _observed(result, captured)
-
-
-def test_run_until_event_stops_inside_a_window(monkeypatch):
-    """An event a DMA step sets ends the run on that step, as in the kernel."""
-
-    def stop_at_a_bus_request():
-        bench = MachineryBench(payload_words=256)
-        bench.slot.select(bench.cie.ENGINE_ID)
-        bench.start_transfer(4 * bench.load_simb(bench.me.ENGINE_ID))
-        bench.sim.run(until=3_000_000)
-        request = bench.bus._request
-        for _ in range(5):
-            assert bench.sim.run_until_event(request, timeout=1_000_000)
-        st = bench.sim.stats
-        return (
-            bench.sim.time,
-            bench.sim.delta,
-            (st.resumes, st.value_changes, st.deltas, st.timesteps),
-            bench.icapctrl.words_drained,
-        ), bench.icapctrl.words_fast_forwarded
-
-    shipped, carried = stop_at_a_bus_request()
-    assert carried > 0
-    monkeypatch.setattr(IcapCtrl, "_offer_window", lambda self: None)
-    assert stop_at_a_bus_request() == (shipped, 0)
-
-
-def test_a_step_that_raises_fails_the_run_as_in_the_kernel(monkeypatch):
-    """A DMA step raising inside a window ends the run with the same
-    error, at the same time and with the same counters."""
-
-    def fail_at_word_200():
-        bench = MachineryBench(payload_words=256)
-        bench.slot.select(bench.cie.ENGINE_ID)
-        bench.start_transfer(4 * bench.load_simb(bench.me.ENGINE_ID))
-        write_word = bench.icap.write_word
-
-        def faulty(word):
-            if bench.icapctrl.words_drained == 200:
-                raise RuntimeError("ICAP wedged")
-            write_word(word)
-
-        bench.icap.write_word = faulty
-        with pytest.raises(ProcessError) as info:
-            bench.sim.run(until=20_000_000)
-        st = bench.sim.stats
-        return (
-            str(info.value),
-            bench.sim.time,
-            bench.sim.delta,
-            (st.resumes, st.value_changes, st.deltas, st.timesteps),
-            bench.icapctrl.words_fetched,
-        ), bench.icapctrl.words_fast_forwarded
-
-    shipped, carried = fail_at_word_200()
-    assert carried > 0
-    monkeypatch.setattr(IcapCtrl, "_offer_window", lambda self: None)
-    assert fail_at_word_200() == (shipped, 0)
+    assert captured["system"].icapctrl.words_drained > 0
+    assert _digest(_observed(result, captured)) == PINNED[case]
 
 
 def _dma_only():
@@ -248,8 +205,59 @@ def _dma_only():
     return bench
 
 
+def test_run_until_event_stops_inside_a_window():
+    """An event a DMA step sets ends the run on that step."""
+    bench = _dma_only()
+    bench.sim.run(until=3_000_000)
+    request = bench.bus._request
+    for _ in range(5):
+        assert bench.sim.run_until_event(request, timeout=1_000_000)
+    st = bench.sim.stats
+    assert (
+        bench.sim.time,
+        bench.sim.delta,
+        (st.resumes, st.value_changes, st.deltas, st.timesteps),
+        bench.icapctrl.words_drained,
+    ) == (
+        3_255_000,
+        4,
+        (603, 1459, 1242, 657),
+        149,
+    )
+
+
+def test_a_step_that_raises_fails_the_run_as_in_the_kernel():
+    """A DMA step that raises ends the run with its error, at its time
+    and with its resume counted."""
+    bench = _dma_only()
+    write_word = bench.icap.write_word
+
+    def faulty(word):
+        if bench.icapctrl.words_drained == 200:
+            raise RuntimeError("ICAP wedged")
+        write_word(word)
+
+    bench.icap.write_word = faulty
+    with pytest.raises(ProcessError) as info:
+        bench.sim.run(until=20_000_000)
+    st = bench.sim.stats
+    assert (
+        str(info.value),
+        bench.sim.time,
+        bench.sim.delta,
+        (st.resumes, st.value_changes, st.deltas, st.timesteps),
+        bench.icapctrl.words_fetched,
+    ) == (
+        "process 'top.icapctrl.drain' raised RuntimeError('ICAP wedged')",
+        4_290_000,
+        2,
+        (792, 1925, 1638, 859),
+        213,
+    )
+
+
 def _settled(bench):
-    """Run the transfer out: what it shows, and the words carried."""
+    """Run the transfer out: what it shows."""
     bench.sim.run(until=20_000_000)
     st = bench.sim.stats
     return (
@@ -265,7 +273,7 @@ def _settled(bench):
         {o.path: n for o, n in st.resumes_by_owner.items() if n},
         {o.path: n for o, n in st.changes_by_owner.items() if n},
         bench.icapctrl.words_drained,
-    ), bench.icapctrl.words_fast_forwarded
+    )
 
 
 class _Mark:
@@ -279,47 +287,53 @@ class _Mark:
         self.log.append(("mark", sim.time, self.ctrl.words_drained))
 
 
+#: sha256 of each run's ``(_settled, log)``
+KERNEL_WORK = {
+    "fork": "3eb5c014483846089407e2d9369136f1bdd0100151790dd997f6638c9d93cb9a",
+    "timed_entry": "d55b1e983360d8d86d635e692051d6a0094d6f6c7230606acb3e9b1c05f9c954",
+}
+
+
 @pytest.mark.parametrize("work", ["timed_entry", "fork"])
-def test_a_step_that_makes_kernel_work_hands_back(work, monkeypatch):
-    """A drained word that posts a timed entry or forks a process ends the
-    window at that delta; the kernel finishes the step as it would."""
+def test_a_step_that_makes_kernel_work_hands_back(work):
+    """A drained word that posts a timed entry or forks a process: the
+    entry fires and the helper runs at the times they are due."""
+    bench = _dma_only()
+    sim = bench.sim
+    write_word = bench.icap.write_word
+    log = []
 
-    def run():
-        bench = _dma_only()
-        sim = bench.sim
-        write_word = bench.icap.write_word
-        log = []
+    def helper():
+        log.append(("helper", sim.time, sim.delta))
+        yield Timer(1_500)
+        log.append(("helper", sim.time, sim.delta))
 
-        def helper():
-            log.append(("helper", sim.time, sim.delta))
-            yield Timer(1_500)
-            log.append(("helper", sim.time, sim.delta))
+    def writes_and_works(word):
+        write_word(word)
+        if bench.icapctrl.words_drained + 1 in (100, 180):
+            log.append(("write", sim.time, sim.delta))
+            if work == "fork":
+                sim.fork(helper(), "helper")
+            else:
+                sim._seq += 1
+                heapq.heappush(
+                    sim._timed,
+                    (sim.time + 2_500, sim._seq, _Mark(log, bench.icapctrl)),
+                )
 
-        def writes_and_works(word):
-            write_word(word)
-            if bench.icapctrl.words_drained + 1 in (100, 180):
-                log.append(("write", sim.time, sim.delta))
-                if work == "fork":
-                    sim.fork(helper(), "helper")
-                else:
-                    mark = _Mark(log, bench.icapctrl)
-                    assert sim._post_clocked(sim.time + 2_500, mark)
-
-        bench.icap.write_word = writes_and_works
-        observed, carried = _settled(bench)
-        return (observed, log), carried
-
-    shipped, carried = run()
-    assert carried > 0
-    monkeypatch.setattr(IcapCtrl, "_offer_window", lambda self: None)
-    assert run() == (shipped, 0)
+    bench.icap.write_word = writes_and_works
+    assert _digest((_settled(bench), log)) == KERNEL_WORK[work]
 
 
-@pytest.mark.parametrize("wait", ["timer", "any_edge", "shared_event"])
-def test_a_dma_process_waiting_on_anything_else_hands_back(wait, monkeypatch):
-    """The drain pausing twice on a trigger a window does not own (a
-    Timer, any edge of its clock, or an event another process waits on
-    too, which a PLB beat then sets) ends the window at that delta."""
+#: sha256 of each paused run's ``(_settled, log)``
+PAUSED = {
+    "any_edge": "9bf16e14c9f70c1395c3814c2e9f3d73fdcae476cd9f91cdef705ee55d94fee3",
+    "shared_event": "a55c5062b59ffbf33df5b5ae204120c2578a3bb72a6f273d9ca096b40609c38f",
+    "timer": "fccdf32c5f6f0cda1821dfaf31d16df45df1c41e74c5042984de5448303e799e",
+}
+
+
+def _drain_with_pauses(wait):
     drain = IcapCtrl._drain_proc
 
     def drain_with_pauses(self):
@@ -340,83 +354,42 @@ def test_a_dma_process_waiting_on_anything_else_hands_back(wait, monkeypatch):
                 self.pausing = False
             sent = yield trig
 
-    def run():
-        bench = _dma_only()
-        sim, ctrl = bench.sim, bench.icapctrl
-        ctrl.pausing = False
-        ctrl.pause = Event("pause")
-        log = []
+    return drain_with_pauses
 
-        def helper():
-            while True:
-                yield ctrl.pause.wait()
-                log.append(("helper", sim.time, ctrl.words_drained))
 
-        sim.fork(helper(), "helper")
-        read = bench.mem.plb_read
-        beats = []
+def _run_paused():
+    bench = _dma_only()
+    sim, ctrl = bench.sim, bench.icapctrl
+    ctrl.pausing = False
+    ctrl.pause = Event("pause")
+    log = []
 
-        def read_and_count(offset):
-            if ctrl.pausing:
-                beats.append(offset)
-                if len(beats) % 3 == 0:
-                    ctrl.pause.set(sim)
-            return read(offset)
+    def helper():
+        while True:
+            yield ctrl.pause.wait()
+            log.append(("helper", sim.time, ctrl.words_drained))
 
-        bench.mem.plb_read = read_and_count
-        observed, carried = _settled(bench)
-        return (observed, log), carried
+    sim.fork(helper(), "helper")
+    read = bench.mem.plb_read
+    beats = []
 
-    plain, _ = run()
-    monkeypatch.setattr(IcapCtrl, "_drain_proc", drain_with_pauses)
-    paused, carried = run()
-    assert carried > 0
+    def read_and_count(offset):
+        if ctrl.pausing:
+            beats.append(offset)
+            if len(beats) % 3 == 0:
+                ctrl.pause.set(sim)
+        return read(offset)
+
+    bench.mem.plb_read = read_and_count
+    return _settled(bench), log
+
+
+@pytest.mark.parametrize("wait", ["timer", "any_edge", "shared_event"])
+def test_a_dma_process_waiting_on_anything_else_hands_back(wait, monkeypatch):
+    """The drain pausing twice on a Timer, any edge of its clock, or an
+    event another process waits on too, which a PLB beat then sets."""
+    plain = _run_paused()
+    monkeypatch.setattr(IcapCtrl, "_drain_proc", _drain_with_pauses(wait))
+    paused = _run_paused()
     assert paused != plain  # the pauses moved the schedule
-    monkeypatch.setattr(IcapCtrl, "_offer_window", lambda self: None)
-    assert run() == (paused, 0)
-
-
-def test_default_run_carries_most_words_through_the_fast_forward():
-    result, captured = _run(scenario("tiny"), 2)
-    ctrl = captured["system"].icapctrl
-    assert not result.detected
-    assert ctrl.fast_forward_windows > 0
-    assert result.words_fast_forwarded == ctrl.words_fast_forwarded
-    assert result.fast_forward_windows == ctrl.fast_forward_windows
-    assert 2 * ctrl.words_fast_forwarded > ctrl.words_drained
-
-
-def test_tracing_does_not_turn_the_fast_forward_off():
-    plain, _ = _run(scenario("tiny"), 2)
-    traced, _ = _run(scenario("tiny", tracing=True), 2)
-    assert plain.words_fast_forwarded > 0
-    assert traced.words_fast_forwarded == plain.words_fast_forwarded
-    assert traced.fast_forward_windows == plain.fast_forward_windows
-
-
-def test_profile_mode_does_not_turn_the_fast_forward_off():
-    config = scenario("tiny", simb_payload_words=4096)
-    plain, _ = _run(config, 2)
-    profiled, captured = _run(replace(config, profile=True), 2)
-    assert captured["sim"].profile
-    assert plain.words_fast_forwarded > 0
-    assert profiled.words_fast_forwarded == plain.words_fast_forwarded
-    assert profiled.fast_forward_windows == plain.fast_forward_windows
-
-
-def test_a_vcd_writer_turns_the_fast_forward_off():
-    def attach(system, software, sim):
-        writer = VcdWriter(io.StringIO())
-        writer.trace(system.bus_clock.out, scope="autovision")
-        sim.attach_vcd(writer)
-
-    result, captured = _run(scenario("tiny"), 2, attach)
-    assert not result.detected
-    assert captured["system"].icapctrl.words_drained > 0
-    assert result.words_fast_forwarded == 0
-    assert result.fast_forward_windows == 0
-
-
-def test_a_point_to_point_port_turns_the_fast_forward_off():
-    result, _ = _run(scenario("tiny", faults=frozenset({"dpr.4"})), 1)
-    assert result.words_fast_forwarded == 0
+    assert _digest(paused) == PAUSED[wait]
