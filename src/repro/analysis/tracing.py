@@ -194,17 +194,6 @@ class Tracer:
         cats = self._categories
         return cats is None or category in cats
 
-    def explicitly_enabled(self, category: str) -> bool:
-        """True only when ``category`` was *named* in the filter.
-
-        Categories whose samples are not byte-deterministic across
-        repeated in-process runs (e.g. ``exec`` artifact-cache hit/miss
-        counters, which depend on cache warmth) are recorded only on
-        explicit request — the same opt-in contract as wall-clock
-        offsets.
-        """
-        return self._categories is not None and category in self._categories
-
     def _tid_for(self, category: str, track: str = "") -> int:
         key = (category, track)
         tid = self._tids.get(key)

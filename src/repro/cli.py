@@ -626,8 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--categories", action="append", default=[],
         help="record only these categories (repeatable or comma-separated:"
-             " kernel, bus, reconfig, firmware, warning; opt-in extras:"
-             " exec = artifact-cache hit/miss counters)",
+             " kernel, bus, reconfig, firmware, warning)",
     )
     p_trace.add_argument(
         "--timeline", type=int, nargs="?", const=40, default=0,

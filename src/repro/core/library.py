@@ -151,26 +151,14 @@ class ResimArtifacts:
     ) -> List[int]:
         """Generate a SimB addressing a region/module by name or id.
 
-        The word stream is pure in ``(rr, module, payload_words, seed,
-        crc)``, so it is memoized in the process-global artifact cache
-        (kind ``simb``); each call returns a fresh list the caller may
-        mutate freely.
+        Each call builds a fresh list the caller may mutate freely.
         """
-        from ..exec.cache import ARTIFACT_CACHE
-
         spec = self.region(region)
         if isinstance(module, int):
             mod = spec.module_by_id(module)
         else:
             mod = spec.module_by_name(module)
-        words = ARTIFACT_CACHE.get(
-            "simb",
-            (spec.rr_id, mod.module_id, payload_words, seed, crc),
-            lambda: tuple(
-                build_simb(
-                    spec.rr_id, mod.module_id, payload_words=payload_words,
-                    seed=seed, crc=crc,
-                )
-            ),
+        return build_simb(
+            spec.rr_id, mod.module_id, payload_words=payload_words,
+            seed=seed, crc=crc,
         )
-        return list(words)

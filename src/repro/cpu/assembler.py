@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .isa import (
     BRANCH_CONDS,
@@ -63,12 +63,11 @@ _MEM_RE = re.compile(r"^(-?\w+)\((\w+)\)$")
 
 @dataclass
 class Program:
-    """Assembled output: a word image plus symbol/debug info."""
+    """Assembled output: a word image plus its symbol table."""
 
     words: List[int]
     base_addr: int
     symbols: Dict[str, int]
-    listing: List[Tuple[int, int, str]]  # (byte addr, word, source)
 
     @property
     def size_words(self) -> int:
@@ -183,18 +182,14 @@ def assemble(source: str, base_addr: int = 0) -> Program:
 
     # ---------------- pass 2: encode ----------------
     words: List[int] = []
-    listing: List[Tuple[int, int, str]] = []
 
-    def emit(item: _Item, inst: Instruction) -> None:
-        word = encode(inst)
-        words.append(word)
-        listing.append((base_addr + 4 * len(words) - 4, word, item.text))
+    def emit(inst: Instruction) -> None:
+        words.append(encode(inst))
 
     for item in items:
         if item.kind == "word":
             value = _parse_int(item.operands[0], symbols, item.line_no, item.text)
             words.append(value & 0xFFFF_FFFF)
-            listing.append((item.addr, words[-1], item.text))
             continue
         m, ops = item.mnemonic, item.operands
         ln, tx = item.line_no, item.text
@@ -211,65 +206,62 @@ def assemble(source: str, base_addr: int = 0) -> Program:
 
         try:
             if m in ("addi", "addis", "ori", "andi", "xori"):
-                emit(item, Instruction(m, rd=reg(ops[0]), ra=reg(ops[1]), imm=val(ops[2])))
+                emit(Instruction(m, rd=reg(ops[0]), ra=reg(ops[1]), imm=val(ops[2])))
             elif m in ("lwz", "stw"):
                 mm = _MEM_RE.match(ops[1].replace(" ", ""))
                 if not mm:
                     raise AssemblerError(ln, tx, "expected d(rA)")
-                emit(item, Instruction(
+                emit(Instruction(
                     m, rd=reg(ops[0]),
                     ra=_parse_reg(mm.group(2), ln, tx),
                     imm=_parse_int(mm.group(1), symbols, ln, tx),
                 ))
             elif m in ("mfdcr", "mtdcr"):
-                emit(item, Instruction(m, rd=reg(ops[0]), imm=val(ops[1])))
+                emit(Instruction(m, rd=reg(ops[0]), imm=val(ops[1])))
             elif m in ("b", "bl"):
-                emit(item, Instruction(m, imm=branch_offset(ops[0])))
+                emit(Instruction(m, imm=branch_offset(ops[0])))
             elif m == "bc":
                 cond = ops[0].lower()
                 if cond not in BRANCH_CONDS:
                     raise AssemblerError(ln, tx, f"unknown condition {cond!r}")
-                emit(item, Instruction("bc", cond=cond, imm=branch_offset(ops[1])))
+                emit(Instruction("bc", cond=cond, imm=branch_offset(ops[1])))
             elif m in _BRANCH_ALIASES:
-                emit(item, Instruction(
+                emit(Instruction(
                     "bc", cond=_BRANCH_ALIASES[m], imm=branch_offset(ops[0])
                 ))
             elif m in ("cmpwi", "cmplwi"):
-                emit(item, Instruction(m, ra=reg(ops[0]), imm=val(ops[1])))
+                emit(Instruction(m, ra=reg(ops[0]), imm=val(ops[1])))
             elif m in ("cmpw", "cmplw"):
-                emit(item, Instruction(m, ra=reg(ops[0]), rb=reg(ops[1])))
+                emit(Instruction(m, ra=reg(ops[0]), rb=reg(ops[1])))
             elif m in ("mtlr", "mtctr"):
-                emit(item, Instruction(m, ra=reg(ops[0])))
+                emit(Instruction(m, ra=reg(ops[0])))
             elif m in ("mflr", "mfctr"):
-                emit(item, Instruction(m, rd=reg(ops[0])))
+                emit(Instruction(m, rd=reg(ops[0])))
             elif m in R_FUNCTS:
-                emit(item, Instruction(
+                emit(Instruction(
                     m, rd=reg(ops[0]), ra=reg(ops[1]), rb=reg(ops[2])
                 ))
             elif m in SYS_FUNCTS:
-                emit(item, Instruction(m))
+                emit(Instruction(m))
             # ---- pseudo-ops ----
             elif m == "li":
                 value = val(ops[1]) & 0xFFFF_FFFF
                 rd = reg(ops[0])
                 if value <= 0x7FFF or value >= 0xFFFF_8000:
                     signed = value - (1 << 32) if value >= 0xFFFF_8000 else value
-                    emit(item, Instruction("addi", rd=rd, ra=0, imm=signed))
-                    emit(item, Instruction("nop"))
+                    emit(Instruction("addi", rd=rd, ra=0, imm=signed))
+                    emit(Instruction("nop"))
                 else:
-                    emit(item, Instruction("addis", rd=rd, ra=0,
-                                           imm=_sext16(value >> 16)))
-                    emit(item, Instruction("ori", rd=rd, ra=rd,
-                                           imm=value & 0xFFFF))
+                    emit(Instruction("addis", rd=rd, ra=0, imm=_sext16(value >> 16)))
+                    emit(Instruction("ori", rd=rd, ra=rd, imm=value & 0xFFFF))
             elif m == "la":
                 value = val(ops[1]) & 0xFFFF_FFFF
                 rd = reg(ops[0])
-                emit(item, Instruction("addis", rd=rd, ra=0,
-                                       imm=_sext16(value >> 16)))
-                emit(item, Instruction("ori", rd=rd, ra=rd, imm=value & 0xFFFF))
+                emit(Instruction("addis", rd=rd, ra=0, imm=_sext16(value >> 16)))
+                emit(Instruction("ori", rd=rd, ra=rd, imm=value & 0xFFFF))
             elif m == "mr":
                 src = reg(ops[1])
-                emit(item, Instruction("or", rd=reg(ops[0]), ra=src, rb=src))
+                emit(Instruction("or", rd=reg(ops[0]), ra=src, rb=src))
             else:
                 raise AssemblerError(ln, tx, f"unknown mnemonic {m!r}")
         except (ValueError, IndexError) as exc:
@@ -277,7 +269,7 @@ def assemble(source: str, base_addr: int = 0) -> Program:
                 raise
             raise AssemblerError(ln, tx, str(exc)) from exc
 
-    return Program(words, base_addr, dict(symbols), listing)
+    return Program(words, base_addr, dict(symbols))
 
 
 def _sext16(value: int) -> int:

@@ -35,12 +35,11 @@ from ..system.autovision import (
     AutoVisionSystem,
     SystemConfig,
 )
-from .assembler import Program, assemble
+from .assembler import assemble
 from .iss import PpcLiteIss
 
 __all__ = [
     "optical_flow_firmware",
-    "assemble_cached",
     "attach_iss",
     "FIRMWARE_EXIT_OK",
     "SVC_LOAD_FRAME",
@@ -314,7 +313,7 @@ def build_iss_demo(
         raise ValueError("the firmware drives the real IcapCTRL: use resim")
     system = AutoVisionSystem(config)
     iss = attach_iss(system)
-    program = assemble_cached(optical_flow_firmware(system, faults=firmware_faults))
+    program = assemble(optical_flow_firmware(system, faults=firmware_faults))
     iss.load(program)
     input0 = system.memory_map.input[0]
     iss.services[SVC_LOAD_FRAME] = lambda cpu: system.video_in.send_frame_backdoor(
@@ -322,24 +321,3 @@ def build_iss_demo(
     )
     iss.services[SVC_FRAME_DONE] = lambda cpu: None
     return system, iss, program
-
-
-def assemble_cached(source: str, base_addr: int = 0) -> Program:
-    """Assemble via the artifact cache (the source text IS the key).
-
-    Sweeps re-assemble the identical firmware for every run; the word
-    image is pure in the source, so it is memoized process-globally.
-    Returns a fresh :class:`~repro.cpu.assembler.Program` whose lists
-    the caller may mutate.
-    """
-    from ..exec.cache import ARTIFACT_CACHE
-
-    cached = ARTIFACT_CACHE.get(
-        "firmware", (source, base_addr), lambda: assemble(source, base_addr)
-    )
-    return Program(
-        words=list(cached.words),
-        base_addr=cached.base_addr,
-        symbols=dict(cached.symbols),
-        listing=list(cached.listing),
-    )

@@ -8,10 +8,8 @@ value.  The contract:
 
 * ``jobs=1`` runs every task serially in the calling process, exactly
   like the pre-fleet code path (no subprocess, no pickling),
-* ``jobs>1`` fans tasks out to ``jobs`` persistent worker processes;
-  each worker keeps its process-global
-  :data:`~repro.exec.cache.ARTIFACT_CACHE` warm across the tasks it
-  executes,
+* ``jobs>1`` fans tasks out to ``jobs`` persistent worker processes,
+  each of which runs task after task until the queue is empty,
 * a task that raises is marked failed (``ok=False``) instead of
   aborting the sweep,
 * a *worker* that dies mid-task (crash, ``os._exit``, OOM kill) is
@@ -40,8 +38,6 @@ from multiprocessing.connection import wait as _conn_wait
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .cache import ARTIFACT_CACHE, _canonical, merge_stats
-
 __all__ = [
     "FleetError",
     "RunSpec",
@@ -57,6 +53,23 @@ CRASH_EXIT_CODE = 86
 
 class FleetError(RuntimeError):
     """Invalid fleet configuration (duplicate keys, bad jobs value)."""
+
+
+def _canonical(obj) -> str:
+    """Stable textual encoding of a seed part (primitives only)."""
+    if isinstance(obj, (str, int, float, bool, bytes)) or obj is None:
+        return repr(obj)
+    if isinstance(obj, (list, tuple)):
+        return "(" + ",".join(_canonical(o) for o in obj) + ")"
+    if isinstance(obj, (set, frozenset)):
+        return "{" + ",".join(sorted(_canonical(o) for o in obj)) + "}"
+    if isinstance(obj, dict):
+        items = sorted((_canonical(k), _canonical(v)) for k, v in obj.items())
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    raise TypeError(
+        f"seed parts must be built from primitives/tuples/dicts, "
+        f"got {type(obj).__name__}"
+    )
 
 
 def derive_seed(*parts) -> int:
@@ -106,8 +119,8 @@ class FleetReport:
     jobs: int
     outcomes: List[RunOutcome]
     worker_crashes: int = 0
-    #: per-kind artifact-cache hit/miss counters accumulated across the
-    #: calling process and every worker that reported back
+    #: always empty: read only by perfbench's ``exec.cache_*`` metrics
+    #: until ROADMAP item 1 drops them (the artifact cache is retired)
     cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
     elapsed_s: float = 0.0
 
@@ -129,13 +142,7 @@ class FleetReport:
 # Worker side
 # ----------------------------------------------------------------------
 def _worker_main(conn) -> None:
-    """Worker loop: receive (index, fn, kwargs, crash), send results.
-
-    The worker's process-global artifact cache persists across tasks
-    (warm cache); its counters are zeroed at startup so the cumulative
-    stats it reports cover exactly its own lifetime.
-    """
-    ARTIFACT_CACHE.reset_stats()
+    """Worker loop: receive (index, fn, kwargs, crash), send results."""
     while True:
         try:
             msg = conn.recv()
@@ -152,9 +159,8 @@ def _worker_main(conn) -> None:
         except Exception as exc:
             value, ok, error = None, False, f"{type(exc).__name__}: {exc}"
         elapsed = perf_counter() - t0
-        stats = ARTIFACT_CACHE.stats()
         try:
-            conn.send((index, ok, value, error, elapsed, stats))
+            conn.send((index, ok, value, error, elapsed))
         except Exception as exc:
             conn.send(
                 (
@@ -163,7 +169,6 @@ def _worker_main(conn) -> None:
                     None,
                     f"result not picklable: {type(exc).__name__}: {exc}",
                     elapsed,
-                    stats,
                 )
             )
     conn.close()
@@ -173,7 +178,7 @@ def _worker_main(conn) -> None:
 # Dispatcher side
 # ----------------------------------------------------------------------
 def _mp_context():
-    """Fork where available (fast, inherits warm caches), else spawn."""
+    """Fork where available (fast, inherits loaded modules), else spawn."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -196,7 +201,6 @@ class _Worker:
         self.proc.start()
         child_conn.close()
         self.current: Optional[int] = None
-        self.stats: Dict[str, Dict[str, int]] = {}
 
     def shutdown(self) -> None:
         try:
@@ -261,14 +265,12 @@ def run_many(
             raise FleetError(f"fault injection for unknown keys: {unknown}")
 
     t0 = perf_counter()
-    local_snap = ARTIFACT_CACHE.snapshot()
 
     if jobs == 1 or len(specs) <= 1:
         outcomes = _run_serial(specs)
         return FleetReport(
             jobs=1,
             outcomes=outcomes,
-            cache=merge_stats(ARTIFACT_CACHE.delta_since(local_snap)),
             elapsed_s=perf_counter() - t0,
         )
 
@@ -281,7 +283,6 @@ def run_many(
     workers: List[_Worker] = []
     retired: List[_Worker] = []
     worker_crashes = 0
-    dead_stats: List[Dict[str, Dict[str, int]]] = []
 
     def dispatch(worker: _Worker) -> None:
         if not pending:
@@ -357,8 +358,7 @@ def run_many(
                 except (EOFError, OSError):
                     handle_crash(worker)
                     continue
-                index, ok, value, error, elapsed, stats = msg
-                worker.stats = stats
+                index, ok, value, error, elapsed = msg
                 spec = specs[index]
                 outcomes[index] = RunOutcome(
                     key=spec.key,
@@ -374,15 +374,11 @@ def run_many(
         for worker in list(workers):
             worker.shutdown()
         for worker in workers + retired:
-            if worker.stats:
-                dead_stats.append(worker.stats)
             worker.reap()
 
-    cache = merge_stats(ARTIFACT_CACHE.delta_since(local_snap), *dead_stats)
     return FleetReport(
         jobs=jobs,
         outcomes=list(outcomes),
         worker_crashes=worker_crashes,
-        cache=cache,
         elapsed_s=perf_counter() - t0,
     )

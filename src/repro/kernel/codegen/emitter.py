@@ -53,7 +53,6 @@ resumes += 1
 ow = proc.owner
 if ow is not None:
     owner_resumes[ow] = owner_resumes.get(ow, 0) + 1
-proc._waiting_on = None
 try:
     y = proc._send(et)
 except StopIteration as stop:
@@ -65,15 +64,12 @@ except Exception as exc:
     _unprime_edge(et)
     errors.append(ProcessError(proc, exc))
 else:
-    if y is et:
-        proc._waiting_on = et
-    elif isinstance(y, Trigger):
+    if y is not et:
         _unprime_edge(et)
-        proc._waiting_on = y
-        y._prime(sim, proc)
-    else:
-        _unprime_edge(et)
-        proc._handle_nontrigger_yield(sim, y)
+        if isinstance(y, Trigger):
+            y._prime(sim, proc)
+        else:
+            proc._handle_nontrigger_yield(sim, y)
 """
 
 # Resume a waiter whose trigger is already fully consumed (Timer popped
@@ -84,7 +80,6 @@ resumes += 1
 ow = proc.owner
 if ow is not None:
     owner_resumes[ow] = owner_resumes.get(ow, 0) + 1
-proc._waiting_on = None
 try:
     y = proc._send(trig)
 except StopIteration as stop:
@@ -95,7 +90,6 @@ except Exception as exc:
     errors.append(ProcessError(proc, exc))
 else:
     if isinstance(y, Trigger):
-        proc._waiting_on = y
         y._prime(sim, proc)
     else:
         proc._handle_nontrigger_yield(sim, y)

@@ -14,9 +14,7 @@ overhead measurements.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
-
-from .events import Trigger
+from typing import Generator
 
 __all__ = ["Process", "ProcessError"]
 
@@ -39,7 +37,6 @@ class Process:
         "_gen",
         "finished",
         "result",
-        "_waiting_on",
         "_send",
     )
 
@@ -54,7 +51,6 @@ class Process:
         self._gen = gen
         self.finished = False
         self.result = None
-        self._waiting_on: Optional[Trigger] = None
         # Every resume path (the interpreter's delta loop and the
         # compiled driver) calls this cached bound method, saving the
         # ``_gen.send`` hop.
@@ -84,5 +80,5 @@ class Process:
         sim._report_process_error(ProcessError(self, exc))
 
     def __repr__(self) -> str:
-        state = "finished" if self.finished else f"waiting on {self._waiting_on!r}"
+        state = "finished" if self.finished else "alive"
         return f"Process({self.name!r}, {state})"

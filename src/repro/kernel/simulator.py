@@ -353,7 +353,6 @@ class Simulator:
                         owner = proc.owner
                         if owner is not None:
                             resumes_by_owner[owner] += 1
-                        proc._waiting_on = None
                         try:
                             yielded = proc._send(sent)
                         except StopIteration as stop:
@@ -364,7 +363,6 @@ class Simulator:
                             errors.append(ProcessError(proc, exc))
                         else:
                             if isinstance(yielded, Trigger):
-                                proc._waiting_on = yielded
                                 yielded._prime(self, proc)
                             else:
                                 proc._handle_nontrigger_yield(self, yielded)
@@ -548,7 +546,6 @@ class Simulator:
                         owner = proc.owner
                         if owner is not None:
                             resumes_by_owner[owner] += 1
-                        proc._waiting_on = None
                         try:
                             yielded = proc._send(sent)
                         except StopIteration as stop:
@@ -560,11 +557,9 @@ class Simulator:
                         else:
                             if yielded.__class__ is RisingEdge:
                                 # RisingEdge._prime, inlined
-                                proc._waiting_on = yielded
                                 yielded._waiters.append(proc)
                                 yielded.signal._w_rise.append(yielded)
                             elif isinstance(yielded, Trigger):
-                                proc._waiting_on = yielded
                                 yielded._prime(self, proc)
                             else:
                                 proc._handle_nontrigger_yield(self, yielded)

@@ -323,48 +323,24 @@ class AutoVisionSystem(Module):
     # Helpers
     # ------------------------------------------------------------------
     def _load_bitstreams(self) -> None:
-        """Initialize main memory from a cached pristine image.
+        """Place both engines' partial SimBs at their bases in memory.
 
-        The pristine power-up contents — zeros with both engines'
-        partial SimBs at their bases — are pure in the configuration,
-        so they are built once per (geometry, SimB length, CRC) in the
-        process-global artifact cache and *deep-copied* into this
-        system's memory.  A campaign sweeping bugs and methods over one
-        operating point pays the SimB encoding cost once, not per run.
+        The pristine arrays are kept for :meth:`refresh_bitstream`.
         """
-        from ..exec.cache import ARTIFACT_CACHE
-
         mm = self.memory_map
-        placements = (
+        self._pristine_simbs = {}
+        for module_name, module_id, base in (
             ("cie", self.cie.ENGINE_ID, mm.bs_cie),
             ("me", self.me.ENGINE_ID, mm.bs_me),
-        )
-        key = (
-            RR_ID,
-            tuple((name, mid, base) for name, mid, base in placements),
-            self.config.simb_payload_words,
-            self.config.fault_tolerance,
-            mm.size,
-        )
-
-        def build():
-            image = np.zeros(mm.size // 4, dtype=np.uint32)
-            simbs = {}
-            for module_name, module_id, base in placements:
-                words = self.artifacts.simb_for(
-                    "video_rr", module_name,
-                    payload_words=self.config.simb_payload_words,
-                    crc=self.config.fault_tolerance,
-                )
-                arr = np.array(words, dtype=np.uint32)
-                image[base // 4 : base // 4 + len(arr)] = arr
-                simbs[module_id] = arr
-            return image, simbs
-
-        image, simbs = ARTIFACT_CACHE.get("memimg", key, build)
-        self.memory.words[:] = image  # per-run deep copy of the pristine image
-        #: read-only cached arrays; load_words copies on every use
-        self._pristine_simbs = simbs
+        ):
+            words = self.artifacts.simb_for(
+                "video_rr", module_name,
+                payload_words=self.config.simb_payload_words,
+                crc=self.config.fault_tolerance,
+            )
+            simb = np.array(words, dtype=np.uint32)
+            self.memory.load_words(base, simb)
+            self._pristine_simbs[module_id] = simb
 
     def refresh_bitstream(self, module_id: int) -> None:
         """Rewrite a module's SimB from its pristine image.

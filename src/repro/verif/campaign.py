@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional
 
-from ..exec.cache import ARTIFACT_CACHE
 from ..exec.fleet import RunSpec, run_many
 from ..system.autovision import AutoVisionSystem, SystemConfig
 from ..system.software import AutoVisionSoftware
@@ -71,7 +70,6 @@ def run_system(
     injectors use to arm themselves.
     """
     validate_fault_keys(config.faults)
-    cache_snap = ARTIFACT_CACHE.snapshot()
     system = AutoVisionSystem(config)
     software = AutoVisionSoftware(system)
     sim = system.build()
@@ -90,15 +88,6 @@ def run_system(
     sim.fork(software.run(n_frames), "software.main", owner=software)
     sim.run_until_event(software.run_complete, timeout=timeout_ps)
     elapsed = time.perf_counter() - wall0
-
-    tracer = getattr(sim, "tracer", None)
-    if tracer is not None and tracer.explicitly_enabled("exec"):
-        # cache warmth is process state, not simulation state, so these
-        # counters are opt-in (they would break trace byte-determinism)
-        for kind, c in ARTIFACT_CACHE.delta_since(cache_snap).items():
-            tracer.counter(
-                "exec", f"cache_{kind}", hits=c["hits"], misses=c["misses"]
-            )
 
     return RunResult(
         method=config.method,

@@ -18,8 +18,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..exec.cache import ARTIFACT_CACHE
-
 __all__ = ["SceneConfig", "FrameSequence"]
 
 
@@ -61,20 +59,13 @@ class FrameSequence:
 
     ``frame(t)`` is pure: calling it twice with the same index returns
     identical data, and ``true_motion(t)`` returns the per-object ground
-    truth displacement between frames ``t`` and ``t+1``.  Because the
-    render is pure in the scene parameters, frames are memoized in the
-    process-global artifact cache — a sweep that builds hundreds of
-    systems over the same scene renders each frame once.  Cached frames
-    come back **read-only**; ``.copy()`` one before mutating it.
+    truth displacement between frames ``t`` and ``t+1``.  Each call
+    renders a fresh array the caller may mutate.
     """
 
     def __init__(self, config: SceneConfig | None = None):
         self.config = config or SceneConfig()
         cfg = self.config
-        self._scene_key = (
-            cfg.width, cfg.height, cfg.n_objects, cfg.max_speed,
-            cfg.seed, cfg.texture_contrast,
-        )
         rng = np.random.default_rng(cfg.seed)
         # Background: low-contrast texture so the census transform has
         # features everywhere (untextured regions match ambiguously).
@@ -112,13 +103,7 @@ class FrameSequence:
         ]
 
     def frame(self, t: int) -> np.ndarray:
-        """The ``t``-th frame as a read-only (H, W) uint8 array."""
-        return ARTIFACT_CACHE.get(
-            "frame", self._scene_key + (t,), lambda: self._render_frame(t)
-        )
-
-    def _render_frame(self, t: int) -> np.ndarray:
-        """Uncached frame synthesis (the cache's builder)."""
+        """The ``t``-th frame as a new (H, W) uint8 array."""
         cfg = self.config
         img = self.background.copy()
         for obj, tex in zip(self.objects, self._obj_textures):

@@ -21,7 +21,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..exec.cache import ARTIFACT_CACHE
 from ..kernel import Module
 from .formats import pack_pixels, unpack_pixels
 from .frames import FrameSequence
@@ -43,25 +42,19 @@ class VideoInVIP(Module):
         self.port = port
         self.sequence = sequence
 
-    def _packed_frame(self, t: int) -> np.ndarray:
-        """Word-packed frame ``t``, memoized alongside the frame render."""
-        seq = self.sequence
-        return ARTIFACT_CACHE.get(
-            "frame_words",
-            seq._scene_key + (t,),
-            lambda: pack_pixels(seq.frame(t).ravel()),
-        )
-
     def send_frame(self, t: int, base_addr: int):
         """``yield from vip.send_frame(t, base)`` — full-frame DMA."""
-        words = self._packed_frame(t)
-        yield from self.port.write_block(base_addr, words.tolist())
-        return self.sequence.frame(t)
+        frame = self.sequence.frame(t)
+        yield from self.port.write_block(
+            base_addr, pack_pixels(frame.ravel()).tolist()
+        )
+        return frame
 
     def send_frame_backdoor(self, t: int, memory, offset: int) -> np.ndarray:
         """Zero-time load used by fast-functional test modes."""
-        memory.load_words(offset, self._packed_frame(t))
-        return self.sequence.frame(t)
+        frame = self.sequence.frame(t)
+        memory.load_words(offset, pack_pixels(frame.ravel()))
+        return frame
 
 
 class VideoOutVIP(Module):

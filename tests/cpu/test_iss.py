@@ -294,7 +294,7 @@ def test_program_too_large_rejected():
     from repro.cpu.assembler import Program
 
     with pytest.raises(ValueError):
-        bench.iss.load(Program([0] * (len(bench.iss.imem) + 1), 0, {}, []))
+        bench.iss.load(Program([0] * (len(bench.iss.imem) + 1), 0, {}))
 
 
 def test_start_requires_elaboration_and_once():

@@ -79,3 +79,12 @@ def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(7, "resim", "dpr.1") == derive_seed(7, "resim", "dpr.1")
     assert derive_seed(7, "resim", "dpr.1") != derive_seed(7, "vmux", "dpr.1")
     assert 0 <= derive_seed("x") < 2**63
+
+
+def test_what_perfbench_reads_of_the_retired_cache_is_empty():
+    # perfbench's exec.cache_* metrics read these two names (ROADMAP item 1)
+    from repro.exec import ARTIFACT_CACHE
+
+    assert ARTIFACT_CACHE.snapshot() == {}
+    assert ARTIFACT_CACHE.delta_since({}) == {}
+    assert run_many(_specs(2), jobs=2).cache == {}

@@ -30,6 +30,14 @@ def test_frame_pure_function_of_index():
     assert np.array_equal(seq.frame(5), seq.frame(5))
 
 
+def test_mutating_a_frame_leaves_the_next_call_unchanged():
+    seq = FrameSequence(SceneConfig(seed=5))
+    first = seq.frame(2)
+    pristine = first.copy()
+    first[:] = 0  # a caller owns the array it is handed ...
+    assert np.array_equal(seq.frame(2), pristine)  # ... and keeps it
+
+
 def test_consecutive_frames_differ_by_motion():
     seq = FrameSequence(SceneConfig(seed=3))
     assert not np.array_equal(seq.frame(0), seq.frame(1))

@@ -40,7 +40,7 @@ process:
 Commands run in a temporary directory.  A function reached only through
 another path (a test, a worker process) is listed: read the list as
 "nothing a user runs calls this", then check the tests before deleting.
-Names that ``perfbench/`` uses (``ArtifactCache``, ``run_many_laned``,
+Names that ``perfbench/`` uses (``ARTIFACT_CACHE``, ``run_many_laned``,
 ``CampaignResult.run_failures``) stay listed, as the script does not
 run that harness; they are not deletion candidates while it pins them.
 
