@@ -6,7 +6,9 @@ the other artifacts (Extended Portal, error injectors) — "trivial"
 overhead.  This bench reproduces the attribution with the kernel's
 per-module accounting: event share for both, wall-clock share for the
 mux (the artifacts piggyback on other modules' processes, so their
-event share is the meaningful number).
+event share is the meaningful number).  The committed table holds the
+event shares; the wall-clock shares depend on the host and are printed
+only.
 """
 
 import pytest
@@ -14,44 +16,44 @@ import pytest
 from repro.analysis import format_table, measure_artifact_overhead
 from repro.system import SystemConfig
 
-from .conftest import geometry, publish
+from .conftest import BENCH_GEOMETRY, publish
 
 
 @pytest.fixture(scope="module")
 def overhead():
-    config = SystemConfig(video_backdoor=True, profile=True, **geometry())
+    config = SystemConfig(video_backdoor=True, profile=True, **BENCH_GEOMETRY)
     return measure_artifact_overhead(config)
 
 
 def test_overhead_report(benchmark, overhead):
-    config = SystemConfig(video_backdoor=True, profile=True, **geometry())
+    config = SystemConfig(video_backdoor=True, profile=True, **BENCH_GEOMETRY)
     benchmark.pedantic(
         measure_artifact_overhead, args=(config,), rounds=1, iterations=1
     )
+    mux_event = overhead.mux_event_share
+    artifact_event = overhead.artifact_event_share
     rows = [
-        (
-            "Engine_wrapper multiplexer",
-            f"{overhead.mux_event_share:.2%}",
-            f"{overhead.mux_time_share:.2%}",
-            "1.4%",
-        ),
+        ("Engine_wrapper multiplexer", f"{mux_event:.2%}", "1.4%"),
         (
             "Other artifacts (portal, injectors, ICAP)",
-            f"{overhead.artifact_event_share:.2%}",
-            f"{overhead.artifact_time_share:.2%}",
+            f"{artifact_event:.2%}",
             "0.3%",
         ),
         (
             "Total simulation-only overhead",
-            f"{overhead.mux_event_share + overhead.artifact_event_share:.2%}",
-            f"{overhead.mux_time_share + overhead.artifact_time_share:.2%}",
+            f"{mux_event + artifact_event:.2%}",
             "1.7%",
         ),
     ]
     text = format_table(
-        ["Component", "Event share", "Wall-time share", "Paper"],
+        ["Component", "Event share", "Paper"],
         rows,
         title="§V — simulation overhead of the ReSim layer",
+    )
+    print(
+        f"\nwall-time share (host-dependent, not committed): mux "
+        f"{overhead.mux_time_share:.2%}, artifacts "
+        f"{overhead.artifact_time_share:.2%}"
     )
     publish("overhead", text, benchmark)
     assert overhead.mux_event_share + overhead.artifact_event_share < 0.05

@@ -1,16 +1,18 @@
 """Table II — time to simulate one video frame.
 
 Simulates one complete frame of the pipelined flow (CIE -> DPR -> ME ->
-DPR -> ISR drawing) under ReSim and reports, per execution stage, the
-simulated time, the wall-clock elapsed time, and the kernel-event count
-(the host-independent proxy for elapsed time).
+DPR -> ISR drawing) under ReSim at the paper's geometry (320x240, 4K-word
+SimB) and reports, per execution stage, the simulated time, the
+kernel-event count (the host-independent proxy for elapsed time) and
+events per simulated microsecond.  The wall-clock elapsed time per stage
+is printed, not committed: it depends on the host.
 
-Absolute numbers differ from the paper (their substrate is ModelSim on
-a 2009-era host at 320x240; ours is a Python kernel at a scaled
-geometry — set REPRO_FULL_RES=1 for 320x240).  The *shape* assertions
-hold:
+Absolute elapsed times differ from the paper (their substrate is
+ModelSim on a 2009-era host; ours is a Python kernel).  The *shape*
+assertions hold:
 
-* ME covers more simulated time than CIE (paper: 1.4 ms vs 1.1 ms),
+* ME covers more simulated time than CIE (paper: 1.4 ms vs 1.1 ms, a
+  ratio of 1.27 that ours matches within 15%),
 * CIE nevertheless takes longer to simulate — more signal activity
   (paper: 6 min vs 4.5 min),
 * the ISR stage is cheap in both senses (paper: 0.5 ms / 0.5 min),
@@ -31,13 +33,18 @@ from repro.analysis import format_table, profile_one_frame
 from repro.reconfig.simb import REAL_BITSTREAM_WORDS
 from repro.system import SystemConfig
 
-from .conftest import CAMPAIGN_GEOMETRY, geometry, publish
+from .conftest import CAMPAIGN_GEOMETRY, PAPER_GEOMETRY, publish
+
+#: the paper's Table II simulated times (ms)
+PAPER_CIE_MS = 1.1
+PAPER_ME_MS = 1.4
+
+PAPER_CONFIG = SystemConfig(video_backdoor=True, **PAPER_GEOMETRY)
 
 
 @pytest.fixture(scope="module")
 def frame_profile():
-    config = SystemConfig(video_backdoor=True, **geometry())
-    return profile_one_frame(config, quantum_ps=1_000_000)
+    return profile_one_frame(PAPER_CONFIG, quantum_ps=1_000_000)
 
 
 @pytest.fixture(scope="module")
@@ -53,43 +60,37 @@ def bit_true_profile():
     return profile
 
 
-def _bit_true_table(profile) -> str:
-    """The counterfactual's deterministic columns: no wall time."""
+def _table(profile, title: str) -> str:
+    """The profile's deterministic columns: no wall time."""
     config = profile.config
     return format_table(
-        ["Stage", "Simulated Time (ms)", "Kernel events"],
+        ["Stage", "Simulated Time (ms)", "Kernel events",
+         "Events per simulated µs"],
         [
-            (label, round(sim_ms, 4), events)
+            (label, round(sim_ms, 4), events,
+             events / (sim_ms * 1e3) if sim_ms else 0.0)
             for label, sim_ms, _, events in profile.rows()
         ],
         title=(
-            f"Bit-true counterfactual — one frame with a real-size "
-            f"bitstream ({config.width}x{config.height}, SimB payload "
+            f"{title} ({config.width}x{config.height}, SimB payload "
             f"{config.simb_payload_words} words)"
         ),
     )
 
 
 def test_table2_frame_time(benchmark, frame_profile, bit_true_profile):
-    config = SystemConfig(video_backdoor=True, **geometry())
     profile = benchmark.pedantic(
-        profile_one_frame, args=(config,), kwargs=dict(quantum_ps=1_000_000),
-        rounds=1, iterations=1,
+        profile_one_frame, args=(PAPER_CONFIG,),
+        kwargs=dict(quantum_ps=1_000_000), rounds=1, iterations=1,
     )
-    rows = [
-        (label, round(sim_ms, 4), round(elapsed, 3), events)
-        for label, sim_ms, elapsed, events in profile.rows()
-    ]
-    text = format_table(
-        ["Stage", "Simulated Time (ms)", "Elapsed Time (s)", "Kernel events"],
-        rows,
-        title=(
-            f"Table II — time to simulate one video frame "
-            f"({config.width}x{config.height}, SimB payload "
-            f"{config.simb_payload_words} words)"
-        ),
+    print("\nTable II elapsed time (s, host-dependent, not committed): "
+          + ", ".join(f"{label} {elapsed:.3f}"
+                      for label, _, elapsed, _ in profile.rows()))
+    text = _table(profile, "Table II — time to simulate one video frame")
+    text += "\n\n" + _table(
+        bit_true_profile,
+        "Bit-true counterfactual — one frame with a real-size bitstream",
     )
-    text += "\n\n" + _bit_true_table(bit_true_profile)
     publish("table2_frame_time", text, benchmark)
     assert profile.clean
     _assert_table2_shape(profile)
@@ -111,6 +112,15 @@ def test_table2_shape_me_simulated_longer_than_cie(frame_profile):
         frame_profile.phase("me").simulated_ps
         > frame_profile.phase("cie").simulated_ps
     )
+
+
+def test_table2_shape_me_to_cie_simulated_ratio_matches_paper(frame_profile):
+    """ME/CIE simulated time is the paper's 1.4/1.1 = 1.27, within 15%."""
+    ratio = (
+        frame_profile.phase("me").simulated_ps
+        / frame_profile.phase("cie").simulated_ps
+    )
+    assert ratio == pytest.approx(PAPER_ME_MS / PAPER_CIE_MS, rel=0.15)
 
 
 def test_table2_shape_cie_more_expensive_to_simulate(frame_profile):

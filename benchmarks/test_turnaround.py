@@ -9,7 +9,8 @@ their host) per probe change, and typically several iterations.
 This bench measures frames-to-detect live for every bug, takes the
 per-frame simulation cost from a measured clean run, and compares the
 resulting worst-case turnaround against the on-chip model with the
-paper's 52/11 cost ratio carried over.
+paper's 52/11 cost ratio carried over.  The measured per-frame cost
+depends on the host, so the turnaround in seconds is printed only.
 """
 
 import pytest
@@ -59,13 +60,17 @@ def test_turnaround_comparison(benchmark, detection_data):
 
     worst = max(frames.values())
     rows = [
-        (key, BUGS[key].paper_ref[:28], n, round(n * per_frame_s, 2))
-        for key, n in sorted(frames.items())
+        (key, BUGS[key].paper_ref[:28], n) for key, n in sorted(frames.items())
     ]
     text = format_table(
-        ["Bug", "Paper ref", "Frames to detect", "Sim turnaround (s)"],
+        ["Bug", "Paper ref", "Frames to detect"],
         rows,
         title="§V-B — frames needed to expose each bug in simulation",
+    )
+    print(
+        f"\nsim turnaround (host-dependent, not committed): "
+        f"{per_frame_s:.2f} s per frame, worst case "
+        f"{worst * per_frame_s:.2f} s"
     )
     sim_paper = worst * PAPER_SIM_MIN_PER_FRAME
     text += (

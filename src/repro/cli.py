@@ -36,6 +36,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .analysis import build_timeline, format_table, profile_one_frame
+from .analysis.tracing import BUILTIN_CATEGORIES
 from .system.scenarios import scenario, scenario_names
 from .verif import BUGS, DprCoverage, run_system
 
@@ -53,6 +54,18 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _trace_categories(text: str) -> List[str]:
+    """argparse type for ``--categories``: comma-separated known names."""
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    unknown = [c for c in names if c not in BUILTIN_CATEGORIES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown category {', '.join(unknown)} "
+            f"(known: {', '.join(BUILTIN_CATEGORIES)})"
+        )
+    return names
 
 
 def _add_scenario(parser: argparse.ArgumentParser) -> None:
@@ -407,7 +420,7 @@ def _cmd_trace(args) -> int:
     overrides = {"tracing": True}
     if args.categories:
         overrides["trace_categories"] = frozenset(
-            c.strip() for cats in args.categories for c in cats.split(",") if c.strip()
+            c for cats in args.categories for c in cats
         )
     cfg = replace(_config(args), **overrides)
 
@@ -624,9 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="Chrome trace_event JSON path (default: trace.json)",
     )
     p_trace.add_argument(
-        "--categories", action="append", default=[],
+        "--categories", action="append", default=[], type=_trace_categories,
         help="record only these categories (repeatable or comma-separated:"
-             " kernel, bus, reconfig, firmware, warning)",
+             f" {', '.join(BUILTIN_CATEGORIES)})",
     )
     p_trace.add_argument(
         "--timeline", type=int, nargs="?", const=40, default=0,

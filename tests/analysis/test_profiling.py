@@ -37,6 +37,15 @@ def test_rows_order_and_overall(profile):
     assert rows[-1][3] == profile.total_events
 
 
+def test_profile_simulated_columns_are_deterministic(profile):
+    # Table II commits these two columns, so a rerun must repeat them
+    again = profile_one_frame(TINY, quantum_ps=500_000)
+    assert again.phases.keys() == profile.phases.keys()
+    for name, phase in profile.phases.items():
+        assert again.phases[name].simulated_ps == phase.simulated_ps, name
+        assert again.phases[name].events == phase.events, name
+
+
 def test_events_per_simulated_us():
     p = PhaseStats("x", simulated_ps=2_000_000, events=500)
     assert p.events_per_simulated_us == 250

@@ -219,6 +219,19 @@ def test_trace_category_filter(tmp_path, capsys):
     assert "bus" not in cats
 
 
+def test_trace_rejects_unknown_category(tmp_path, capsys):
+    # a typo would otherwise record only metadata and exit 0
+    out_path = tmp_path / "trace.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--scenario", "tiny", "--frames", "1",
+              "--categories", "kernel,kernl", "-o", str(out_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "kernl" in err
+    assert "known: kernel, bus, reconfig, firmware, warning" in err
+    assert not out_path.exists()
+
+
 def test_method_override(capsys):
     code = main(["run", "--scenario", "tiny", "--method", "vmux",
                  "--frames", "1"])
